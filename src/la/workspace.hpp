@@ -137,10 +137,10 @@ inline WorkspacePool& workspace_pool() {
 inline Workspace* tls_workspace() { return detail::tls_workspace_slot(); }
 
 /// RAII checkout of a pooled arena, bound to the current thread for the
-/// lease's lifetime. Held by engine worker loops (including the sequential
-/// and fuzzed paths, which execute on the caller's thread).
+/// lease's lifetime. Held by every engine worker loop, including the one
+/// a 1-worker epoch runs on the thread that called wait_all().
 ///
-/// Engine pool threads pass their worker id: when HCHAM_NUMA=1 the lease
+/// Engine workers pass their worker id: when HCHAM_NUMA=1 the lease
 /// prefers the arena this worker held last, so chunk pages first-touched by
 /// a worker keep serving the same worker across epochs (arena affinity
 /// mirrors the scheduler's task affinity). Without HCHAM_NUMA, checkout is

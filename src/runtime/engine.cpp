@@ -21,20 +21,18 @@ namespace hcham::rt {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 struct Task {
-  TaskId id = -1;
-  std::function<void()> fn;
   std::string label;
   int priority = 0;
   std::vector<TaskId> successors;
-  index_t num_deps = 0;  ///< static in-degree (for graph export)
-  index_t pending = 0;   ///< unresolved dependencies (runtime countdown)
+  index_t num_deps = 0;  ///< static in-degree
   double duration_s = 0.0;
-  bool done = false;
   TaskId last_edge_to = -1;  ///< dedupe mark: all edges to one task are
                              ///< added within a single submit() call
   std::vector<Access> accesses;  ///< per-handle strongest mode; only
-                                 ///< populated under check_conflicts
+                                 ///< populated while accesses are tracked
 };
 
 struct HandleState {
@@ -44,28 +42,15 @@ struct HandleState {
   std::vector<TaskId> readers_since_write;
 };
 
-/// Priority order: higher priority first, then older task first.
-struct PrioLess {
-  const std::vector<Task>* tasks;
+/// Heap order over epoch slots: higher key first, then the older (lower)
+/// slot. The keys are a live epoch's submit-time priorities, a replay's
+/// critical-path ranks, or a fuzzed epoch's seeded random keys.
+struct SlotPrioLess {
+  const int* key;
   bool operator()(TaskId a, TaskId b) const {
-    const Task& ta = (*tasks)[static_cast<std::size_t>(a)];
-    const Task& tb = (*tasks)[static_cast<std::size_t>(b)];
-    if (ta.priority != tb.priority) return ta.priority < tb.priority;
-    return ta.id > tb.id;  // older first when popped from a max-heap
-  }
-};
-
-/// Same ordering as PrioLess, reading priorities from a flat epoch-local
-/// array instead of the Task records, so the lock-light queues serve both
-/// live tasks (ids offset by the retirement base) and replayed slots
-/// (epoch-local ids, base 0) with one comparator.
-struct LLPrioLess {
-  const std::vector<int>* prio;
-  TaskId base;
-  bool operator()(TaskId a, TaskId b) const {
-    const int pa = (*prio)[static_cast<std::size_t>(a - base)];
-    const int pb = (*prio)[static_cast<std::size_t>(b - base)];
-    if (pa != pb) return pa < pb;
+    const int ka = key[static_cast<std::size_t>(a)];
+    const int kb = key[static_cast<std::size_t>(b)];
+    if (ka != kb) return ka < kb;
     return a > b;  // older first when popped from a max-heap
   }
 };
@@ -81,11 +66,38 @@ inline void cpu_pause() {
 // Worker context of the calling thread: which engine's pool it belongs to
 // (compared by Impl address, stored untyped so the anonymous namespace need
 // not name the private Impl), its worker id, and whether it is currently
-// inside a nested task (nesting-inside-nesting stays inline). Set only by
-// the lock-light and replay pool threads.
+// inside a nested task (nesting-inside-nesting stays inline). Set only for
+// the span of a multi-worker epoch.
 thread_local const void* tls_worker_pool = nullptr;
 thread_local int tls_worker_id = -1;
 thread_local bool tls_in_nested_task = false;
+
+/// Publishes the calling thread as worker `id` of `pool` and restores the
+/// previous context on destruction: the caller of a 1-worker wait_all()
+/// runs worker 0 and may itself be a worker (or nested task) of another
+/// engine.
+class WorkerContext {
+ public:
+  WorkerContext(const void* pool, int id)
+      : pool_(tls_worker_pool), id_(tls_worker_id),
+        in_nested_(tls_in_nested_task) {
+    tls_worker_pool = pool;
+    tls_worker_id = id;
+    tls_in_nested_task = false;
+  }
+  WorkerContext(const WorkerContext&) = delete;
+  WorkerContext& operator=(const WorkerContext&) = delete;
+  ~WorkerContext() {
+    tls_worker_pool = pool_;
+    tls_worker_id = id_;
+    tls_in_nested_task = in_nested_;
+  }
+
+ private:
+  const void* pool_;
+  int id_;
+  bool in_nested_;
+};
 
 }  // namespace
 
@@ -129,39 +141,31 @@ struct Engine::Impl {
   std::vector<Task> tasks;
   std::vector<HandleState> handles;
   std::vector<TraceEvent> trace;
-
-  // Execution state (valid during wait_all).
-  std::mutex mu;
-  std::condition_variable cv;
-  index_t remaining = 0;
-  std::exception_ptr first_error;
-  int seed_rr = 0;  ///< round-robin seed target for initially-ready tasks
   std::atomic<bool> executing{false};  ///< set for the span of wait_all()
-
-  // Access-conflict checker state (under mu; valid during wait_all when
-  // opts.check_conflicts). One slot per handle: the running writer task (if
-  // any), the count of running readers, and one reader id for diagnostics.
-  std::vector<TaskId> active_writer;
-  std::vector<index_t> active_readers;
-  std::vector<TaskId> reader_witness;
-  std::vector<std::string> conflict_log;
-
   index_t edge_counter = 0;  ///< inferred-edge count (fault injection)
 
-  // Scheduler queues of the global-lock fallback path.
-  std::vector<TaskId> prio_heap;                 // policy: prio
-  std::vector<std::deque<TaskId>> worker_deques; // policy: ws
-  std::vector<std::vector<TaskId>> worker_heaps; // policy: lws
+  /// Closures of the epoch being submitted, by slot: live submissions
+  /// append (slot = task id - retired), replay re-binds append in captured
+  /// slot order. Moved in at submit, released when the epoch drains.
+  std::vector<std::function<void()>> fns;
 
-  // --- lock-light scheduler state (valid during run_parallel_locklight) ---
+  /// Tasks below this index belong to fully-drained earlier epochs: their
+  /// closures and access lists have been released and no edge is ever
+  /// added from them again. A long-lived engine (a serve session runs
+  /// thousands of solve epochs against one factorization) would otherwise
+  /// re-scan the entire task history and hold every closure alive forever.
+  index_t retired = 0;
+
+  // --- the dispatcher (DESIGN.md section 7) ----------------------------------
   //
-  // Each worker owns one cache-line-isolated queue slot (deque for ws, heap
-  // for lws) guarded by its own small mutex, plus a private parking condvar.
+  // Every epoch — live, captured, replayed, fuzzed, checked, 1 or N
+  // workers — executes one CSR (`eg`) through the same worker loop. Each
+  // worker owns one cache-line-isolated queue slot (deque for ws, heap for
+  // lws) guarded by its own small mutex, plus a private parking condvar.
   // The atomic `size` mirrors the queue occupancy so steal-victim selection
   // and the park/unpark double-check never touch the queue mutexes. Under
   // the prio policy the central heap stays central (its ordering is the
-  // policy), but it has a dedicated mutex touched once per batched push/pop
-  // instead of one global lock around every scheduling decision.
+  // policy), behind a dedicated mutex touched once per batched push/pop.
   struct alignas(64) WorkerState {
     std::mutex mu;                 // guards deque and heap
     std::deque<TaskId> deque;      // ws ready queue (LIFO owner, FIFO thief)
@@ -171,26 +175,58 @@ struct Engine::Impl {
     std::condition_variable park_cv;
     unsigned wake_epoch = 0;  // under park_mu; bumped once per targeted wake
     std::vector<TraceEvent> local_trace;  // merged into `trace` after join
+    // Recent-write signature for the steal scorer (affinity epochs), reset
+    // every kSigDecay tasks so long epochs track what is still cache-warm.
+    std::uint64_t sig = 0;
+    int sig_age = 0;
+    // Release scratch, owned by the worker running this slot.
+    std::vector<TaskId> batch;
+    std::vector<TaskId> sub;
+    std::vector<int> targets;
+    std::vector<std::uint64_t> tally;  // per-worker input bytes, sized to pool
   };
-  std::vector<std::unique_ptr<WorkerState>> ll_workers;
-  std::mutex prio_mu;                       // guards prio_heap_ll
-  std::vector<TaskId> prio_heap_ll;
+  std::vector<std::unique_ptr<WorkerState>> workers;  // one per pool worker
+  std::mutex prio_mu;                                 // guards prio_heap
+  std::vector<TaskId> prio_heap;
   std::atomic<index_t> prio_size{0};
-  std::unique_ptr<std::atomic<index_t>[]> pending_ll;
-  index_t ll_base = 0;  ///< pending_ll[i] belongs to task `ll_base + i`
-  std::atomic<index_t> remaining_ll{0};
-  std::atomic<std::uint64_t> parked_mask{0};  // bit w set = worker w parked
-  std::mutex err_mu;                          // guards first_error (cold)
+  /// Parked-worker mask, 64 workers per word: bit w % 64 of word w / 64.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> parked;
+  std::size_t parked_words = 0;
+
+  // Per-epoch dispatch state, set by run_epoch() before any worker starts.
+  const CapturedGraph* eg = nullptr;  ///< the epoch CSR
+  Clock::time_point t0;   ///< epoch start (trace timestamps are relative)
+  TaskId trace_base = 0;  ///< slot + trace_base = reported id (task id live)
+  int width = 1;          ///< workers of this epoch: 1 when fuzzing
+  SchedulerPolicy policy = SchedulerPolicy::Priority;  ///< prio when fuzzing
+  const int* key = nullptr;            ///< heap keys per slot
+  std::vector<int> fuzz_key;           ///< seeded random keys (fuzzing)
+  const TaskId* fused_next = nullptr;  ///< chain fusion; null = none
+  std::vector<double> dur;             ///< measured duration per slot
+  std::unique_ptr<std::atomic<index_t>[]> pending;  ///< unresolved deps
+  std::atomic<index_t> remaining{0};
+  int seed_rr = 0;  ///< round-robin seed target for initially-ready slots
+  std::mutex err_mu;  // guards first_error (cold)
+  std::exception_ptr first_error;
+
+  // Access-conflict checker state (under mu; valid while an armed epoch
+  // runs). One slot per handle: the running writer slot (if any), the
+  // count of running readers, and one reader slot for diagnostics.
+  std::mutex mu;
+  std::vector<TaskId> active_writer;
+  std::vector<index_t> active_readers;
+  std::vector<TaskId> reader_witness;
+  std::vector<std::string> conflict_log;
 
   // --- nested sub-epoch state (DESIGN.md section 11) ---------------------
   //
   // Sub-epochs in their wait() phase register here so idle pool workers can
   // steal their tasks. nested_ready_total mirrors the summed ready-queue
-  // occupancy (same role as the lock-light occupancy mirrors: parking
+  // occupancy (same role as the queue occupancy mirrors: parking
   // double-checks and steal attempts never take nested_mu when it is zero);
-  // publish (under nested_mu, then fetch_add) precedes the targeted
-  // ll_wake, pairing with ll_park's announce-then-recheck. nested_live
-  // counts constructed-but-undestroyed NestedEpoch objects — capture/replay
+  // publish (under nested_mu, then fetch_add) precedes the targeted wake,
+  // pairing with park()'s announce-then-recheck. nested_live counts
+  // constructed-but-undestroyed NestedEpoch objects — capture/replay
   // arming rejects while any are live, since a sub-epoch spanning parent
   // epochs would corrupt the captured closure-slot order.
   std::mutex nested_mu;  // guards nested_epochs and every epoch's `ready`
@@ -199,29 +235,12 @@ struct Engine::Impl {
   std::atomic<index_t> nested_live{0};
   std::atomic<index_t> nested_edge_counter{0};  // nested fault injection
 
-  std::chrono::steady_clock::time_point epoch_start;
-
-  /// Tasks below this index belong to fully-drained earlier epochs: their
-  /// closures have been released and every execution path skips them. A
-  /// long-lived engine (a serve session runs thousands of solve epochs
-  /// against one factorization) would otherwise re-scan the entire task
-  /// history and hold every submitted closure alive forever.
-  index_t retired = 0;
-
   // --- capture / replay state (DESIGN.md section 10) ---------------------
-  bool capture_armed = false;  ///< record the next epoch into `captured`
-  index_t capture_start = 0;   ///< first task id of the captured epoch
+  bool capture_armed = false;  ///< keep the next live epoch's CSR
   std::shared_ptr<const CapturedGraph> captured;
-  std::shared_ptr<const CapturedGraph> replay;    ///< armed replay graph
-  std::vector<std::function<void()>> replay_fns;  ///< slot -> closure
-  index_t replay_next = 0;
+  std::shared_ptr<const CapturedGraph> replay;  ///< armed replay graph
   std::atomic<std::uint64_t> epochs_captured{0};
   std::atomic<std::uint64_t> epochs_replayed{0};
-
-  /// Epoch-local priority view for LLPrioLess: live epochs copy the tasks'
-  /// submit-time priorities (indexed by id - ll_base), replays install the
-  /// captured graph's critical-path priorities (indexed by slot).
-  std::vector<int> ll_prio;
 
   // --- data-affinity scheduling state (DESIGN.md section 14) --------------
   //
@@ -240,13 +259,13 @@ struct Engine::Impl {
   /// (relaxed: a stale read only costs locality, never correctness).
   std::unique_ptr<std::atomic<int>[]> aff_owner;
   std::size_t aff_owner_count = 0;
-  /// Intended owner per epoch task (index id - ll_base), set before the
-  /// task is queued; the steal scorer prefers tasks that were NOT routed to
-  /// their victim ("cold") when a steal is unavoidable.
-  std::unique_ptr<std::atomic<int>[]> ll_owner;
-  /// Input-handle signature per epoch task (index id - ll_base): one hash
-  /// bit per read/readwrite handle. Thieves take only tasks overlapping
-  /// their own recent-write signature in the first scan pass.
+  /// Intended owner per slot, set before the slot is queued; the steal
+  /// scorer prefers slots that were NOT routed to their victim ("cold")
+  /// when a steal is unavoidable.
+  std::unique_ptr<std::atomic<int>[]> slot_owner;
+  /// Input-handle signature per slot: one hash bit per read/readwrite
+  /// handle. Thieves take only slots overlapping their own recent-write
+  /// signature in the first scan pass.
   std::vector<std::uint64_t> aff_in_sig;
 
   static std::uint64_t aff_sig_bit(index_t h) {
@@ -254,79 +273,11 @@ struct Engine::Impl {
            << ((static_cast<std::uint64_t>(h) * 0x9E3779B97F4A7C15ull) >> 58);
   }
 
-  /// The placement gate, re-read per epoch so HCHAM_AFFINITY_DISABLE can
-  /// flip between epochs: affinity needs tracked accesses, a multi-worker
-  /// pool, and a policy with per-worker queues (prio's central heap has no
-  /// placement to speak of).
-  bool aff_enabled_epoch() const {
-    return aff_track && opts.num_workers > 1 &&
-           opts.policy != SchedulerPolicy::Priority && !affinity_disabled();
-  }
-
-  /// Size the epoch owner map to `nh` handles and load the persistent
-  /// last-writer view into it.
-  void aff_owner_setup(std::size_t nh) {
-    if (h_last_worker.size() < nh) h_last_worker.resize(nh, -1);
-    aff_owner = std::make_unique<std::atomic<int>[]>(nh);
-    aff_owner_count = nh;
-    for (std::size_t i = 0; i < nh; ++i)
-      aff_owner[i].store(h_last_worker[i], std::memory_order_relaxed);
-    aff_steal_scan = static_cast<int>(
-        env_long_bounded("HCHAM_AFFINITY_STEAL_SCAN", 4, 1, 64));
-  }
-
-  /// Persist the epoch's final owner view and drop the epoch arrays.
-  void aff_owner_teardown() {
-    for (std::size_t i = 0; i < aff_owner_count; ++i)
-      h_last_worker[i] = aff_owner[i].load(std::memory_order_relaxed);
-    aff_owner.reset();
-    aff_owner_count = 0;
-    ll_owner.reset();
-    aff_in_sig.clear();
-    aff_epoch = false;
-  }
-
-  /// Worker owning the plurality of the task's input bytes, or -1 when no
-  /// input has a known last writer. Ties go to the lowest worker.
-  int aff_input_owner(const Task& t) const {
-    std::uint64_t by_worker[64] = {0};
-    bool any = false;
-    for (const Access& a : t.accesses) {
-      if (a.mode == AccessMode::Write) continue;  // pure output
-      const auto h = static_cast<std::size_t>(a.handle.id);
-      if (h >= aff_owner_count) continue;
-      const int ow = aff_owner[h].load(std::memory_order_relaxed);
-      if (ow < 0 || ow >= opts.num_workers) continue;
-      const std::size_t b = handles[h].bytes;
-      by_worker[ow] += b ? b : 1;
-      any = true;
-    }
-    if (!any) return -1;
-    int best = -1;
-    std::uint64_t best_bytes = 0;
-    for (int v = 0; v < opts.num_workers; ++v)
-      if (by_worker[v] > best_bytes) {
-        best_bytes = by_worker[v];
-        best = v;
-      }
-    return best;
-  }
-
-  /// Replay placement: the captured graph's offline partition, valid only
-  /// when it was computed for this pool width.
-  int aff_replay_target(TaskId slot) const {
-    const CapturedGraph& g = *replay;
-    if (g.placement_workers != opts.num_workers ||
-        static_cast<std::size_t>(slot) >= g.placement.size())
-      return -1;
-    return g.placement[static_cast<std::size_t>(slot)];
-  }
-
   // Submission-phase stopwatch: opened by the first submit() of an epoch
   // (or by begin_replay) and closed on wait_all() entry. Feeds the
   // submit_live_ns / submit_replay_ns counters the overhead bench gates on.
   bool submit_clock_open = false;
-  std::chrono::steady_clock::time_point submit_clock_start;
+  Clock::time_point submit_clock_start;
   double last_submit_s = 0.0;
 
   explicit Impl(Options o) : opts(o) {
@@ -338,19 +289,27 @@ struct Engine::Impl {
     aff_track = opts.num_workers > 1 &&
                 opts.policy != SchedulerPolicy::Priority &&
                 !affinity_disabled();
+    for (int w = 0; w < opts.num_workers; ++w)
+      workers.push_back(std::make_unique<WorkerState>());
+    parked_words = static_cast<std::size_t>(opts.num_workers + 63) / 64;
+    parked = std::make_unique<std::atomic<std::uint64_t>[]>(parked_words);
   }
 
   bool all_drained() const {
-    for (std::size_t i = static_cast<std::size_t>(retired); i < tasks.size();
-         ++i)
-      if (!tasks[i].done) return false;
-    return true;
+    return retired == static_cast<index_t>(tasks.size());
+  }
+
+  /// Whether submit() collapses access lists into the task records: the
+  /// checker, a capture, and the affinity placer all read them from the
+  /// epoch CSR.
+  bool accesses_tracked() const {
+    return opts.check_conflicts || capture_armed || aff_track;
   }
 
   void open_submit_clock() {
     if (submit_clock_open) return;
     submit_clock_open = true;
-    submit_clock_start = std::chrono::steady_clock::now();
+    submit_clock_start = Clock::now();
   }
 
   void close_submit_clock(bool replay_mode) {
@@ -359,9 +318,9 @@ struct Engine::Impl {
       return;
     }
     submit_clock_open = false;
-    last_submit_s = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - submit_clock_start)
-                        .count();
+    last_submit_s =
+        std::chrono::duration<double>(Clock::now() - submit_clock_start)
+            .count();
     auto& counter = replay_mode ? runtime_counters().submit_replay_ns
                                 : runtime_counters().submit_live_ns;
     counter.fetch_add(static_cast<std::uint64_t>(last_submit_s * 1.0e9),
@@ -371,397 +330,315 @@ struct Engine::Impl {
   void add_edge(TaskId from, TaskId to) {
     if (from == to) return;  // a task never depends on itself (a self-edge
                              // would leave pending > 0 forever: deadlock)
+    if (from < retired) return;  // satisfied by an earlier epoch
     Task& src = tasks[static_cast<std::size_t>(from)];
-    if (src.done) return;  // dependency already satisfied (earlier epoch)
     if (src.last_edge_to == to) return;  // dedupe within this submit
     src.last_edge_to = to;
     if (edge_counter++ == opts.fault_drop_edge) return;  // fault injection
     src.successors.push_back(to);
-    Task& dst = tasks[static_cast<std::size_t>(to)];
-    ++dst.num_deps;
-    ++dst.pending;
+    ++tasks[static_cast<std::size_t>(to)].num_deps;
   }
 
-  // --- access-conflict checker (all under mu) ----------------------------
+  // --- the epoch CSR ---------------------------------------------------------
 
-  void report_conflict(const Task& t, TaskId other, Handle h,
+  /// Freeze the live epoch [retired, tasks.size()) into CSR form, slot =
+  /// task id - retired: successor lists, in-degrees and submit-time
+  /// priorities always; labels only for a capture or the checker; the
+  /// collapsed access lists only while they are tracked.
+  std::shared_ptr<CapturedGraph> build_epoch_graph() const {
+    const auto base = static_cast<std::size_t>(retired);
+    const std::size_t n = tasks.size() - base;
+    auto g = std::make_shared<CapturedGraph>();
+    g->count = static_cast<index_t>(n);
+    g->succ_off.assign(n + 1, 0);
+    g->pending0.resize(n);
+    g->priority.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Task& t = tasks[base + i];
+      g->succ_off[i + 1] =
+          g->succ_off[i] + static_cast<index_t>(t.successors.size());
+      g->pending0[i] = t.num_deps;
+      g->priority[i] = t.priority;
+    }
+    g->succ.reserve(static_cast<std::size_t>(g->succ_off[n]));
+    for (std::size_t i = 0; i < n; ++i)
+      for (const TaskId s : tasks[base + i].successors) {
+        // Edges from retired tasks are never added and successors always
+        // come later, so every edge stays inside the epoch.
+        HCHAM_DCHECK(s >= retired);
+        g->succ.push_back(s - retired);
+      }
+    if (capture_armed || opts.check_conflicts) {
+      g->label.reserve(n);
+      for (std::size_t i = 0; i < n; ++i)
+        g->label.push_back(tasks[base + i].label);
+    }
+    if (!accesses_tracked()) return g;
+    g->acc_off.assign(n + 1, 0);
+    for (std::size_t i = 0; i < n; ++i)
+      g->acc_off[i + 1] =
+          g->acc_off[i] + static_cast<index_t>(tasks[base + i].accesses.size());
+    const auto na = static_cast<std::size_t>(g->acc_off[n]);
+    g->acc_handle.reserve(na);
+    g->acc_write.reserve(na);
+    g->acc_read.reserve(na);
+    g->acc_bytes.reserve(na);
+    for (std::size_t i = 0; i < n; ++i)
+      for (const Access& a : tasks[base + i].accesses) {
+        g->acc_handle.push_back(a.handle.id);
+        g->acc_write.push_back(a.mode == AccessMode::Read ? 0 : 1);
+        g->acc_read.push_back(a.mode == AccessMode::Write ? 0 : 1);
+        g->acc_bytes.push_back(static_cast<std::uint64_t>(
+            handles[static_cast<std::size_t>(a.handle.id)].bytes));
+        g->max_handle = std::max(g->max_handle, a.handle.id);
+      }
+    return g;
+  }
+
+  /// Keep a live epoch's CSR as the captured graph: the measured durations
+  /// feed the offline critical-path pass, then fusion and placement run
+  /// once for every later replay. A failed or conflicted epoch is
+  /// discarded: callers see the exception and must not cache it.
+  void finish_capture(std::shared_ptr<CapturedGraph> g) {
+    capture_armed = false;
+    captured.reset();
+    if (first_error || !conflict_log.empty()) return;
+    g->duration_s = dur;
+    assign_critical_path_priorities(*g);
+    fuse_linear_chains(*g);
+    if (!affinity_disabled()) assign_affinity_placement(*g, opts.num_workers);
+    epochs_captured.fetch_add(1, std::memory_order_relaxed);
+    runtime_counters().graph_captures.fetch_add(1, std::memory_order_relaxed);
+    runtime_counters().graph_fused_pairs.fetch_add(
+        static_cast<std::uint64_t>(g->fused_pairs), std::memory_order_relaxed);
+    captured = std::move(g);
+  }
+
+  /// Called after every live epoch: its tasks have drained (even on task
+  /// failure the graph runs to completion), so their access lists can be
+  /// released and the live range advanced. Graph metadata (labels,
+  /// durations, edges) is kept — graph() / to_dot() still see the full
+  /// history.
+  void retire_epoch() {
+    for (std::size_t i = static_cast<std::size_t>(retired); i < tasks.size();
+         ++i) {
+      tasks[i].accesses.clear();
+      tasks[i].accesses.shrink_to_fit();
+    }
+    retired = static_cast<index_t>(tasks.size());
+  }
+
+  // --- access-conflict checker (DESIGN.md section 6; all under mu) -----------
+  //
+  // Audits the epoch CSR's collapsed access lists. A slot enters before its
+  // closure runs and leaves before its successors are released, so two
+  // slots are active together with conflicting accesses only when the
+  // graph lacks an edge between them.
+
+  void report_conflict(index_t slot, index_t other, index_t handle,
                        const char* kind) {
-    const Task& o = tasks[static_cast<std::size_t>(other)];
+    const CapturedGraph& g = *eg;
+    auto label = [&g](index_t s) {
+      const auto i = static_cast<std::size_t>(s);
+      return i < g.label.size() && !g.label[i].empty()
+                 ? " [" + g.label[i] + "]"
+                 : std::string();
+    };
+    const bool live = replay == nullptr;
     std::ostringstream msg;
-    msg << kind << " access conflict on handle #" << h.id;
-    const std::string& name = handles[static_cast<std::size_t>(h.id)].name;
-    if (!name.empty()) msg << " '" << name << "'";
-    msg << ": task " << t.id << (t.label.empty() ? "" : " [" + t.label + "]")
-        << " started while task " << other
-        << (o.label.empty() ? "" : " [" + o.label + "]") << " was running";
+    msg << kind << " access conflict on handle #" << handle;
+    if (handle < static_cast<index_t>(handles.size()) &&
+        !handles[static_cast<std::size_t>(handle)].name.empty())
+      msg << " '" << handles[static_cast<std::size_t>(handle)].name << "'";
+    msg << ": " << (live ? "task " : "replay slot ") << trace_base + slot
+        << label(slot) << " started while " << (live ? "task " : "slot ")
+        << trace_base + other << label(other) << " was running";
     conflict_log.push_back(msg.str());
   }
 
-  /// Mark the task's accesses active; any overlap with a running writer
+  /// The checker arrays are sized to the CSR's handle range: a replayed
+  /// graph may have been captured on another engine (shared cache) whose
+  /// handle space is larger than this one's.
+  void checker_reset(const CapturedGraph& g) {
+    conflict_log.clear();
+    const auto nh = static_cast<std::size_t>(std::max<index_t>(
+        static_cast<index_t>(handles.size()), g.max_handle + 1));
+    active_writer.assign(nh, -1);
+    active_readers.assign(nh, 0);
+    reader_witness.assign(nh, -1);
+  }
+
+  /// Mark the slot's accesses active; any overlap with a running writer
   /// (or a running reader, for a writer) is a missing dependency edge.
-  void checker_enter(const Task& t) {
-    for (const Access& a : t.accesses) {
-      const auto h = static_cast<std::size_t>(a.handle.id);
-      if (a.mode == AccessMode::Read) {
+  void checker_enter(index_t slot) {
+    const CapturedGraph& g = *eg;
+    const auto s = static_cast<std::size_t>(slot);
+    for (index_t e = g.acc_off[s]; e < g.acc_off[s + 1]; ++e) {
+      const auto ei = static_cast<std::size_t>(e);
+      const index_t handle = g.acc_handle[ei];
+      const auto h = static_cast<std::size_t>(handle);
+      if (!g.acc_write[ei]) {
         if (active_writer[h] >= 0)
-          report_conflict(t, active_writer[h], a.handle, "R/W");
+          report_conflict(slot, active_writer[h], handle, "R/W");
         ++active_readers[h];
-        reader_witness[h] = t.id;
+        reader_witness[h] = slot;
       } else {
         if (active_writer[h] >= 0)
-          report_conflict(t, active_writer[h], a.handle, "W/W");
+          report_conflict(slot, active_writer[h], handle, "W/W");
         else if (active_readers[h] > 0)
-          report_conflict(t, reader_witness[h], a.handle, "W/R");
-        active_writer[h] = t.id;
+          report_conflict(slot, reader_witness[h], handle, "W/R");
+        active_writer[h] = slot;
       }
     }
   }
 
-  void checker_leave(const Task& t) {
-    for (const Access& a : t.accesses) {
-      const auto h = static_cast<std::size_t>(a.handle.id);
-      if (a.mode == AccessMode::Read) {
+  void checker_leave(index_t slot) {
+    const CapturedGraph& g = *eg;
+    const auto s = static_cast<std::size_t>(slot);
+    for (index_t e = g.acc_off[s]; e < g.acc_off[s + 1]; ++e) {
+      const auto ei = static_cast<std::size_t>(e);
+      const auto h = static_cast<std::size_t>(g.acc_handle[ei]);
+      if (!g.acc_write[ei]) {
         --active_readers[h];
-      } else if (active_writer[h] == t.id) {
+      } else if (active_writer[h] == slot) {
         // A conflicting second writer may have overwritten the slot.
         active_writer[h] = -1;
       }
     }
   }
 
-  void checker_reset() {
-    conflict_log.clear();
-    active_writer.assign(handles.size(), -1);
-    active_readers.assign(handles.size(), 0);
-    reader_witness.assign(handles.size(), -1);
+  // --- data affinity (DESIGN.md section 14) ----------------------------------
+
+  /// The placement gate, re-read per epoch so HCHAM_AFFINITY_DISABLE can
+  /// flip between epochs: affinity needs tracked accesses, a multi-worker
+  /// epoch, and a policy with per-worker queues (prio's central heap has no
+  /// placement to speak of; aff_track already excludes it).
+  bool aff_enabled_epoch() const {
+    return aff_track && width > 1 && !affinity_disabled();
   }
 
-  // --- global-lock scheduler plumbing (all under mu) ---------------------
+  /// Load the persistent last-writer view into the epoch owner map and
+  /// build the per-slot input signatures.
+  void aff_setup(const CapturedGraph& g) {
+    const auto nh = std::max(handles.size(),
+                             static_cast<std::size_t>(g.max_handle + 1));
+    if (h_last_worker.size() < nh) h_last_worker.resize(nh, -1);
+    aff_owner = std::make_unique<std::atomic<int>[]>(nh);
+    aff_owner_count = nh;
+    for (std::size_t i = 0; i < nh; ++i)
+      aff_owner[i].store(h_last_worker[i], std::memory_order_relaxed);
+    aff_steal_scan = static_cast<int>(
+        env_long_bounded("HCHAM_AFFINITY_STEAL_SCAN", 4, 1, 64));
+    const auto n = static_cast<std::size_t>(g.count);
+    slot_owner = std::make_unique<std::atomic<int>[]>(n);
+    aff_in_sig.assign(n, 0);
+    if (!has_access_bytes(g)) return;
+    for (std::size_t i = 0; i < n; ++i)
+      for (index_t e = g.acc_off[i]; e < g.acc_off[i + 1]; ++e) {
+        const auto ei = static_cast<std::size_t>(e);
+        if (g.acc_read[ei]) aff_in_sig[i] |= aff_sig_bit(g.acc_handle[ei]);
+      }
+  }
 
-  void make_ready(TaskId id, int releasing_worker) {
-    switch (opts.policy) {
-      case SchedulerPolicy::Priority:
-        prio_heap.push_back(id);
-        std::push_heap(prio_heap.begin(), prio_heap.end(),
-                       PrioLess{&tasks});
-        break;
-      case SchedulerPolicy::WorkStealing:
-        worker_deques[static_cast<std::size_t>(releasing_worker)]
-            .push_back(id);
-        break;
-      case SchedulerPolicy::LocalityWorkStealing: {
-        auto& heap =
-            worker_heaps[static_cast<std::size_t>(releasing_worker)];
-        heap.push_back(id);
-        std::push_heap(heap.begin(), heap.end(), PrioLess{&tasks});
-        break;
+  /// Persist the epoch's final owner view and drop the epoch arrays.
+  void aff_teardown() {
+    for (std::size_t i = 0; i < aff_owner_count; ++i)
+      h_last_worker[i] = aff_owner[i].load(std::memory_order_relaxed);
+    aff_owner.reset();
+    aff_owner_count = 0;
+    slot_owner.reset();
+    aff_in_sig.clear();
+    aff_epoch = false;
+  }
+
+  /// Preferred worker of a slot, or -1 for none. A replay honors the
+  /// captured graph's offline partition when it was computed for this pool
+  /// width; a live epoch picks the worker owning the plurality of the
+  /// slot's input bytes (ties to the lowest worker), tallied in `tally`.
+  int aff_target(TaskId slot, std::vector<std::uint64_t>& tally) const {
+    const CapturedGraph& g = *eg;
+    const auto s = static_cast<std::size_t>(slot);
+    if (replay != nullptr)
+      return g.placement_workers == width && s < g.placement.size()
+                 ? g.placement[s]
+                 : -1;
+    tally.assign(static_cast<std::size_t>(width), 0);
+    bool any = false;
+    for (index_t e = g.acc_off[s]; e < g.acc_off[s + 1]; ++e) {
+      const auto ei = static_cast<std::size_t>(e);
+      if (!g.acc_read[ei]) continue;  // pure output
+      const auto h = static_cast<std::size_t>(g.acc_handle[ei]);
+      if (h >= aff_owner_count) continue;
+      const int ow = aff_owner[h].load(std::memory_order_relaxed);
+      if (ow < 0 || ow >= width) continue;
+      tally[static_cast<std::size_t>(ow)] +=
+          g.acc_bytes[ei] ? g.acc_bytes[ei] : 1;
+      any = true;
+    }
+    if (!any) return -1;
+    int best = -1;
+    std::uint64_t best_bytes = 0;
+    for (int v = 0; v < width; ++v)
+      if (tally[static_cast<std::size_t>(v)] > best_bytes) {
+        best_bytes = tally[static_cast<std::size_t>(v)];
+        best = v;
+      }
+    return best;
+  }
+
+  // --- ready queues ----------------------------------------------------------
+
+  /// Count of ready (queued, unclaimed) slots across the occupancy mirrors;
+  /// also feeds the nesting gate's occupancy heuristic.
+  index_t ready_count() const {
+    if (policy == SchedulerPolicy::Priority) return prio_size.load();
+    index_t n = 0;
+    for (int w = 0; w < width; ++w)
+      n += workers[static_cast<std::size_t>(w)]->size.load();
+    return n;
+  }
+
+  /// Publish `n` newly-ready slots with ONE lock acquisition: worker `w`'s
+  /// own queue (ws/lws) or the central prio heap.
+  void push_batch(int w, const TaskId* ids, std::size_t n) {
+    const SlotPrioLess less{key};
+    if (policy == SchedulerPolicy::Priority) {
+      std::lock_guard<std::mutex> lk(prio_mu);
+      for (std::size_t i = 0; i < n; ++i) {
+        prio_heap.push_back(ids[i]);
+        std::push_heap(prio_heap.begin(), prio_heap.end(), less);
+      }
+      prio_size.fetch_add(static_cast<index_t>(n));
+      return;
+    }
+    auto& q = *workers[static_cast<std::size_t>(w)];
+    std::lock_guard<std::mutex> lk(q.mu);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (policy == SchedulerPolicy::WorkStealing) {
+        q.deque.push_back(ids[i]);
+      } else {
+        q.heap.push_back(ids[i]);
+        std::push_heap(q.heap.begin(), q.heap.end(), less);
       }
     }
-  }
-
-  /// Seed target for tasks that are ready at submission time ("released by
-  /// the main thread"): spread round-robin across workers. The cursor is
-  /// reset at the start of every epoch so multi-epoch programs seed exactly
-  /// like the simulator's replay (which restarts at worker 0 per call).
-  int next_seed_worker() {
-    const int w = seed_rr;
-    seed_rr = (seed_rr + 1) % opts.num_workers;
-    return w;
-  }
-
-  TaskId pick_task(int w) {
-    switch (opts.policy) {
-      case SchedulerPolicy::Priority: {
-        if (prio_heap.empty()) return -1;
-        std::pop_heap(prio_heap.begin(), prio_heap.end(), PrioLess{&tasks});
-        const TaskId id = prio_heap.back();
-        prio_heap.pop_back();
-        return id;
-      }
-      case SchedulerPolicy::WorkStealing: {
-        auto& own = worker_deques[static_cast<std::size_t>(w)];
-        if (!own.empty()) {
-          const TaskId id = own.back();  // LIFO on the owner side
-          own.pop_back();
-          return id;
-        }
-        // Steal from the most loaded worker (FIFO on the thief side).
-        int victim = -1;
-        std::size_t best = 0;
-        for (int v = 0; v < opts.num_workers; ++v) {
-          if (v == w) continue;
-          const std::size_t sz =
-              worker_deques[static_cast<std::size_t>(v)].size();
-          if (sz > best) {
-            best = sz;
-            victim = v;
-          }
-        }
-        if (victim < 0) return -1;
-        auto& vq = worker_deques[static_cast<std::size_t>(victim)];
-        const TaskId id = vq.front();
-        vq.pop_front();
-        return id;
-      }
-      case SchedulerPolicy::LocalityWorkStealing: {
-        auto& own = worker_heaps[static_cast<std::size_t>(w)];
-        if (!own.empty()) {
-          std::pop_heap(own.begin(), own.end(), PrioLess{&tasks});
-          const TaskId id = own.back();
-          own.pop_back();
-          return id;
-        }
-        // Steal from neighbours in ring order, respecting priorities.
-        for (int d = 1; d < opts.num_workers; ++d) {
-          const int v = (w + d) % opts.num_workers;
-          auto& vq = worker_heaps[static_cast<std::size_t>(v)];
-          if (vq.empty()) continue;
-          std::pop_heap(vq.begin(), vq.end(), PrioLess{&tasks});
-          const TaskId id = vq.back();
-          vq.pop_back();
-          return id;
-        }
-        return -1;
-      }
-    }
-    return -1;
-  }
-
-  // --- execution -----------------------------------------------------------
-
-  /// Called after every wait_all() execution: the epoch's tasks have
-  /// drained (even on task failure the graph runs to completion), so their
-  /// closures can be released and the live range advanced. Graph metadata
-  /// (labels, durations, edges) is kept — graph() / to_dot() still see the
-  /// full history. If a task is somehow not done (stalled fuzz replay of a
-  /// broken graph), the boundary stays put so the task re-runs next epoch.
-  void retire_epoch() {
-    for (std::size_t i = static_cast<std::size_t>(retired); i < tasks.size();
-         ++i) {
-      Task& t = tasks[i];
-      if (!t.done) return;
-      t.fn = nullptr;
-      t.accesses.clear();
-      t.accesses.shrink_to_fit();
-    }
-    retired = static_cast<index_t>(tasks.size());
-  }
-
-  void run_sequential() {
-    // STF guarantees dependencies point backwards, so submission order is a
-    // valid topological order.
-    la::WorkspaceLease workspace_lease;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = static_cast<std::size_t>(retired); i < tasks.size();
-         ++i) {
-      Task& t = tasks[i];
-      if (t.done) continue;
-      const double start =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      Timer timer;
-      try {
-        t.fn();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-      t.duration_s = timer.seconds();
-      t.done = true;
-      t.pending = 0;
-      if (opts.record_trace)
-        trace.push_back(TraceEvent{t.id, 0, start, start + t.duration_s});
-    }
-  }
-
-  /// Single-threaded replay in a seed-chosen random topological order: at
-  /// every step one of the currently-ready tasks is drawn uniformly. This
-  /// explores legal schedules the three production policies never produce,
-  /// deterministically per seed.
-  void run_fuzzed() {
-    Rng rng(opts.fuzz_seed);
-    la::WorkspaceLease workspace_lease;
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<TaskId> ready;
-    index_t left = 0;
-    for (std::size_t i = static_cast<std::size_t>(retired); i < tasks.size();
-         ++i) {
-      Task& t = tasks[i];
-      if (t.done) continue;
-      ++left;
-      if (t.pending == 0) ready.push_back(t.id);
-    }
-    while (!ready.empty()) {
-      const std::size_t pick =
-          static_cast<std::size_t>(rng.uniform_index(ready.size()));
-      const TaskId id = ready[pick];
-      ready[pick] = ready.back();
-      ready.pop_back();
-      Task& t = tasks[static_cast<std::size_t>(id)];
-      const double start =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      Timer timer;
-      try {
-        t.fn();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-      t.duration_s = timer.seconds();
-      t.done = true;
-      for (const TaskId succ : t.successors) {
-        Task& s = tasks[static_cast<std::size_t>(succ)];
-        if (--s.pending == 0) ready.push_back(succ);
-      }
-      --left;
-      if (opts.record_trace)
-        trace.push_back(TraceEvent{t.id, 0, start, start + t.duration_s});
-    }
-    HCHAM_CHECK_MSG(left == 0, "fuzzed replay stalled: cycle in task graph");
-  }
-
-  // --- global-lock parallel path (verification fallback) -----------------
-  //
-  // Every scheduling decision under one mutex with broadcast wakeups. Kept
-  // as the execution substrate of the access-conflict checker, whose
-  // bookkeeping relies on task start/finish being serialized by that mutex
-  // (see DESIGN.md section 6); also the fallback above 64 workers, where
-  // the lock-light parked-worker bitmask would overflow.
-
-  void worker_loop_locked(int w,
-                          const std::chrono::steady_clock::time_point t0) {
-    std::unique_lock<std::mutex> lk(mu);
-    while (true) {
-      if (remaining == 0) {
-        cv.notify_all();
-        return;
-      }
-      const TaskId id = pick_task(w);
-      if (id < 0) {
-        cv.wait(lk);
-        continue;
-      }
-      Task& t = tasks[static_cast<std::size_t>(id)];
-      if (opts.check_conflicts) checker_enter(t);
-      lk.unlock();
-      const double start =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      Timer timer;
-      std::exception_ptr error;
-      try {
-        t.fn();
-      } catch (...) {
-        error = std::current_exception();
-      }
-      const double dur = timer.seconds();
-      lk.lock();
-      if (opts.check_conflicts) checker_leave(t);
-      if (error && !first_error) first_error = error;
-      t.duration_s = dur;
-      t.done = true;
-      bool woke = false;
-      for (const TaskId succ : t.successors) {
-        Task& s = tasks[static_cast<std::size_t>(succ)];
-        if (--s.pending == 0) {
-          make_ready(succ, w);
-          woke = true;
-        }
-      }
-      --remaining;
-      if (opts.record_trace)
-        trace.push_back(TraceEvent{t.id, w, start, start + dur});
-      if (remaining == 0 || woke) cv.notify_all();
-    }
-  }
-
-  void run_parallel_locked() {
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      seed_rr = 0;  // simulator replays restart the round-robin each epoch
-      remaining = 0;
-      prio_heap.clear();
-      worker_deques.assign(static_cast<std::size_t>(opts.num_workers), {});
-      worker_heaps.assign(static_cast<std::size_t>(opts.num_workers), {});
-      for (std::size_t i = static_cast<std::size_t>(retired);
-           i < tasks.size(); ++i) {
-        Task& t = tasks[i];
-        if (t.done) continue;
-        ++remaining;
-        if (t.pending == 0) make_ready(t.id, next_seed_worker());
-      }
-      if (remaining == 0) return;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(opts.num_workers));
-    for (int w = 0; w < opts.num_workers; ++w)
-      pool.emplace_back([this, w, t0] {
-        la::WorkspaceLease workspace_lease(w);
-        worker_loop_locked(w, t0);
-      });
-    for (auto& th : pool) th.join();
-  }
-
-  // --- lock-light parallel path (the default) ----------------------------
-
-  bool ll_has_ready() const {
-    if (opts.policy == SchedulerPolicy::Priority) return prio_size.load() > 0;
-    for (const auto& w : ll_workers)
-      if (w->size.load() > 0) return true;
-    return false;
-  }
-
-  /// Publish a batch of newly-ready tasks with ONE lock acquisition: the
-  /// releasing worker's own queue (ws/lws, matching the global-lock path's
-  /// make_ready target) or the central prio heap.
-  void ll_push_batch(int w, const std::vector<TaskId>& batch) {
-    switch (opts.policy) {
-      case SchedulerPolicy::Priority: {
-        std::lock_guard<std::mutex> lk(prio_mu);
-        for (const TaskId id : batch) {
-          prio_heap_ll.push_back(id);
-          std::push_heap(prio_heap_ll.begin(), prio_heap_ll.end(),
-                         LLPrioLess{&ll_prio, ll_base});
-        }
-        prio_size.fetch_add(static_cast<index_t>(batch.size()));
-        break;
-      }
-      case SchedulerPolicy::WorkStealing: {
-        auto& q = *ll_workers[static_cast<std::size_t>(w)];
-        std::lock_guard<std::mutex> lk(q.mu);
-        for (const TaskId id : batch) q.deque.push_back(id);
-        q.size.fetch_add(static_cast<index_t>(batch.size()));
-        break;
-      }
-      case SchedulerPolicy::LocalityWorkStealing: {
-        auto& q = *ll_workers[static_cast<std::size_t>(w)];
-        std::lock_guard<std::mutex> lk(q.mu);
-        for (const TaskId id : batch) {
-          q.heap.push_back(id);
-          std::push_heap(q.heap.begin(), q.heap.end(),
-                         LLPrioLess{&ll_prio, ll_base});
-        }
-        q.size.fetch_add(static_cast<index_t>(batch.size()));
-        break;
-      }
-    }
+    q.size.fetch_add(static_cast<index_t>(n));
   }
 
   /// Affinity-aware steal (DESIGN.md section 14), shared by the ws and lws
-  /// policies under aff_epoch. Pass 1 takes only tasks whose input handles
+  /// policies under aff_epoch. Pass 1 takes only slots whose input handles
   /// overlap the thief's recent-write signature, skipping victims with no
-  /// overlapping queued task; pass 2 (a steal is unavoidable) prefers a
-  /// task that was NOT routed to its victim ("cold") within the scan
+  /// overlapping queued slot; pass 2 (a steal is unavoidable) prefers a
+  /// slot that was NOT routed to its victim ("cold") within the scan
   /// window, falling back to the queue's steal-side default. Victims whose
   /// occupancy mirror reads zero are skipped without locking in both
   /// passes.
-  TaskId ll_steal_scored(int w, std::uint64_t my_sig) {
-    const bool is_ws = opts.policy == SchedulerPolicy::WorkStealing;
+  TaskId steal_scored(int w, std::uint64_t my_sig) {
+    const bool is_ws = policy == SchedulerPolicy::WorkStealing;
     const auto scan = static_cast<std::size_t>(aff_steal_scan);
     for (int pass = my_sig != 0 ? 0 : 1; pass < 2; ++pass) {
-      for (int d = 1; d < opts.num_workers; ++d) {
-        const int v = (w + d) % opts.num_workers;
-        auto& vq = *ll_workers[static_cast<std::size_t>(v)];
+      for (int d = 1; d < width; ++d) {
+        const int v = (w + d) % width;
+        auto& vq = *workers[static_cast<std::size_t>(v)];
         if (vq.size.load() == 0) continue;
         std::lock_guard<std::mutex> lk(vq.mu);
         const std::size_t n = is_ws ? vq.deque.size() : vq.heap.size();
@@ -773,7 +650,7 @@ struct Engine::Impl {
         if (pass == 0) {
           for (std::size_t i = 0; i < k; ++i) {
             const TaskId id = is_ws ? vq.deque[i] : vq.heap[i];
-            if (aff_in_sig[static_cast<std::size_t>(id - ll_base)] & my_sig) {
+            if (aff_in_sig[static_cast<std::size_t>(id)] & my_sig) {
               take = i;
               break;
             }
@@ -783,7 +660,7 @@ struct Engine::Impl {
           take = 0;
           for (std::size_t i = 0; i < k; ++i) {
             const TaskId id = is_ws ? vq.deque[i] : vq.heap[i];
-            if (ll_owner[static_cast<std::size_t>(id - ll_base)].load(
+            if (slot_owner[static_cast<std::size_t>(id)].load(
                     std::memory_order_relaxed) != v) {
               take = i;
               break;
@@ -798,8 +675,7 @@ struct Engine::Impl {
           id = vq.heap[take];
           vq.heap[take] = vq.heap.back();
           vq.heap.pop_back();
-          std::make_heap(vq.heap.begin(), vq.heap.end(),
-                         LLPrioLess{&ll_prio, ll_base});
+          std::make_heap(vq.heap.begin(), vq.heap.end(), SlotPrioLess{key});
         }
         vq.size.fetch_sub(1);
         runtime_counters().ll_steals.fetch_add(1, std::memory_order_relaxed);
@@ -811,140 +687,132 @@ struct Engine::Impl {
     return -1;
   }
 
-  /// Route a batch of newly-ready tasks to their affinity targets — the
-  /// captured graph's offline placement under replay, the live last-writer
-  /// plurality otherwise — with one queue lock per distinct target, then
-  /// wake parked workers for every routed task this worker will not
-  /// immediately take itself. `self_busy` marks releases from inside a
-  /// fused chain, where the releasing worker keeps running the chain and
-  /// every routed task is surplus.
-  void ll_dispatch_affinity(int w, const std::vector<TaskId>& batch,
-                            std::vector<int>& targets,
-                            std::vector<TaskId>& sub, bool self_busy) {
-    targets.clear();
+  /// Route worker `w`'s release batch to the slots' affinity targets with
+  /// one queue lock per distinct target, then wake parked workers for every
+  /// routed slot this worker will not immediately take itself. `self_busy`
+  /// marks releases from inside a fused chain, where the releasing worker
+  /// keeps running the chain and every routed slot is surplus.
+  void dispatch_affinity(int w, bool self_busy) {
+    WorkerState& me = *workers[static_cast<std::size_t>(w)];
+    const std::vector<TaskId>& batch = me.batch;
+    me.targets.clear();
     bool keeps = false;
     auto& rc = runtime_counters();
     for (const TaskId id : batch) {
-      int t = replay != nullptr
-                  ? aff_replay_target(id)
-                  : aff_input_owner(tasks[static_cast<std::size_t>(id)]);
+      int t = aff_target(id, me.tally);
       if (t < 0) {
         t = w;
         rc.affinity_misses.fetch_add(1, std::memory_order_relaxed);
       } else {
         rc.affinity_hits.fetch_add(1, std::memory_order_relaxed);
       }
-      targets.push_back(t);
+      me.targets.push_back(t);
       if (t == w) keeps = true;
     }
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      const int t = targets[i];
+      const int t = me.targets[i];
       if (t < 0) continue;  // already pushed with an earlier group
-      sub.clear();
+      me.sub.clear();
       for (std::size_t j = i; j < batch.size(); ++j) {
-        if (targets[j] != t) continue;
-        sub.push_back(batch[j]);
-        targets[j] = -1;
+        if (me.targets[j] != t) continue;
+        me.sub.push_back(batch[j]);
+        me.targets[j] = -1;
       }
-      for (const TaskId id : sub)
-        ll_owner[static_cast<std::size_t>(id - ll_base)].store(
+      for (const TaskId id : me.sub)
+        slot_owner[static_cast<std::size_t>(id)].store(
             t, std::memory_order_relaxed);
-      ll_push_batch(t, sub);
+      push_batch(t, me.sub.data(), me.sub.size());
     }
-    const auto wake =
+    const auto surplus =
         static_cast<index_t>(batch.size()) - ((keeps && !self_busy) ? 1 : 0);
-    if (wake > 0) ll_wake(wake);
+    if (surplus > 0) wake(surplus);
   }
 
-  TaskId ll_pop(int w, std::uint64_t my_sig = 0) {
-    switch (opts.policy) {
-      case SchedulerPolicy::Priority: {
-        if (prio_size.load() == 0) return -1;
-        std::lock_guard<std::mutex> lk(prio_mu);
-        if (prio_heap_ll.empty()) return -1;
-        std::pop_heap(prio_heap_ll.begin(), prio_heap_ll.end(),
-                      LLPrioLess{&ll_prio, ll_base});
-        const TaskId id = prio_heap_ll.back();
-        prio_heap_ll.pop_back();
-        prio_size.fetch_sub(1);
+  TaskId pop(int w) {
+    const SlotPrioLess less{key};
+    if (policy == SchedulerPolicy::Priority) {
+      if (prio_size.load() == 0) return -1;
+      std::lock_guard<std::mutex> lk(prio_mu);
+      if (prio_heap.empty()) return -1;
+      std::pop_heap(prio_heap.begin(), prio_heap.end(), less);
+      const TaskId id = prio_heap.back();
+      prio_heap.pop_back();
+      prio_size.fetch_sub(1);
+      return id;
+    }
+    const bool is_ws = policy == SchedulerPolicy::WorkStealing;
+    auto& own = *workers[static_cast<std::size_t>(w)];
+    if (own.size.load() > 0) {
+      std::lock_guard<std::mutex> lk(own.mu);
+      if (is_ws && !own.deque.empty()) {
+        const TaskId id = own.deque.back();  // LIFO on the owner side
+        own.deque.pop_back();
+        own.size.fetch_sub(1);
         return id;
       }
-      case SchedulerPolicy::WorkStealing: {
-        auto& own = *ll_workers[static_cast<std::size_t>(w)];
-        if (own.size.load() > 0) {
-          std::lock_guard<std::mutex> lk(own.mu);
-          if (!own.deque.empty()) {
-            const TaskId id = own.deque.back();  // LIFO on the owner side
-            own.deque.pop_back();
-            own.size.fetch_sub(1);
-            return id;
-          }
-        }
-        if (aff_epoch) return ll_steal_scored(w, my_sig);
-        // Steal from the most loaded worker (FIFO on the thief side); the
-        // occupancy mirrors make victim selection lock-free.
-        int victim = -1;
-        index_t best = 0;
-        for (int v = 0; v < opts.num_workers; ++v) {
-          if (v == w) continue;
-          const index_t sz =
-              ll_workers[static_cast<std::size_t>(v)]->size.load();
-          if (sz > best) {
-            best = sz;
-            victim = v;
-          }
-        }
-        if (victim < 0) return -1;
-        auto& vq = *ll_workers[static_cast<std::size_t>(victim)];
-        std::lock_guard<std::mutex> lk(vq.mu);
-        if (vq.deque.empty()) {
-          runtime_counters().ll_failed_steals.fetch_add(
-              1, std::memory_order_relaxed);
-          return -1;
-        }
-        const TaskId id = vq.deque.front();
-        vq.deque.pop_front();
-        vq.size.fetch_sub(1);
-        runtime_counters().ll_steals.fetch_add(1, std::memory_order_relaxed);
+      if (!is_ws && !own.heap.empty()) {
+        std::pop_heap(own.heap.begin(), own.heap.end(), less);
+        const TaskId id = own.heap.back();
+        own.heap.pop_back();
+        own.size.fetch_sub(1);
         return id;
-      }
-      case SchedulerPolicy::LocalityWorkStealing: {
-        auto& own = *ll_workers[static_cast<std::size_t>(w)];
-        if (own.size.load() > 0) {
-          std::lock_guard<std::mutex> lk(own.mu);
-          if (!own.heap.empty()) {
-            std::pop_heap(own.heap.begin(), own.heap.end(),
-                          LLPrioLess{&ll_prio, ll_base});
-            const TaskId id = own.heap.back();
-            own.heap.pop_back();
-            own.size.fetch_sub(1);
-            return id;
-          }
-        }
-        if (aff_epoch) return ll_steal_scored(w, my_sig);
-        // Steal from neighbours in ring order, respecting priorities; the
-        // occupancy mirrors skip empty victims without locking.
-        for (int d = 1; d < opts.num_workers; ++d) {
-          const int v = (w + d) % opts.num_workers;
-          auto& vq = *ll_workers[static_cast<std::size_t>(v)];
-          if (vq.size.load() == 0) continue;
-          std::lock_guard<std::mutex> lk(vq.mu);
-          if (vq.heap.empty()) continue;
-          std::pop_heap(vq.heap.begin(), vq.heap.end(),
-                        LLPrioLess{&ll_prio, ll_base});
-          const TaskId id = vq.heap.back();
-          vq.heap.pop_back();
-          vq.size.fetch_sub(1);
-          runtime_counters().ll_steals.fetch_add(1,
-                                                 std::memory_order_relaxed);
-          return id;
-        }
-        runtime_counters().ll_failed_steals.fetch_add(
-            1, std::memory_order_relaxed);
-        return -1;
       }
     }
+    if (aff_epoch) return steal_scored(w, own.sig);
+    auto& rc = runtime_counters();
+    if (is_ws) {
+      // Steal from the most loaded worker (FIFO on the thief side); the
+      // occupancy mirrors make victim selection lock-free.
+      int victim = -1;
+      index_t best = 0;
+      for (int v = 0; v < width; ++v) {
+        if (v == w) continue;
+        const index_t sz = workers[static_cast<std::size_t>(v)]->size.load();
+        if (sz > best) {
+          best = sz;
+          victim = v;
+        }
+      }
+      if (victim < 0) return -1;
+      auto& vq = *workers[static_cast<std::size_t>(victim)];
+      std::lock_guard<std::mutex> lk(vq.mu);
+      if (vq.deque.empty()) {
+        rc.ll_failed_steals.fetch_add(1, std::memory_order_relaxed);
+        return -1;
+      }
+      const TaskId id = vq.deque.front();
+      vq.deque.pop_front();
+      vq.size.fetch_sub(1);
+      rc.ll_steals.fetch_add(1, std::memory_order_relaxed);
+      return id;
+    }
+    // lws: steal from neighbours in ring order, respecting priorities; the
+    // occupancy mirrors skip empty victims without locking.
+    for (int d = 1; d < width; ++d) {
+      auto& vq = *workers[static_cast<std::size_t>((w + d) % width)];
+      if (vq.size.load() == 0) continue;
+      std::lock_guard<std::mutex> lk(vq.mu);
+      if (vq.heap.empty()) continue;
+      std::pop_heap(vq.heap.begin(), vq.heap.end(), less);
+      const TaskId id = vq.heap.back();
+      vq.heap.pop_back();
+      vq.size.fetch_sub(1);
+      rc.ll_steals.fetch_add(1, std::memory_order_relaxed);
+      return id;
+    }
+    rc.ll_failed_steals.fetch_add(1, std::memory_order_relaxed);
     return -1;
+  }
+
+  // --- parking ---------------------------------------------------------------
+
+  void bump_wake(int w) {
+    auto& ws = *workers[static_cast<std::size_t>(w)];
+    {
+      std::lock_guard<std::mutex> lk(ws.park_mu);
+      ++ws.wake_epoch;
+    }
+    ws.park_cv.notify_one();
   }
 
   /// Wake up to `count` parked workers, one targeted notify each (never a
@@ -952,70 +820,58 @@ struct Engine::Impl {
   /// worker is a harmless extra epoch bump. Bits are cleared by their
   /// owners on unpark, so a missed targeted wake can never hide a worker
   /// from later wakes or from termination.
-  void ll_wake(index_t count) {
-    std::uint64_t mask = parked_mask.load();
-    while (count > 0 && mask != 0) {
-      const int w = std::countr_zero(mask);
-      mask &= mask - 1;
-      auto& ws = *ll_workers[static_cast<std::size_t>(w)];
-      {
-        std::lock_guard<std::mutex> lk(ws.park_mu);
-        ++ws.wake_epoch;
+  void wake(index_t count) {
+    for (std::size_t i = 0; i < parked_words && count > 0; ++i) {
+      std::uint64_t mask = parked[i].load();
+      while (count > 0 && mask != 0) {
+        bump_wake(static_cast<int>(i * 64) + std::countr_zero(mask));
+        mask &= mask - 1;
+        runtime_counters().ll_wakes.fetch_add(1, std::memory_order_relaxed);
+        --count;
       }
-      ws.park_cv.notify_one();
-      runtime_counters().ll_wakes.fetch_add(1, std::memory_order_relaxed);
-      --count;
     }
   }
 
-  void ll_wake_all() {
-    for (const auto& wsp : ll_workers) {
-      {
-        std::lock_guard<std::mutex> lk(wsp->park_mu);
-        ++wsp->wake_epoch;
-      }
-      wsp->park_cv.notify_one();
-    }
+  void wake_all() {
+    for (int w = 0; w < width; ++w) bump_wake(w);
+  }
+
+  bool any_parked() const {
+    for (std::size_t i = 0; i < parked_words; ++i)
+      if (parked[i].load() != 0) return true;
+    return false;
+  }
+
+  /// Epoch still running, yet no top-level or nested task is queued.
+  bool should_park() const {
+    return remaining.load() != 0 && ready_count() == 0 &&
+           nested_ready_total.load() == 0;
   }
 
   /// Park worker `w` until a targeted wake. Publish-then-wake on the
   /// release side pairs with announce-then-recheck here (both seq_cst), so
   /// either the parker sees the published work in the occupancy mirrors or
   /// the releaser sees the parked bit and bumps the epoch.
-  void ll_park(int w) {
-    auto& me = *ll_workers[static_cast<std::size_t>(w)];
-    const std::uint64_t bit = std::uint64_t{1} << w;
-    parked_mask.fetch_or(bit);
-    if (remaining_ll.load() == 0 || ll_has_ready() ||
-        nested_ready_total.load() != 0) {
-      parked_mask.fetch_and(~bit);
-      return;
-    }
-    {
+  void park(int w) {
+    auto& me = *workers[static_cast<std::size_t>(w)];
+    auto& word = parked[static_cast<std::size_t>(w) / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (w % 64);
+    word.fetch_or(bit);
+    if (should_park()) {
       std::unique_lock<std::mutex> lk(me.park_mu);
       const unsigned seen = me.wake_epoch;
       // Second check under park_mu: a wake that raced ahead of us has
       // already bumped the epoch (publish precedes bump), so its work is
       // visible here and we must not sleep waiting for a second wake.
-      if (remaining_ll.load() != 0 && !ll_has_ready() &&
-          nested_ready_total.load() == 0) {
+      if (should_park()) {
         runtime_counters().ll_parks.fetch_add(1, std::memory_order_relaxed);
         me.park_cv.wait(lk, [&] { return me.wake_epoch != seen; });
       }
     }
-    parked_mask.fetch_and(~bit);
+    word.fetch_and(~bit);
   }
 
   // --- nested sub-epoch execution (DESIGN.md section 11) -----------------
-
-  /// Count of ready (queued, unclaimed) tasks across the lock-light
-  /// mirrors; feeds the nesting gate's occupancy heuristic.
-  index_t ll_ready_count() const {
-    if (opts.policy == SchedulerPolicy::Priority) return prio_size.load();
-    index_t n = 0;
-    for (const auto& w : ll_workers) n += w->size.load();
-    return n;
-  }
 
   /// Occupancy side of the nesting gate: splitting a tile task only pays
   /// when some worker could actually pick up the pieces — a parked worker,
@@ -1023,8 +879,8 @@ struct Engine::Impl {
   /// spinning idle or soon will be; "+1" counts the caller's own task as
   /// occupying the caller).
   bool nested_workers_available() const {
-    return parked_mask.load() != 0 ||
-           ll_ready_count() + 1 < static_cast<index_t>(opts.num_workers);
+    return any_parked() ||
+           ready_count() + 1 < static_cast<index_t>(width);
   }
 
   /// Pop one ready task of `ne` (the owner's help loop).
@@ -1067,7 +923,7 @@ struct Engine::Impl {
         }
       if (released > 0) nested_ready_total.fetch_add(released);
     }
-    if (released > 1) ll_wake(released - 1);  // executor takes one itself
+    if (released > 1) wake(released - 1);  // executor takes one itself
     runtime_counters().nested_tasks.fetch_add(1, std::memory_order_relaxed);
     if (worker != ne.owner_worker) {
       ne.stolen.fetch_add(1);
@@ -1099,21 +955,122 @@ struct Engine::Impl {
     return true;
   }
 
-  void ll_worker_loop(int w, const std::chrono::steady_clock::time_point t0) {
-    auto& me = *ll_workers[static_cast<std::size_t>(w)];
-    std::vector<TaskId> batch;
-    std::vector<int> targets;
-    std::vector<TaskId> sub;
-    // Recent-write signature for the steal scorer: reset every kSigDecay
-    // tasks so long epochs track what is still cache-warm, not history.
-    std::uint64_t my_sig = 0;
-    int sig_age = 0;
+  // --- the dispatcher --------------------------------------------------------
+
+  /// Seed one initially-ready slot. The round-robin cursor is advanced for
+  /// every ready slot under every policy (prio simply ignores it), exactly
+  /// like the simulator's seeding — also when affinity overrides the
+  /// target, so the cursor positions tests assert stay policy-independent.
+  /// Under aff_epoch a seed with a preferred worker (inputs with a known
+  /// last writer, a replayed slot's offline placement) goes there instead
+  /// of the cursor's worker.
+  void seed(TaskId slot) {
+    int target = seed_rr;
+    seed_rr = (seed_rr + 1) % width;
+    if (aff_epoch) {
+      const int own = aff_target(slot, workers[0]->tally);
+      auto& rc = runtime_counters();
+      if (own >= 0) {
+        target = own;
+        rc.affinity_hits.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        rc.affinity_misses.fetch_add(1, std::memory_order_relaxed);
+      }
+      slot_owner[static_cast<std::size_t>(slot)].store(
+          target, std::memory_order_relaxed);
+    }
+    push_batch(target, &slot, 1);
+  }
+
+  /// Run `slot` on worker `w` and release its successors; returns the
+  /// fused tail to run next, or -1 for none.
+  TaskId execute(int w, TaskId slot) {
     constexpr int kSigDecay = 128;
+    const CapturedGraph& g = *eg;
+    WorkerState& me = *workers[static_cast<std::size_t>(w)];
+    const auto s = static_cast<std::size_t>(slot);
+    if (opts.check_conflicts) {
+      std::lock_guard<std::mutex> lk(mu);
+      checker_enter(slot);
+    }
+    const double start =
+        std::chrono::duration<double>(Clock::now() - t0).count();
+    Timer timer;
+    std::exception_ptr error;
+    try {
+      fns[s]();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    const double d = timer.seconds();
+    if (opts.check_conflicts) {
+      std::lock_guard<std::mutex> lk(mu);
+      checker_leave(slot);
+    }
+    if (error) {
+      std::lock_guard<std::mutex> lk(err_mu);
+      if (!first_error) first_error = error;
+    }
+    dur[s] = d;
+    if (aff_epoch) {
+      // Publish write ownership before releasing successors, so a
+      // successor's placement sees this slot's outputs as ours.
+      std::uint64_t bits = 0;
+      for (index_t e = g.acc_off[s]; e < g.acc_off[s + 1]; ++e) {
+        const auto ei = static_cast<std::size_t>(e);
+        if (!g.acc_write[ei]) continue;
+        const index_t h = g.acc_handle[ei];
+        if (static_cast<std::size_t>(h) < aff_owner_count)
+          aff_owner[static_cast<std::size_t>(h)].store(
+              w, std::memory_order_relaxed);
+        bits |= aff_sig_bit(h);
+      }
+      if (++me.sig_age >= kSigDecay) {
+        me.sig = 0;
+        me.sig_age = 0;
+      }
+      me.sig |= bits;
+    }
+    // Batched successor release: resolve all dependency counters first,
+    // publish the newly-ready set with one lock, then hand the surplus
+    // (everything this worker won't immediately run itself) to parked
+    // workers with targeted wakeups. A fused tail has in-degree 1, so this
+    // worker owns it outright and runs it next, skipping the queue
+    // round-trip (the offline fusion pass, graph_cache.hpp); with one,
+    // every released slot is surplus.
+    const TaskId fused = fused_next != nullptr ? fused_next[s] : -1;
+    me.batch.clear();
+    for (index_t e = g.succ_off[s]; e < g.succ_off[s + 1]; ++e) {
+      const TaskId succ = g.succ[static_cast<std::size_t>(e)];
+      if (succ == fused) continue;  // runs inline next, never queued
+      if (pending[static_cast<std::size_t>(succ)].fetch_sub(1) == 1)
+        me.batch.push_back(succ);
+    }
+    if (!me.batch.empty()) {
+      if (aff_epoch) {
+        dispatch_affinity(w, /*self_busy=*/fused >= 0);
+      } else {
+        push_batch(w, me.batch.data(), me.batch.size());
+        const auto surplus =
+            static_cast<index_t>(me.batch.size()) - (fused >= 0 ? 0 : 1);
+        if (surplus > 0) wake(surplus);
+      }
+    }
+    if (opts.record_trace)
+      me.local_trace.push_back(
+          TraceEvent{trace_base + slot, w, start, start + d});
+    // A fused tail still pending keeps `remaining` above 1, so reaching 0
+    // here means the chain (and the epoch) is done.
+    if (remaining.fetch_sub(1) == 1) wake_all();
+    return fused;
+  }
+
+  void worker_loop(int w) {
     int idle_rounds = 0;
     constexpr int kSpinRounds = 6;   // exponential pause backoff ...
     constexpr int kYieldRounds = 4;  // ... then yields, then park
-    while (remaining_ll.load() != 0) {
-      const TaskId id = ll_pop(w, my_sig);
+    while (remaining.load() != 0) {
+      TaskId id = pop(w);
       if (id < 0) {
         // Idle: prefer stealing a nested task over backing off — the
         // sub-epoch's owner is blocked in wait() until it drains.
@@ -1127,543 +1084,114 @@ struct Engine::Impl {
         } else if (idle_rounds <= kSpinRounds + kYieldRounds) {
           std::this_thread::yield();
         } else {
-          ll_park(w);
+          park(w);
           idle_rounds = 0;
         }
         continue;
       }
       idle_rounds = 0;
-      Task& t = tasks[static_cast<std::size_t>(id)];
-      const double start =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      Timer timer;
-      std::exception_ptr error;
-      try {
-        t.fn();
-      } catch (...) {
-        error = std::current_exception();
-      }
-      const double dur = timer.seconds();
-      if (error) {
-        std::lock_guard<std::mutex> lk(err_mu);
-        if (!first_error) first_error = error;
-      }
-      t.duration_s = dur;
-      t.done = true;
-      t.pending = 0;
-      if (aff_epoch) {
-        // Publish write ownership before releasing successors, so a
-        // successor's placement sees this task's outputs as ours.
-        std::uint64_t bits = 0;
-        for (const Access& a : t.accesses) {
-          if (a.mode == AccessMode::Read) continue;
-          aff_owner[static_cast<std::size_t>(a.handle.id)].store(
-              w, std::memory_order_relaxed);
-          bits |= aff_sig_bit(a.handle.id);
-        }
-        if (++sig_age >= kSigDecay) {
-          my_sig = 0;
-          sig_age = 0;
-        }
-        my_sig |= bits;
-      }
-      // Batched successor release: resolve all dependency counters first,
-      // publish the newly-ready set with one lock, then hand the surplus
-      // (everything this worker won't immediately run itself) to parked
-      // workers with targeted wakeups.
-      batch.clear();
-      for (const TaskId succ : t.successors)
-        if (pending_ll[static_cast<std::size_t>(succ - ll_base)].fetch_sub(
-                1) == 1)
-          batch.push_back(succ);
-      if (!batch.empty()) {
-        if (aff_epoch) {
-          ll_dispatch_affinity(w, batch, targets, sub, /*self_busy=*/false);
-        } else {
-          ll_push_batch(w, batch);
-          if (batch.size() > 1)
-            ll_wake(static_cast<index_t>(batch.size()) - 1);
-        }
-      }
-      if (opts.record_trace)
-        me.local_trace.push_back(TraceEvent{t.id, w, start, start + dur});
-      if (remaining_ll.fetch_sub(1) == 1) {
-        ll_wake_all();
-        return;
-      }
+      while (id >= 0) id = execute(w, id);
     }
   }
 
-  /// Reset the per-worker queues, parked mask, and central heap for one
-  /// lock-light epoch (live or replay).
-  void ll_reset_queues() {
+  void worker_main(int w) {
+    la::WorkspaceLease workspace_lease(w);
+    // Publish the worker context so tasks run here can open parallel
+    // nested sub-epochs (and thieves arrive with an arena leased). A
+    // 1-worker epoch has nobody to share a sub-epoch with: no pool context,
+    // so its nested epochs stay inline.
+    WorkerContext context(width > 1 ? this : nullptr, w);
+    worker_loop(w);
+  }
+
+  /// Reset the per-worker queues, parked mask, and central heap.
+  void reset_queues() {
     seed_rr = 0;  // simulator replays restart the round-robin each epoch
-    ll_workers.clear();
-    for (int w = 0; w < opts.num_workers; ++w)
-      ll_workers.push_back(std::make_unique<WorkerState>());
-    prio_heap_ll.clear();
+    for (const auto& wsp : workers) {
+      wsp->deque.clear();
+      wsp->heap.clear();
+      wsp->size.store(0);
+      wsp->local_trace.clear();
+      wsp->sig = 0;
+      wsp->sig_age = 0;
+    }
+    prio_heap.clear();
     prio_size.store(0);
-    parked_mask.store(0);
-  }
-
-  /// Seed one initially-ready task. The round-robin cursor is advanced for
-  /// every ready task under every policy (prio simply ignores it), exactly
-  /// like the simulator's seeding — also when affinity overrides the
-  /// target, so the cursor positions tests assert stay policy-independent.
-  /// Under aff_epoch a seed whose inputs have a known last writer (tiles
-  /// factored in an earlier epoch, a replayed slot's offline placement)
-  /// goes to that owner instead of the cursor's worker.
-  void ll_seed(TaskId id) {
-    int target = next_seed_worker();
-    if (aff_epoch) {
-      const int own =
-          replay != nullptr
-              ? aff_replay_target(id)
-              : aff_input_owner(tasks[static_cast<std::size_t>(id)]);
-      auto& rc = runtime_counters();
-      if (own >= 0) {
-        target = own;
-        rc.affinity_hits.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        rc.affinity_misses.fetch_add(1, std::memory_order_relaxed);
-      }
-      ll_owner[static_cast<std::size_t>(id - ll_base)].store(
-          target, std::memory_order_relaxed);
-    }
-    if (opts.policy == SchedulerPolicy::Priority) {
-      prio_heap_ll.push_back(id);
-      std::push_heap(prio_heap_ll.begin(), prio_heap_ll.end(),
-                     LLPrioLess{&ll_prio, ll_base});
-      prio_size.fetch_add(1);
-    } else if (opts.policy == SchedulerPolicy::WorkStealing) {
-      auto& q = *ll_workers[static_cast<std::size_t>(target)];
-      q.deque.push_back(id);
-      q.size.fetch_add(1);
-    } else {
-      auto& q = *ll_workers[static_cast<std::size_t>(target)];
-      q.heap.push_back(id);
-      std::push_heap(q.heap.begin(), q.heap.end(),
-                     LLPrioLess{&ll_prio, ll_base});
-      q.size.fetch_add(1);
-    }
+    for (std::size_t i = 0; i < parked_words; ++i) parked[i].store(0);
   }
 
   /// Merge the per-worker trace buffers in start order; only this epoch's
   /// slice is sorted (timestamps are relative to each epoch's start).
-  void merge_ll_trace() {
+  void merge_trace() {
     if (!opts.record_trace) return;
     const auto epoch_begin = static_cast<std::ptrdiff_t>(trace.size());
-    for (const auto& wsp : ll_workers)
-      trace.insert(trace.end(), wsp->local_trace.begin(),
-                   wsp->local_trace.end());
+    for (int w = 0; w < width; ++w) {
+      const auto& lt = workers[static_cast<std::size_t>(w)]->local_trace;
+      trace.insert(trace.end(), lt.begin(), lt.end());
+    }
     std::stable_sort(trace.begin() + epoch_begin, trace.end(),
                      [](const TraceEvent& a, const TraceEvent& b) {
                        return a.start_s < b.start_s;
                      });
   }
 
-  void run_parallel_locklight() {
-    const auto t0 = std::chrono::steady_clock::now();
-    const int P = opts.num_workers;
-    ll_reset_queues();
-    ll_base = retired;
-    const std::size_t n_epoch = tasks.size() - static_cast<std::size_t>(ll_base);
-    ll_prio.assign(n_epoch, 0);
-    pending_ll = std::make_unique<std::atomic<index_t>[]>(n_epoch);
-    aff_epoch = aff_enabled_epoch();
-    if (aff_epoch) {
-      aff_owner_setup(handles.size());
-      ll_owner = std::make_unique<std::atomic<int>[]>(n_epoch);
-      aff_in_sig.assign(n_epoch, 0);
-      for (std::size_t i = static_cast<std::size_t>(retired);
-           i < tasks.size(); ++i) {
-        std::uint64_t sig = 0;
-        for (const Access& a : tasks[i].accesses)
-          if (a.mode != AccessMode::Write) sig |= aff_sig_bit(a.handle.id);
-        aff_in_sig[i - static_cast<std::size_t>(ll_base)] = sig;
-      }
-    }
-    index_t rem = 0;
-    for (std::size_t i = static_cast<std::size_t>(retired); i < tasks.size();
-         ++i) {
-      Task& t = tasks[i];
-      if (t.done) continue;
-      ll_prio[static_cast<std::size_t>(t.id - ll_base)] = t.priority;
-      pending_ll[static_cast<std::size_t>(t.id - ll_base)].store(t.pending);
-      ++rem;
-      if (t.pending == 0) ll_seed(t.id);
-    }
-    if (rem == 0) {
-      if (aff_epoch) aff_owner_teardown();
-      return;
-    }
-    remaining_ll.store(rem);
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(P));
-    for (int w = 0; w < P; ++w)
-      pool.emplace_back([this, w, t0] {
-        la::WorkspaceLease workspace_lease(w);
-        // Publish the worker context so tasks run here can open parallel
-        // nested sub-epochs (and thieves arrive with an arena leased).
-        tls_worker_pool = this;
-        tls_worker_id = w;
-        ll_worker_loop(w, t0);
-        tls_worker_pool = nullptr;
-        tls_worker_id = -1;
-      });
-    for (auto& th : pool) th.join();
-    if (aff_epoch) aff_owner_teardown();
-    merge_ll_trace();
-  }
-
-  // --- capture (DESIGN.md section 10) -------------------------------------
-
-  /// Build the CapturedGraph for the epoch [capture_start, tasks.size()).
-  /// Runs inside wait_all() after execution — the measured durations feed
-  /// the critical-path pass — but BEFORE retire_epoch(), which frees the
-  /// live tasks' closures and access lists; the captured copies are what
-  /// make replay safe after retirement. A failed or conflicted epoch is
-  /// discarded: callers see the exception and must not cache it.
-  void finish_capture() {
-    capture_armed = false;
-    captured.reset();
-    if (first_error || !conflict_log.empty()) return;
-    const index_t base = capture_start;
-    const auto n =
-        static_cast<std::size_t>(static_cast<index_t>(tasks.size()) - base);
-    auto g = std::make_shared<CapturedGraph>();
-    g->count = static_cast<index_t>(n);
-    g->succ_off.assign(n + 1, 0);
-    g->acc_off.assign(n + 1, 0);
-    g->pending0.assign(n, 0);
-    g->duration_s.assign(n, 0.0);
-    g->label.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Task& t = tasks[static_cast<std::size_t>(base) + i];
-      if (!t.done) return;  // stalled epoch: nothing worth recording
-      g->succ_off[i + 1] =
-          g->succ_off[i] + static_cast<index_t>(t.successors.size());
-      g->acc_off[i + 1] =
-          g->acc_off[i] + static_cast<index_t>(t.accesses.size());
-      g->pending0[i] = t.num_deps;
-      g->duration_s[i] = t.duration_s;
-      g->label[i] = t.label;
-    }
-    g->succ.reserve(static_cast<std::size_t>(g->succ_off[n]));
-    g->acc_handle.reserve(static_cast<std::size_t>(g->acc_off[n]));
-    g->acc_write.reserve(static_cast<std::size_t>(g->acc_off[n]));
-    g->acc_read.reserve(static_cast<std::size_t>(g->acc_off[n]));
-    g->acc_bytes.reserve(static_cast<std::size_t>(g->acc_off[n]));
-    for (std::size_t i = 0; i < n; ++i) {
-      const Task& t = tasks[static_cast<std::size_t>(base) + i];
-      for (const TaskId s : t.successors) {
-        // begin_capture() required a drained engine and wait_all() drains
-        // before any later submission, so every edge stays in the epoch.
-        HCHAM_DCHECK(s >= base && s - base < static_cast<index_t>(n));
-        g->succ.push_back(s - base);
-      }
-      for (const Access& a : t.accesses) {
-        g->acc_handle.push_back(a.handle.id);
-        g->acc_write.push_back(a.mode == AccessMode::Read ? 0 : 1);
-        g->acc_read.push_back(a.mode == AccessMode::Write ? 0 : 1);
-        g->acc_bytes.push_back(static_cast<std::uint64_t>(
-            handles[static_cast<std::size_t>(a.handle.id)].bytes));
-        g->max_handle = std::max(g->max_handle, a.handle.id);
-      }
-    }
-    assign_critical_path_priorities(*g);
-    fuse_linear_chains(*g);
-    if (!affinity_disabled())
-      assign_affinity_placement(*g, opts.num_workers);
-    epochs_captured.fetch_add(1, std::memory_order_relaxed);
-    runtime_counters().graph_captures.fetch_add(1,
-                                                std::memory_order_relaxed);
-    runtime_counters().graph_fused_pairs.fetch_add(
-        static_cast<std::uint64_t>(g->fused_pairs),
-        std::memory_order_relaxed);
-    captured = std::move(g);
-  }
-
-  // --- replay execution ---------------------------------------------------
-  //
-  // Slots are epoch-local ids (0..count in submission order); the engine's
-  // task/handle history is untouched, so trace events and conflict
-  // diagnostics of a replayed epoch index slots, not task ids.
-
-  void replay_report_conflict(index_t slot, index_t other, index_t handle,
-                              const char* kind) {
-    const CapturedGraph& g = *replay;
-    const std::string& sl = g.label[static_cast<std::size_t>(slot)];
-    const std::string& ol = g.label[static_cast<std::size_t>(other)];
-    std::ostringstream msg;
-    msg << kind << " access conflict on handle #" << handle;
-    if (handle < static_cast<index_t>(handles.size()) &&
-        !handles[static_cast<std::size_t>(handle)].name.empty())
-      msg << " '" << handles[static_cast<std::size_t>(handle)].name << "'";
-    msg << ": replay slot " << slot << (sl.empty() ? "" : " [" + sl + "]")
-        << " started while slot " << other
-        << (ol.empty() ? "" : " [" + ol + "]") << " was running";
-    conflict_log.push_back(msg.str());
-  }
-
-  /// The checker arrays are sized to the captured graph's handle range:
-  /// the graph may have been captured on another engine (shared cache)
-  /// whose handle space is larger than this one's.
-  void replay_checker_reset() {
-    conflict_log.clear();
-    const auto nh = static_cast<std::size_t>(std::max<index_t>(
-        static_cast<index_t>(handles.size()), replay->max_handle + 1));
-    active_writer.assign(nh, -1);
-    active_readers.assign(nh, 0);
-    reader_witness.assign(nh, -1);
-  }
-
-  void replay_checker_enter(index_t slot) {
-    const CapturedGraph& g = *replay;
-    const auto s = static_cast<std::size_t>(slot);
-    for (index_t e = g.acc_off[s]; e < g.acc_off[s + 1]; ++e) {
-      const auto ei = static_cast<std::size_t>(e);
-      const auto h = static_cast<std::size_t>(g.acc_handle[ei]);
-      if (!g.acc_write[ei]) {
-        if (active_writer[h] >= 0)
-          replay_report_conflict(slot, active_writer[h], g.acc_handle[ei],
-                                 "R/W");
-        ++active_readers[h];
-        reader_witness[h] = slot;
-      } else {
-        if (active_writer[h] >= 0)
-          replay_report_conflict(slot, active_writer[h], g.acc_handle[ei],
-                                 "W/W");
-        else if (active_readers[h] > 0)
-          replay_report_conflict(slot, reader_witness[h], g.acc_handle[ei],
-                                 "W/R");
-        active_writer[h] = slot;
-      }
-    }
-  }
-
-  void replay_checker_leave(index_t slot) {
-    const CapturedGraph& g = *replay;
-    const auto s = static_cast<std::size_t>(slot);
-    for (index_t e = g.acc_off[s]; e < g.acc_off[s + 1]; ++e) {
-      const auto ei = static_cast<std::size_t>(e);
-      const auto h = static_cast<std::size_t>(g.acc_handle[ei]);
-      if (!g.acc_write[ei]) {
-        --active_readers[h];
-      } else if (active_writer[h] == slot) {
-        active_writer[h] = -1;
-      }
-    }
-  }
-
-  /// Slot order is a valid topological order (slots ascend in submission
-  /// order of the captured epoch), so single-threaded replay is a plain
-  /// scan; fusion is irrelevant here. Also stands in for the fuzz path,
-  /// whose random-replay machinery reads live-task state, and for > 64
-  /// workers, where the parked-worker bitmask would overflow.
-  void run_replay_sequential() {
-    const CapturedGraph& g = *replay;
-    la::WorkspaceLease workspace_lease;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (index_t i = 0; i < g.count; ++i) {
-      const double start =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      Timer timer;
-      try {
-        replay_fns[static_cast<std::size_t>(i)]();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-      if (opts.record_trace)
-        trace.push_back(TraceEvent{i, 0, start, start + timer.seconds()});
-    }
-  }
-
-  void replay_worker_loop(int w,
-                          const std::chrono::steady_clock::time_point t0) {
-    const CapturedGraph& g = *replay;
-    auto& me = *ll_workers[static_cast<std::size_t>(w)];
-    std::vector<TaskId> batch;
-    std::vector<int> targets;
-    std::vector<TaskId> sub;
-    std::uint64_t my_sig = 0;
-    int sig_age = 0;
-    constexpr int kSigDecay = 128;
-    int idle_rounds = 0;
-    constexpr int kSpinRounds = 6;   // exponential pause backoff ...
-    constexpr int kYieldRounds = 4;  // ... then yields, then park
-    while (remaining_ll.load() != 0) {
-      TaskId id = ll_pop(w, my_sig);
-      if (id < 0) {
-        // Same nested-steal hook as the live loop: replayed tile tasks
-        // re-run the gate and may open sub-epochs of their own.
-        if (try_steal_nested(w)) {
-          idle_rounds = 0;
-          continue;
-        }
-        ++idle_rounds;
-        if (idle_rounds <= kSpinRounds) {
-          for (int i = 0; i < (1 << idle_rounds); ++i) cpu_pause();
-        } else if (idle_rounds <= kSpinRounds + kYieldRounds) {
-          std::this_thread::yield();
-        } else {
-          ll_park(w);
-          idle_rounds = 0;
-        }
-        continue;
-      }
-      idle_rounds = 0;
-      // Run the popped slot, then walk its fused chain inline: each fused
-      // tail has in-degree 1, so this worker owns it outright and skips the
-      // queue round-trip (the offline fusion pass, graph_cache.hpp).
-      while (id >= 0) {
-        const auto slot = static_cast<std::size_t>(id);
-        if (opts.check_conflicts) {
-          std::lock_guard<std::mutex> lk(mu);
-          replay_checker_enter(id);
-        }
-        const double start =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count();
-        Timer timer;
-        std::exception_ptr error;
-        try {
-          replay_fns[slot]();
-        } catch (...) {
-          error = std::current_exception();
-        }
-        const double dur = timer.seconds();
-        if (opts.check_conflicts) {
-          std::lock_guard<std::mutex> lk(mu);
-          replay_checker_leave(id);
-        }
-        if (error) {
-          std::lock_guard<std::mutex> lk(err_mu);
-          if (!first_error) first_error = error;
-        }
-        if (aff_epoch) {
-          std::uint64_t bits = 0;
-          for (index_t e = g.acc_off[slot]; e < g.acc_off[slot + 1]; ++e) {
-            const auto ei = static_cast<std::size_t>(e);
-            if (!g.acc_write[ei]) continue;
-            const index_t h = g.acc_handle[ei];
-            if (static_cast<std::size_t>(h) < aff_owner_count)
-              aff_owner[static_cast<std::size_t>(h)].store(
-                  w, std::memory_order_relaxed);
-            bits |= aff_sig_bit(h);
-          }
-          if (++sig_age >= kSigDecay) {
-            my_sig = 0;
-            sig_age = 0;
-          }
-          my_sig |= bits;
-        }
-        const TaskId fused = g.fused_next[slot];
-        batch.clear();
-        for (index_t e = g.succ_off[slot]; e < g.succ_off[slot + 1]; ++e) {
-          const TaskId succ = g.succ[static_cast<std::size_t>(e)];
-          if (succ == fused) continue;  // runs inline below, never queued
-          if (pending_ll[static_cast<std::size_t>(succ)].fetch_sub(1) == 1)
-            batch.push_back(succ);
-        }
-        if (!batch.empty()) {
-          if (aff_epoch) {
-            // With a fused tail this worker stays busy, so every routed
-            // slot is surplus for parked workers.
-            ll_dispatch_affinity(w, batch, targets, sub,
-                                 /*self_busy=*/fused >= 0);
-          } else {
-            ll_push_batch(w, batch);
-            // With a fused tail this worker stays busy, so every released
-            // slot is surplus for parked workers; otherwise it takes one
-            // itself, as in the live path.
-            const auto surplus =
-                static_cast<index_t>(batch.size()) - (fused >= 0 ? 0 : 1);
-            if (surplus > 0) ll_wake(surplus);
-          }
-        }
-        if (opts.record_trace)
-          me.local_trace.push_back(TraceEvent{id, w, start, start + dur});
-        if (remaining_ll.fetch_sub(1) == 1) {
-          // A fused tail still pending would keep remaining_ll above 1,
-          // so reaching 0 here means the chain (and the epoch) is done.
-          ll_wake_all();
-          return;
-        }
-        id = fused;
-      }
-    }
-  }
-
-  void run_replay_locklight() {
-    const CapturedGraph& g = *replay;
-    const auto t0 = std::chrono::steady_clock::now();
-    const int P = opts.num_workers;
-    ll_reset_queues();
-    ll_base = 0;  // replay slots are epoch-local
-    ll_prio = g.priority;
-    pending_ll = std::make_unique<std::atomic<index_t>[]>(
-        static_cast<std::size_t>(g.count));
-    aff_epoch = aff_enabled_epoch();
-    if (aff_epoch) {
-      aff_owner_setup(std::max(handles.size(),
-                               static_cast<std::size_t>(g.max_handle + 1)));
-      ll_owner = std::make_unique<std::atomic<int>[]>(
-          static_cast<std::size_t>(g.count));
-      aff_in_sig.assign(static_cast<std::size_t>(g.count), 0);
-      if (has_access_bytes(g))
-        for (std::size_t i = 0; i < static_cast<std::size_t>(g.count); ++i) {
-          std::uint64_t sig = 0;
-          for (index_t e = g.acc_off[i]; e < g.acc_off[i + 1]; ++e) {
-            const auto ei = static_cast<std::size_t>(e);
-            if (g.acc_read[ei]) sig |= aff_sig_bit(g.acc_handle[ei]);
-          }
-          aff_in_sig[i] = sig;
-        }
-    }
-    for (index_t i = 0; i < g.count; ++i)
-      pending_ll[static_cast<std::size_t>(i)].store(
-          g.pending0[static_cast<std::size_t>(i)]);
-    for (index_t i = 0; i < g.count; ++i)
-      if (g.pending0[static_cast<std::size_t>(i)] == 0) ll_seed(i);
-    if (g.count == 0) {
-      if (aff_epoch) aff_owner_teardown();
-      return;
-    }
-    remaining_ll.store(g.count);
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(P));
-    for (int w = 0; w < P; ++w)
-      pool.emplace_back([this, w, t0] {
-        la::WorkspaceLease workspace_lease(w);
-        tls_worker_pool = this;
-        tls_worker_id = w;
-        replay_worker_loop(w, t0);
-        tls_worker_pool = nullptr;
-        tls_worker_id = -1;
-      });
-    for (auto& th : pool) th.join();
-    if (aff_epoch) aff_owner_teardown();
-    merge_ll_trace();
-  }
-
-  void run_replay() {
-    HCHAM_CHECK_MSG(
-        replay_next == replay->count,
-        "replay: " + std::to_string(replay_next) + " closures bound for " +
-            std::to_string(replay->count) + " captured slots");
-    if (opts.check_conflicts) replay_checker_reset();
-    if (opts.num_workers == 1 || opts.fuzz_schedule ||
-        opts.num_workers > 64) {
-      run_replay_sequential();
+  /// The one dispatcher (DESIGN.md section 7): execute epoch CSR `g` with
+  /// the slot closures in `fns`. A 1-worker epoch runs entirely on the
+  /// calling thread and spawns none; a wider epoch runs every worker on a
+  /// fresh pool thread while the caller only joins them. (A long-lived
+  /// caller such as a service's batching thread, were it worker 0, would
+  /// keep a worker's share of every epoch on whichever CPU it occupies,
+  /// whereas fresh threads are placed on idle CPUs at each epoch.)
+  /// Fuzzing is a 1-worker epoch whose prio heap is keyed by seeded random
+  /// per-slot keys: keys descending along any topological order make the
+  /// heap pop exactly that order, so every legal schedule is reachable
+  /// (fusion is bypassed for the same reason), and a seed reproduces its
+  /// order. `base` + slot is the id reported in the trace
+  /// and in conflict diagnostics: the task id of a live epoch, the slot
+  /// itself under replay.
+  void run_epoch(const CapturedGraph& g, TaskId base) {
+    t0 = Clock::now();
+    const auto n = static_cast<std::size_t>(g.count);
+    eg = &g;
+    trace_base = base;
+    const bool fuzz = opts.fuzz_schedule;
+    width = fuzz ? 1 : opts.num_workers;
+    policy = fuzz ? SchedulerPolicy::Priority : opts.policy;
+    if (fuzz) {
+      Rng rng(opts.fuzz_seed);
+      fuzz_key.resize(n);
+      for (int& k : fuzz_key) k = static_cast<int>(rng.next_u64() >> 33);
+      key = fuzz_key.data();
+      fused_next = nullptr;
     } else {
-      run_replay_locklight();
+      key = g.priority.data();
+      fused_next = g.fused_next.empty() ? nullptr : g.fused_next.data();
     }
-    epochs_replayed.fetch_add(1, std::memory_order_relaxed);
-    runtime_counters().graph_replays.fetch_add(1, std::memory_order_relaxed);
+    dur.assign(n, 0.0);
+    pending = std::make_unique<std::atomic<index_t>[]>(n);
+    for (std::size_t i = 0; i < n; ++i)
+      pending[i].store(g.pending0[i], std::memory_order_relaxed);
+    if (opts.check_conflicts) checker_reset(g);
+    reset_queues();
+    aff_epoch = aff_enabled_epoch();
+    if (aff_epoch) aff_setup(g);
+    for (std::size_t i = 0; i < n; ++i)
+      if (g.pending0[i] == 0) seed(static_cast<TaskId>(i));
+    remaining.store(g.count);
+    if (width == 1 && n > 0) {
+      worker_main(0);
+    } else if (n > 0) {
+      std::vector<std::thread> pool;
+      pool.reserve(static_cast<std::size_t>(width));
+      for (int w = 0; w < width; ++w)
+        pool.emplace_back([this, w] { worker_main(w); });
+      for (auto& th : pool) th.join();
+    }
+    if (aff_epoch) aff_teardown();
+    merge_trace();
+    eg = nullptr;
+    key = nullptr;
+    fused_next = nullptr;
   }
 };
 
@@ -1682,32 +1210,29 @@ Handle Engine::register_data(std::string name, std::size_t bytes) {
 
 TaskId Engine::submit(std::function<void()> fn, std::vector<Access> accesses,
                       int priority, std::string label) {
-  HCHAM_CHECK_MSG(!impl_->executing.load(std::memory_order_acquire),
+  Impl& im = *impl_;
+  HCHAM_CHECK_MSG(!im.executing.load(std::memory_order_acquire),
                   "submit() called while wait_all() is running");
-  impl_->open_submit_clock();
-  if (impl_->replay != nullptr) {
+  im.open_submit_clock();
+  if (im.replay != nullptr) {
     // Replay re-bind: the captured graph already fixes edges, priorities,
     // and access semantics, so only the closure is taken; everything else
     // the caller passes is ignored. Submission order IS the slot order.
-    Impl& im = *impl_;
-    HCHAM_CHECK_MSG(im.replay_next < im.replay->count,
+    HCHAM_CHECK_MSG(static_cast<index_t>(im.fns.size()) < im.replay->count,
                     "replay: more submissions than captured slots");
-    im.replay_fns[static_cast<std::size_t>(im.replay_next)] = std::move(fn);
-    return im.replay_next++;
+    im.fns.push_back(std::move(fn));
+    return static_cast<TaskId>(im.fns.size()) - 1;
   }
-  const TaskId id = static_cast<TaskId>(impl_->tasks.size());
+  const TaskId id = static_cast<TaskId>(im.tasks.size());
   Task t;
-  t.id = id;
-  t.fn = std::move(fn);
   t.label = std::move(label);
   t.priority = priority;
-  if (impl_->opts.check_conflicts || impl_->capture_armed ||
-      impl_->aff_track) {
-    // The checker and the affinity placer need the accesses at execution
+  if (im.accesses_tracked()) {
+    // The checker and the affinity placer read the accesses at execution
     // time, collapsed to one mode per handle (a task may list a handle
-    // several times); a capture records the same collapsed lists so
-    // replays stay checkable. Mixed read+write collapses to ReadWrite —
-    // still exclusive for the checker, still an input for placement.
+    // several times); a capture keeps the same collapsed lists so replays
+    // stay checkable. Mixed read+write collapses to ReadWrite — still
+    // exclusive for the checker, still an input for placement.
     for (const Access& a : accesses) {
       auto it = std::find_if(t.accesses.begin(), t.accesses.end(),
                              [&a](const Access& b) {
@@ -1719,16 +1244,16 @@ TaskId Engine::submit(std::function<void()> fn, std::vector<Access> accesses,
         it->mode = AccessMode::ReadWrite;
     }
   }
-  impl_->tasks.push_back(std::move(t));
+  im.tasks.push_back(std::move(t));
+  im.fns.push_back(std::move(fn));
 
   for (const Access& a : accesses) {
     HCHAM_CHECK_MSG(a.handle.valid() &&
-                        a.handle.id < static_cast<index_t>(
-                                          impl_->handles.size()),
+                        a.handle.id < static_cast<index_t>(im.handles.size()),
                     "unknown data handle");
-    HandleState& hs = impl_->handles[static_cast<std::size_t>(a.handle.id)];
+    HandleState& hs = im.handles[static_cast<std::size_t>(a.handle.id)];
     if (a.mode == AccessMode::Read) {
-      if (hs.last_writer >= 0) impl_->add_edge(hs.last_writer, id);
+      if (hs.last_writer >= 0) im.add_edge(hs.last_writer, id);
       // Dedupe: a task that lists the same handle twice (or writes then
       // reads it) is one reader, not several.
       if (hs.readers_since_write.empty() ||
@@ -1736,9 +1261,9 @@ TaskId Engine::submit(std::function<void()> fn, std::vector<Access> accesses,
         hs.readers_since_write.push_back(id);
     } else {
       // Write / ReadWrite: after the last writer and every reader since.
-      if (hs.last_writer >= 0) impl_->add_edge(hs.last_writer, id);
+      if (hs.last_writer >= 0) im.add_edge(hs.last_writer, id);
       for (const TaskId r : hs.readers_since_write)
-        if (r != id) impl_->add_edge(r, id);
+        if (r != id) im.add_edge(r, id);
       hs.readers_since_write.clear();
       hs.last_writer = id;
     }
@@ -1757,7 +1282,7 @@ void Engine::wait_all() {
   Impl& im = *impl_;
   im.close_submit_clock(im.replay != nullptr);
   if (im.replay != nullptr) {
-    // Replay dispatch: the captured DAG runs as-is; the engine's own
+    // Replay dispatch: the captured CSR runs as-is; the engine's own
     // task/handle history is untouched, so there is nothing to retire.
     // The armed state is always cleared — also when dispatch throws on a
     // slot-count mismatch — so the engine stays usable.
@@ -1765,44 +1290,45 @@ void Engine::wait_all() {
       Impl& im;
       ~ReplayGuard() {
         im.replay.reset();
-        im.replay_fns.clear();
-        im.replay_next = 0;
+        im.fns.clear();
       }
     } rguard{im};
-    im.run_replay();
+    HCHAM_CHECK_MSG(static_cast<index_t>(im.fns.size()) == im.replay->count,
+                    "replay: " + std::to_string(im.fns.size()) +
+                        " closures bound for " +
+                        std::to_string(im.replay->count) + " captured slots");
+    im.run_epoch(*im.replay, 0);
+    im.epochs_replayed.fetch_add(1, std::memory_order_relaxed);
+    runtime_counters().graph_replays.fetch_add(1, std::memory_order_relaxed);
   } else {
-    if (im.opts.check_conflicts) im.checker_reset();
-    if (im.opts.fuzz_schedule) {
-      im.run_fuzzed();
-    } else if (im.opts.num_workers == 1) {
-      im.run_sequential();
-    } else if (im.opts.check_conflicts || im.opts.num_workers > 64) {
-      // The conflict checker's bookkeeping needs the serialized pick/finish
-      // protocol of the global-lock path; beyond 64 workers the lock-light
-      // parked-worker bitmask would overflow.
-      im.run_parallel_locked();
-    } else {
-      im.run_parallel_locklight();
-    }
-    if (im.capture_armed) im.finish_capture();
+    // Live dispatch: freeze the submitted tasks into the epoch CSR, run
+    // it, write the measured durations back for graph(), and keep the CSR
+    // when capture is armed.
+    const std::shared_ptr<CapturedGraph> g = im.build_epoch_graph();
+    im.run_epoch(*g, im.retired);
+    im.fns.clear();
+    for (std::size_t i = 0; i < im.dur.size(); ++i)
+      im.tasks[static_cast<std::size_t>(im.retired) + i].duration_s =
+          im.dur[i];
+    if (im.capture_armed) im.finish_capture(g);
     im.retire_epoch();
   }
   // A conflict means the engine itself scheduled two overlapping accesses:
   // more fundamental than any task failure, so it is surfaced first.
-  if (!impl_->conflict_log.empty()) {
-    impl_->first_error = nullptr;
-    throw Error(impl_->conflict_log.front() +
-                (impl_->conflict_log.size() > 1
-                     ? " (+" + std::to_string(impl_->conflict_log.size() - 1) +
+  if (!im.conflict_log.empty()) {
+    im.first_error = nullptr;
+    throw Error(im.conflict_log.front() +
+                (im.conflict_log.size() > 1
+                     ? " (+" + std::to_string(im.conflict_log.size() - 1) +
                            " more)"
                      : ""));
   }
   // Surface the first task failure to the caller. Remaining tasks have
   // been drained (dependents of the failed task still ran; kernels are
   // written to be safe on inconsistent inputs), so the engine stays usable.
-  if (impl_->first_error) {
-    std::exception_ptr e = impl_->first_error;
-    impl_->first_error = nullptr;
+  if (im.first_error) {
+    std::exception_ptr e = im.first_error;
+    im.first_error = nullptr;
     std::rethrow_exception(e);
   }
 }
@@ -1834,7 +1360,6 @@ bool Engine::begin_capture() {
   if (im.capture_armed || im.replay != nullptr || !im.all_drained())
     return false;
   im.capture_armed = true;
-  im.capture_start = static_cast<index_t>(im.tasks.size());
   im.captured.reset();
   return true;
 }
@@ -1859,8 +1384,8 @@ void Engine::begin_replay(std::shared_ptr<const CapturedGraph> graph) {
   HCHAM_CHECK_MSG(im.nested_live.load() == 0,
                   "begin_replay: engine has live nested sub-epochs");
   im.replay = std::move(graph);
-  im.replay_fns.assign(static_cast<std::size_t>(im.replay->count), nullptr);
-  im.replay_next = 0;
+  im.fns.clear();
+  im.fns.reserve(static_cast<std::size_t>(im.replay->count));
   im.open_submit_clock();
 }
 
@@ -1877,7 +1402,10 @@ Engine::ReplayStats Engine::replay_stats() const {
 double Engine::last_submit_phase_s() const { return impl_->last_submit_s; }
 
 int Engine::parked_workers() const {
-  return std::popcount(impl_->parked_mask.load());
+  int n = 0;
+  for (std::size_t i = 0; i < impl_->parked_words; ++i)
+    n += std::popcount(impl_->parked[i].load());
+  return n;
 }
 
 bool Engine::on_worker_thread() const {
@@ -1907,15 +1435,16 @@ const std::vector<std::string>& Engine::conflicts() const {
 }
 
 std::string Engine::to_dot() const {
+  const std::vector<Task>& tasks = impl_->tasks;
   std::ostringstream out;
   out << "digraph tasks {\n";
-  for (const Task& t : impl_->tasks) {
-    out << "  t" << t.id << " [label=\""
-        << (t.label.empty() ? std::to_string(t.id) : t.label) << "\"];\n";
-  }
-  for (const Task& t : impl_->tasks)
-    for (const TaskId s : t.successors)
-      out << "  t" << t.id << " -> t" << s << ";\n";
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    out << "  t" << i << " [label=\""
+        << (tasks[i].label.empty() ? std::to_string(i) : tasks[i].label)
+        << "\"];\n";
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    for (const TaskId s : tasks[i].successors)
+      out << "  t" << i << " -> t" << s << ";\n";
   out << "}\n";
   return out.str();
 }
@@ -2046,7 +1575,7 @@ void NestedEpoch::wait() {
       im.remaining.store(n);
       // Publish: register the epoch and its initially-ready set under
       // nested_mu, bump the occupancy mirror, THEN wake parked workers —
-      // pairing with ll_park's announce-then-recheck, so a parking worker
+      // pairing with park()'s announce-then-recheck, so a parking worker
       // either sees nested_ready_total or receives the targeted wake.
       index_t ready0 = 0;
       {
@@ -2060,7 +1589,7 @@ void NestedEpoch::wait() {
           }
         eng.nested_ready_total.fetch_add(ready0);
       }
-      if (ready0 > 1) eng.ll_wake(ready0 - 1);  // owner takes one itself
+      if (ready0 > 1) eng.wake(ready0 - 1);  // owner takes one itself
       // Owner help loop: run this epoch's ready tasks (never other
       // epochs' — the owner must not sink into a sibling's subgraph while
       // its own could drain); when none are ready, thieves hold the tail,

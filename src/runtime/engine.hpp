@@ -8,9 +8,10 @@
 // Dependencies are inferred automatically from the declared accesses:
 // a writer waits for all previous readers and writers of the handle, a
 // reader waits for the last writer. Tasks are submitted from one thread
-// (the sequential task flow); wait_all() executes the graph on the worker
-// pool with the selected scheduling policy and records per-task durations,
-// which the simulator then replays at other worker counts.
+// (the sequential task flow); wait_all() freezes the epoch into a CSR and
+// executes it on the worker pool with the selected scheduling policy (a
+// 1-worker epoch runs on the calling thread), recording per-task
+// durations, which the simulator then replays at other worker counts.
 #pragma once
 
 #include <cstddef>
@@ -34,12 +35,14 @@ class Engine {
     /// concurrently-running tasks hold conflicting accesses (W/W or R/W)
     /// on the same handle. A conflict means the engine inferred too few
     /// dependency edges; all conflicts of an epoch are collected (see
-    /// conflicts()) and surfaced as an Error from wait_all().
+    /// conflicts()) and surfaced as an Error from wait_all(). Runs on the
+    /// normal multi-worker dispatcher (live and replayed epochs), adding
+    /// one mutex round-trip before and after each task.
     bool check_conflicts = false;
-    /// Debug: execute wait_all() single-threaded in a random topological
-    /// order drawn from fuzz_seed instead of the configured scheduler.
-    /// The replay is deterministic given the seed, so any
-    /// order-dependence bug reproduces from a single integer.
+    /// Debug: execute wait_all() on one worker in a random topological
+    /// order drawn from fuzz_seed instead of the configured scheduler
+    /// (replayed epochs included). The order is deterministic given the
+    /// seed, so any order-dependence bug reproduces from a single integer.
     bool fuzz_schedule = false;
     std::uint64_t fuzz_seed = 0;
     /// Fault injection (tests only): silently drop the n-th inferred
@@ -99,16 +102,16 @@ class Engine {
 
   // --- symbolic capture & replay (DAG compilation, DESIGN.md section 10) --
   //
-  // begin_capture() arms recording for the NEXT epoch: the tasks submitted
-  // until the following wait_all() are recorded — closure slots in
-  // submission order, collapsed access lists, and the inferred edges — into
-  // an immutable CapturedGraph, built inside wait_all() after execution
-  // (so the measured durations feed the offline critical-path pass) and
+  // begin_capture() arms recording for the NEXT epoch: every live epoch is
+  // frozen into a CSR at wait_all() entry — closure slots in submission
+  // order, collapsed access lists, and the inferred edges — and a capture
+  // keeps that CSR as an immutable CapturedGraph once the epoch has run
+  // (so the measured durations feed the offline critical-path pass),
   // fetched with end_capture(). begin_replay(g) arms the opposite mode:
   // subsequent submit() calls only re-bind their closures to the recorded
   // slots in order (accesses, priority, and label are ignored — the graph
   // is the contract) and the following wait_all() dispatches the captured
-  // DAG through the lock-light scheduler, skipping handle-state inference.
+  // DAG through the same dispatcher, skipping handle-state inference.
   //
   // Both modes require the engine to be drained (every prior task done):
   // a captured epoch must not have live cross-epoch edges, or a replay
@@ -150,13 +153,14 @@ class Engine {
   /// near-zero; bench/replay_overhead gates on the ratio.
   double last_submit_phase_s() const;
 
-  /// Number of pool workers currently parked (0 outside wait_all); feeds
-  /// the nested-epoch occupancy heuristic and is exposed for tests.
+  /// Number of pool workers currently parked (0 outside wait_all), summed
+  /// over the parked mask's 64-worker words; feeds the nested-epoch
+  /// occupancy heuristic and is exposed for tests.
   int parked_workers() const;
 
-  /// True when the calling thread is one of this engine's lock-light or
-  /// replay pool workers and is not already inside a nested task — the
-  /// precondition for a NestedEpoch to run in parallel (stealable) mode.
+  /// True when the calling thread is one of this engine's pool workers in
+  /// a multi-worker epoch and is not already inside a nested task — the precondition for a NestedEpoch
+  /// to run in parallel (stealable) mode.
   bool on_worker_thread() const;
 
   /// Graphviz rendering of the dependency DAG (paper Fig. 1).
@@ -191,8 +195,8 @@ struct NestedEpochImpl;
 //    workers). Submission defers tasks; wait() seals the graph, publishes
 //    the ready set, and parked/idle pool workers steal nested tasks from
 //    their idle loop while the owner helps until the sub-epoch drains.
-//  * inline mode — everything else (main thread, sequential/fuzzed/
-//    global-lock execution, nested-inside-nested, gate closed,
+//  * inline mode — everything else (outside wait_all(), 1-worker or
+//    fuzzed epochs, nested-inside-nested, gate closed,
 //    HCHAM_NESTED_DISABLE=1). submit() runs the closure immediately:
 //    submission order is a valid topological order of the inferred graph,
 //    so results are bit-identical to parallel mode by construction.

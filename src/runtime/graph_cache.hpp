@@ -3,11 +3,12 @@
 //
 // The STF engine infers the identical dependency graph every time a solve
 // or factorization epoch runs, even though the graph is a function of the
-// block structure alone (Börm/Christophersen/Kriemann, PAPERS.md). A
-// CapturedGraph is the immutable record of one executed epoch — closure
-// slots, collapsed access lists, inferred edges in CSR form, and measured
-// durations — that later epochs with the same structure re-bind closures
-// into and dispatch directly, skipping handle-state inference entirely.
+// block structure alone (Börm/Christophersen/Kriemann, PAPERS.md). Every
+// epoch is dispatched from a CapturedGraph: a live epoch is frozen into one
+// at wait_all() entry, and capturing means keeping it — closure slots,
+// collapsed access lists, inferred edges in CSR form, and measured
+// durations — so later epochs with the same structure re-bind closures
+// into it and dispatch directly, skipping handle-state inference entirely.
 //
 // Two offline passes run once at capture time, amortized over every replay:
 //   1. critical-path priorities from the measured durations (the captured
@@ -57,12 +58,15 @@ inline bool affinity_disabled() {
 
 // --- the captured DAG ------------------------------------------------------
 
-/// Immutable record of one executed engine epoch. Slot ids are epoch-local
-/// (0..count), assigned in submission order, so a replay binds the i-th
-/// submitted closure to slot i. Owns copies of everything replay needs —
-/// labels, edges, access lists — so it survives the engine retiring the
-/// epoch (which frees the live tasks' closures and accesses) and even the
-/// engine's destruction.
+/// CSR form of one engine epoch, the only form the dispatcher executes;
+/// immutable once captured. Slot ids are epoch-local (0..count), assigned
+/// in submission order, so a replay binds the i-th submitted closure to
+/// slot i. A live epoch's CSR carries labels and access lists only when
+/// something reads them (capture, the conflict checker, affinity), and no
+/// durations, fusion or placement until a capture keeps it. Owns copies of
+/// everything replay needs — labels, edges, access lists — so it survives
+/// the engine retiring the epoch (which frees the live tasks' accesses)
+/// and even the engine's destruction.
 struct CapturedGraph {
   index_t count = 0;
 

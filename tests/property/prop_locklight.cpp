@@ -1,11 +1,11 @@
-// Properties of the lock-light scheduler paths (the default when
-// check_conflicts is off): randomized DAGs and the full Tile-H LU must be
-// bit-identical to a sequential referee under every policy at {2, 4, 8}
-// workers. Built without check_conflicts on purpose — arming the checker
-// routes execution through the global-lock fallback, which prop_dag and
-// prop_lu already cover; this file is the one that puts the per-worker
-// queues, batched release, and parking protocol under load (and under
-// TSan, where it runs as part of the `property` label).
+// Properties of the lock-light dispatcher: randomized DAGs and the full
+// Tile-H LU must be bit-identical to a sequential referee under every
+// policy at {2, 4, 8} workers. Built without check_conflicts on purpose —
+// the checker serializes every task start/finish through its mutex, which
+// prop_dag and prop_lu already cover; this file is the one that puts the
+// per-worker queues, batched release, and parking protocol under load
+// without that extra synchronization (and under TSan, where it runs as
+// part of the `property` label).
 #include <gtest/gtest.h>
 
 #include <atomic>

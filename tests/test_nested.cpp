@@ -89,8 +89,9 @@ TEST(NestedGate, MainThreadStaysInline) {
 }
 
 TEST(NestedGate, SequentialEngineStaysInline) {
-  // One worker executes on the calling thread (run_sequential): no pool
-  // context, so the gate must keep the sub-epoch inline.
+  // A 1-worker epoch runs on the calling thread and publishes no pool
+  // context (nobody could steal), so the gate must keep the sub-epoch
+  // inline.
   EXPECT_FALSE(gate_decision(1, 1.0e9));
 }
 

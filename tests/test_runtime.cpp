@@ -166,8 +166,8 @@ TEST_P(RuntimePolicies, WriteBeforeReadOnSameHandleDoesNotHang) {
 }
 
 TEST_P(RuntimePolicies, WriteBeforeReadDoesNotHangOnLockedPath) {
-  // Same regression under check_conflicts, which routes execution through
-  // the global-lock fallback scheduler.
+  // Same regression with check_conflicts armed, which wraps every task in
+  // the checker's mutex-guarded enter/leave bookkeeping.
   Engine eng({.num_workers = 4,
               .policy = GetParam(),
               .check_conflicts = true});
@@ -197,6 +197,69 @@ TEST_P(RuntimePolicies, MultiEpochHeavyGraphDrainsEveryTime) {
                  i % 3);
     eng.wait_all();
     EXPECT_EQ(count.load(), 64 * (epoch + 1));
+  }
+}
+
+/// Randomized read/readwrite DAG over a few shared cells: two live epochs
+/// with cross-epoch edges, then the second epoch's structure captured and
+/// replayed. Returns the cell values after every epoch, in order.
+std::vector<double> drain_random_dag(Engine& eng) {
+  constexpr int kCells = 12;
+  std::vector<Handle> hs;
+  for (int i = 0; i < kCells; ++i) hs.push_back(eng.register_data());
+  std::vector<double> cells(kCells, 1.0);
+  std::vector<double> out;
+  auto submit_epoch = [&](std::uint64_t seed) {
+    std::uint64_t s = seed;
+    auto next = [&s] {
+      s = s * 6364136223846793005ull + 1442695040888963407ull;
+      return static_cast<int>((s >> 33) % kCells);
+    };
+    for (int t = 0; t < 200; ++t) {
+      const int src = next();
+      const int dst = next();
+      eng.submit([&cells, src, dst] { cells[dst] = 0.75 * cells[dst] +
+                                                   0.5 * cells[src] + 0.125; },
+                 {read(hs[src]), readwrite(hs[dst])}, t % 4);
+    }
+  };
+  submit_epoch(7);
+  eng.wait_all();
+  out.insert(out.end(), cells.begin(), cells.end());
+  EXPECT_TRUE(eng.begin_capture());
+  submit_epoch(11);
+  eng.wait_all();
+  out.insert(out.end(), cells.begin(), cells.end());
+  auto g = eng.end_capture();
+  EXPECT_NE(g, nullptr);
+  if (g == nullptr) return out;
+  eng.begin_replay(g);
+  submit_epoch(11);
+  eng.wait_all();
+  out.insert(out.end(), cells.begin(), cells.end());
+  return out;
+}
+
+TEST_P(RuntimePolicies, SeventyTwoWorkersMatchOneWorker) {
+  // More workers than one parked-mask word holds: the dispatcher must
+  // drain live and replayed epochs bit-identically to a 1-worker engine,
+  // with the conflict checker armed or not.
+  Engine ref({.num_workers = 1, .policy = GetParam()});
+  const std::vector<double> expect = drain_random_dag(ref);
+  for (const bool check : {false, true}) {
+    Engine eng({.num_workers = 72,
+                .policy = GetParam(),
+                .record_trace = true,
+                .check_conflicts = check});
+    EXPECT_EQ(drain_random_dag(eng), expect)
+        << rt::to_string(GetParam()) << " check=" << check;
+    EXPECT_TRUE(eng.conflicts().empty());
+    EXPECT_EQ(eng.parked_workers(), 0);
+    EXPECT_EQ(eng.trace().size(), 600u);
+    for (const auto& ev : eng.trace()) {
+      EXPECT_GE(ev.worker, 0);
+      EXPECT_LT(ev.worker, 72);
+    }
   }
 }
 
