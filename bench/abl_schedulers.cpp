@@ -12,8 +12,7 @@ using namespace hcham;
 int main() {
   bench::print_header("Ablation A1: scheduler policies across tile sizes",
                       "precision,N,NB,policy,submit,threads,time_s,efficiency,"
-                      "dispatch_wait_s,tasks,mean_task_ms,steals_per_task,"
-                      "affinity_hit_rate");
+                      "dispatch_wait_s,tasks,mean_task_ms,steals_per_task");
   const double eps = bench::bench_eps();
   const index_t n = bench::scaled(4000);
   const int threads = 18;
@@ -30,21 +29,16 @@ int main() {
       // inference and DAG replay (amortized flat-cost submission) — the
       // gap is largest exactly where the small-tile contention bites.
       for (const bool replay : {false, true}) {
-        // Affinity placement on (the engine's default for ws/lws): the
-        // steal and affinity-hit columns show how much of the stealing the
-        // last-writer routing removes per policy.
-        auto params = replay ? bench::replay_sim_params()
-                             : bench::default_sim_params();
-        params.affinity_placement = policy != rt::SchedulerPolicy::Priority;
-        const auto r = rt::simulate(m.graph, policy, threads, params);
+        const auto r = rt::simulate(m.graph, policy, threads,
+                                    replay ? bench::replay_sim_params()
+                                           : bench::default_sim_params());
         const double per_task = static_cast<double>(std::max<index_t>(
             1, static_cast<index_t>(m.graph.num_tasks())));
-        std::printf("d,%ld,%ld,%s,%s,%d,%.4f,%.3f,%.4f,%ld,%.3f,%.3f,%.3f\n",
+        std::printf("d,%ld,%ld,%s,%s,%d,%.4f,%.3f,%.4f,%ld,%.3f,%.3f\n",
                     n, nb, rt::to_string(policy), replay ? "replay" : "live",
                     threads, r.makespan_s, r.parallel_efficiency(),
                     r.dispatch_wait_s, m.tasks, mean_task_ms,
-                    static_cast<double>(r.steals) / per_task,
-                    static_cast<double>(r.affinity_hits) / per_task);
+                    static_cast<double>(r.steals) / per_task);
       }
     }
   }

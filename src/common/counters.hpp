@@ -97,18 +97,13 @@ HCHAM_DEFINE_COUNTERS_(ArithCounters, arith_counters, ArithCounterSnapshot,
   X(nested_inline)                                                            \
   X(nested_tasks)                                                             \
   X(nested_steals)                                                            \
-  /* Dispatcher visibility (section 14): top-level task steals (a pop */      \
+  /* Dispatcher visibility (section 7): top-level task steals (a pop */       \
   /* served from another worker's queue), pops that found no victim at */    \
-  /* all, park/targeted-wake events, and the data-affinity placer's */        \
-  /* hit/miss split (hit = a ready task was routed to the worker owning */    \
-  /* the plurality of its input bytes; miss = no known writer, fell back */   \
-  /* to the releasing worker or the seed cursor). */                          \
+  /* all, and park/targeted-wake events. */                                   \
   X(ll_steals)                                                                \
   X(ll_failed_steals)                                                         \
   X(ll_parks)                                                                 \
-  X(ll_wakes)                                                                 \
-  X(affinity_hits)                                                            \
-  X(affinity_misses)
+  X(ll_wakes)
 
 HCHAM_DEFINE_COUNTERS_(RuntimeCounters, runtime_counters,
                        RuntimeCounterSnapshot, snapshot_runtime_counters,

@@ -1,9 +1,9 @@
-// Host topology probes for the affinity scheduler and the bench JSON
-// stamping (DESIGN.md section 14): hardware thread count, NUMA node count,
-// and the L1 data-cache line size. All probes are best-effort with safe
-// fallbacks — no libnuma dependency, just sysfs/sysconf on Linux and
-// portable defaults elsewhere. Results are cached after the first call;
-// topology does not change underneath a running process.
+// Host topology probes for the bench JSON stamping (EXPERIMENTS.md):
+// hardware thread count, NUMA node count, and the L1 data-cache line size.
+// All probes are best-effort with safe fallbacks — no libnuma dependency,
+// just sysfs/sysconf on Linux and portable defaults elsewhere. Results are
+// cached after the first call; topology does not change underneath a
+// running process.
 #pragma once
 
 #include <thread>

@@ -75,8 +75,7 @@ class HluTaskGraph {
   rt::Handle leaf_handle(const Node& n) {
     auto it = leaf_handles_.find(&n);
     if (it != leaf_handles_.end()) return it->second;
-    const rt::Handle h = engine_.register_data(
-        "hleaf", static_cast<std::size_t>(n.stored_elements()) * sizeof(T));
+    const rt::Handle h = engine_.register_data("hleaf");
     leaf_handles_.emplace(&n, h);
     return h;
   }

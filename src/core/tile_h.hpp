@@ -54,11 +54,9 @@ class TileHMatrix {
   /// `points`. Assembly is task-parallel: one task per tile, executed by
   /// `engine` before returning.
   ///
-  /// Tile payloads MUST be allocated inside the assemble closures (not on
-  /// the submitting thread): the first write faults the pages in on the
-  /// worker that the affinity scheduler made the tile's owner, so the
-  /// physical placement the allocator produces matches the placement the
-  /// scheduler keeps routing to (first-touch, DESIGN.md section 14).
+  /// Tile payloads are allocated inside the assemble closures (not on the
+  /// submitting thread), so allocation and the first page faults run in
+  /// parallel on the workers rather than serially on the caller.
   template <typename Gen>
   static TileHMatrix build(rt::Engine& engine,
                            std::vector<cluster::Point3> points,

@@ -32,7 +32,6 @@
 
 #include "common/config.hpp"
 #include "common/counters.hpp"
-#include "common/env.hpp"
 #include "la/view.hpp"
 
 namespace hcham::la {
@@ -98,9 +97,8 @@ class Workspace {
     c.base = c.raw.get() + ((kAlign - p % kAlign) % kAlign);
     c.size = size;
     // First-touch: fault every page in on the allocating thread, so the
-    // chunk's physical pages land on the NUMA node of the worker that will
-    // reuse the arena (the pool hands arenas back to the same worker when
-    // HCHAM_NUMA=1, and thread-locally otherwise).
+    // kernels that later carve scopes from the chunk never take the page
+    // faults themselves.
     std::memset(c.base, 0, size);
     return c;
   }
@@ -118,12 +116,8 @@ inline Workspace*& tls_workspace_slot() {
 }
 
 struct WorkspacePool {
-  struct Entry {
-    std::unique_ptr<Workspace> ws;
-    int last_worker = -1;  ///< engine worker id that last held this arena
-  };
   std::mutex mu;
-  std::vector<Entry> free;
+  std::vector<std::unique_ptr<Workspace>> free;  ///< LIFO checkout
 };
 
 inline WorkspacePool& workspace_pool() {
@@ -139,32 +133,15 @@ inline Workspace* tls_workspace() { return detail::tls_workspace_slot(); }
 /// RAII checkout of a pooled arena, bound to the current thread for the
 /// lease's lifetime. Held by every engine worker loop, including the one
 /// a 1-worker epoch runs on the thread that called wait_all().
-///
-/// Engine workers pass their worker id: when HCHAM_NUMA=1 the lease
-/// prefers the arena this worker held last, so chunk pages first-touched by
-/// a worker keep serving the same worker across epochs (arena affinity
-/// mirrors the scheduler's task affinity). Without HCHAM_NUMA, checkout is
-/// LIFO as before; chunks are still first-touched on the allocating thread.
 class WorkspaceLease {
  public:
-  explicit WorkspaceLease(int worker_id = -1) : worker_id_(worker_id) {
+  WorkspaceLease() {
     auto& pool = detail::workspace_pool();
-    const bool numa = worker_id >= 0 && env_long("HCHAM_NUMA", 0) != 0;
     {
       std::lock_guard<std::mutex> lk(pool.mu);
       if (!pool.free.empty()) {
-        std::size_t pick = pool.free.size() - 1;
-        if (numa) {
-          for (std::size_t i = pool.free.size(); i-- > 0;) {
-            if (pool.free[i].last_worker == worker_id) {
-              pick = i;
-              break;
-            }
-          }
-        }
-        ws_ = std::move(pool.free[pick].ws);
-        pool.free.erase(pool.free.begin() +
-                        static_cast<std::ptrdiff_t>(pick));
+        ws_ = std::move(pool.free.back());
+        pool.free.pop_back();
       }
     }
     if (!ws_) ws_ = std::make_unique<Workspace>();
@@ -179,13 +156,12 @@ class WorkspaceLease {
     detail::tls_workspace_slot() = prev_;
     auto& pool = detail::workspace_pool();
     std::lock_guard<std::mutex> lk(pool.mu);
-    pool.free.push_back({std::move(ws_), worker_id_});
+    pool.free.push_back(std::move(ws_));
   }
 
  private:
   std::unique_ptr<Workspace> ws_;
   Workspace* prev_ = nullptr;
-  int worker_id_ = -1;
 };
 
 /// Stack-scoped view over the thread's arena. alloc/matrix return

@@ -37,10 +37,40 @@ struct Task {
 
 struct HandleState {
   std::string name;
-  std::size_t bytes = 0;  ///< payload size (affinity edge weight; 0 = 1 vote)
   TaskId last_writer = -1;
   std::vector<TaskId> readers_since_write;
 };
+
+/// The STF inference rule shared by Engine::submit and NestedEpoch::submit,
+/// over either's handle table (entries with `last_writer` and
+/// `readers_since_write`): a reader follows the handle's last writer; a
+/// writer (Write or ReadWrite) follows the last writer and every reader
+/// since. `add_edge(from)` records from -> id and drops self-edges and
+/// duplicates; `unknown` is the error for a handle outside the table.
+template <typename HandleTable, typename AddEdge>
+inline void infer_edges(HandleTable& handles,
+                        const std::vector<Access>& accesses, TaskId id,
+                        const char* unknown, AddEdge&& add_edge) {
+  for (const Access& a : accesses) {
+    HCHAM_CHECK_MSG(a.handle.valid() &&
+                        a.handle.id < static_cast<index_t>(handles.size()),
+                    unknown);
+    auto& hs = handles[static_cast<std::size_t>(a.handle.id)];
+    if (hs.last_writer >= 0) add_edge(hs.last_writer);
+    if (a.mode == AccessMode::Read) {
+      // Dedupe: a task that lists the same handle twice (or writes then
+      // reads it) is one reader, not several.
+      if (hs.readers_since_write.empty() ||
+          hs.readers_since_write.back() != id)
+        hs.readers_since_write.push_back(id);
+    } else {
+      for (const TaskId r : hs.readers_since_write)
+        if (r != id) add_edge(r);
+      hs.readers_since_write.clear();
+      hs.last_writer = id;
+    }
+  }
+}
 
 /// Heap order over epoch slots: higher key first, then the older (lower)
 /// slot. The keys are a live epoch's submit-time priorities, a replay's
@@ -175,15 +205,7 @@ struct Engine::Impl {
     std::condition_variable park_cv;
     unsigned wake_epoch = 0;  // under park_mu; bumped once per targeted wake
     std::vector<TraceEvent> local_trace;  // merged into `trace` after join
-    // Recent-write signature for the steal scorer (affinity epochs), reset
-    // every kSigDecay tasks so long epochs track what is still cache-warm.
-    std::uint64_t sig = 0;
-    int sig_age = 0;
-    // Release scratch, owned by the worker running this slot.
-    std::vector<TaskId> batch;
-    std::vector<TaskId> sub;
-    std::vector<int> targets;
-    std::vector<std::uint64_t> tally;  // per-worker input bytes, sized to pool
+    std::vector<TaskId> batch;  // release scratch of the worker in this slot
   };
   std::vector<std::unique_ptr<WorkerState>> workers;  // one per pool worker
   std::mutex prio_mu;                                 // guards prio_heap
@@ -242,37 +264,6 @@ struct Engine::Impl {
   std::atomic<std::uint64_t> epochs_captured{0};
   std::atomic<std::uint64_t> epochs_replayed{0};
 
-  // --- data-affinity scheduling state (DESIGN.md section 14) --------------
-  //
-  // Placement is a hint layered on top of the dependency graph: it decides
-  // WHICH ready queue a released task lands in, never WHEN it becomes
-  // ready, so any placement (including a racy or stale one) executes the
-  // same happens-before order and produces bit-identical results.
-  bool aff_track = false;  ///< collapse accesses at submit for affinity use
-  bool aff_epoch = false;  ///< placement active for the current epoch
-  int aff_steal_scan = 4;  ///< queued tasks scored per victim (env, per epoch)
-  /// Last worker that wrote each handle, persisted across epochs (a solve
-  /// epoch inherits the factorization's tile ownership). -1 = never written
-  /// on this engine's pool.
-  std::vector<int> h_last_worker;
-  /// Epoch view of h_last_worker, updated by workers as they finish writes
-  /// (relaxed: a stale read only costs locality, never correctness).
-  std::unique_ptr<std::atomic<int>[]> aff_owner;
-  std::size_t aff_owner_count = 0;
-  /// Intended owner per slot, set before the slot is queued; the steal
-  /// scorer prefers slots that were NOT routed to their victim ("cold")
-  /// when a steal is unavoidable.
-  std::unique_ptr<std::atomic<int>[]> slot_owner;
-  /// Input-handle signature per slot: one hash bit per read/readwrite
-  /// handle. Thieves take only slots overlapping their own recent-write
-  /// signature in the first scan pass.
-  std::vector<std::uint64_t> aff_in_sig;
-
-  static std::uint64_t aff_sig_bit(index_t h) {
-    return std::uint64_t{1}
-           << ((static_cast<std::uint64_t>(h) * 0x9E3779B97F4A7C15ull) >> 58);
-  }
-
   // Submission-phase stopwatch: opened by the first submit() of an epoch
   // (or by begin_replay) and closed on wait_all() entry. Feeds the
   // submit_live_ns / submit_replay_ns counters the overhead bench gates on.
@@ -282,13 +273,6 @@ struct Engine::Impl {
 
   explicit Impl(Options o) : opts(o) {
     HCHAM_CHECK(opts.num_workers >= 1);
-    // Decided once per engine: an engine built under HCHAM_AFFINITY_DISABLE
-    // never pays the access-collapse cost at submit (the referee engines of
-    // the property tests and the locality bench). The per-epoch placement
-    // gate re-reads the knob on top of this.
-    aff_track = opts.num_workers > 1 &&
-                opts.policy != SchedulerPolicy::Priority &&
-                !affinity_disabled();
     for (int w = 0; w < opts.num_workers; ++w)
       workers.push_back(std::make_unique<WorkerState>());
     parked_words = static_cast<std::size_t>(opts.num_workers + 63) / 64;
@@ -300,10 +284,9 @@ struct Engine::Impl {
   }
 
   /// Whether submit() collapses access lists into the task records: the
-  /// checker, a capture, and the affinity placer all read them from the
-  /// epoch CSR.
+  /// checker and a capture read them from the epoch CSR.
   bool accesses_tracked() const {
-    return opts.check_conflicts || capture_armed || aff_track;
+    return opts.check_conflicts || capture_armed;
   }
 
   void open_submit_clock() {
@@ -381,24 +364,19 @@ struct Engine::Impl {
     const auto na = static_cast<std::size_t>(g->acc_off[n]);
     g->acc_handle.reserve(na);
     g->acc_write.reserve(na);
-    g->acc_read.reserve(na);
-    g->acc_bytes.reserve(na);
     for (std::size_t i = 0; i < n; ++i)
       for (const Access& a : tasks[base + i].accesses) {
         g->acc_handle.push_back(a.handle.id);
         g->acc_write.push_back(a.mode == AccessMode::Read ? 0 : 1);
-        g->acc_read.push_back(a.mode == AccessMode::Write ? 0 : 1);
-        g->acc_bytes.push_back(static_cast<std::uint64_t>(
-            handles[static_cast<std::size_t>(a.handle.id)].bytes));
         g->max_handle = std::max(g->max_handle, a.handle.id);
       }
     return g;
   }
 
   /// Keep a live epoch's CSR as the captured graph: the measured durations
-  /// feed the offline critical-path pass, then fusion and placement run
-  /// once for every later replay. A failed or conflicted epoch is
-  /// discarded: callers see the exception and must not cache it.
+  /// feed the offline critical-path pass, then fusion runs once for every
+  /// later replay. A failed or conflicted epoch is discarded: callers see
+  /// the exception and must not cache it.
   void finish_capture(std::shared_ptr<CapturedGraph> g) {
     capture_armed = false;
     captured.reset();
@@ -406,7 +384,6 @@ struct Engine::Impl {
     g->duration_s = dur;
     assign_critical_path_priorities(*g);
     fuse_linear_chains(*g);
-    if (!affinity_disabled()) assign_affinity_placement(*g, opts.num_workers);
     epochs_captured.fetch_add(1, std::memory_order_relaxed);
     runtime_counters().graph_captures.fetch_add(1, std::memory_order_relaxed);
     runtime_counters().graph_fused_pairs.fetch_add(
@@ -507,85 +484,6 @@ struct Engine::Impl {
     }
   }
 
-  // --- data affinity (DESIGN.md section 14) ----------------------------------
-
-  /// The placement gate, re-read per epoch so HCHAM_AFFINITY_DISABLE can
-  /// flip between epochs: affinity needs tracked accesses, a multi-worker
-  /// epoch, and a policy with per-worker queues (prio's central heap has no
-  /// placement to speak of; aff_track already excludes it).
-  bool aff_enabled_epoch() const {
-    return aff_track && width > 1 && !affinity_disabled();
-  }
-
-  /// Load the persistent last-writer view into the epoch owner map and
-  /// build the per-slot input signatures.
-  void aff_setup(const CapturedGraph& g) {
-    const auto nh = std::max(handles.size(),
-                             static_cast<std::size_t>(g.max_handle + 1));
-    if (h_last_worker.size() < nh) h_last_worker.resize(nh, -1);
-    aff_owner = std::make_unique<std::atomic<int>[]>(nh);
-    aff_owner_count = nh;
-    for (std::size_t i = 0; i < nh; ++i)
-      aff_owner[i].store(h_last_worker[i], std::memory_order_relaxed);
-    aff_steal_scan = static_cast<int>(
-        env_long_bounded("HCHAM_AFFINITY_STEAL_SCAN", 4, 1, 64));
-    const auto n = static_cast<std::size_t>(g.count);
-    slot_owner = std::make_unique<std::atomic<int>[]>(n);
-    aff_in_sig.assign(n, 0);
-    if (!has_access_bytes(g)) return;
-    for (std::size_t i = 0; i < n; ++i)
-      for (index_t e = g.acc_off[i]; e < g.acc_off[i + 1]; ++e) {
-        const auto ei = static_cast<std::size_t>(e);
-        if (g.acc_read[ei]) aff_in_sig[i] |= aff_sig_bit(g.acc_handle[ei]);
-      }
-  }
-
-  /// Persist the epoch's final owner view and drop the epoch arrays.
-  void aff_teardown() {
-    for (std::size_t i = 0; i < aff_owner_count; ++i)
-      h_last_worker[i] = aff_owner[i].load(std::memory_order_relaxed);
-    aff_owner.reset();
-    aff_owner_count = 0;
-    slot_owner.reset();
-    aff_in_sig.clear();
-    aff_epoch = false;
-  }
-
-  /// Preferred worker of a slot, or -1 for none. A replay honors the
-  /// captured graph's offline partition when it was computed for this pool
-  /// width; a live epoch picks the worker owning the plurality of the
-  /// slot's input bytes (ties to the lowest worker), tallied in `tally`.
-  int aff_target(TaskId slot, std::vector<std::uint64_t>& tally) const {
-    const CapturedGraph& g = *eg;
-    const auto s = static_cast<std::size_t>(slot);
-    if (replay != nullptr)
-      return g.placement_workers == width && s < g.placement.size()
-                 ? g.placement[s]
-                 : -1;
-    tally.assign(static_cast<std::size_t>(width), 0);
-    bool any = false;
-    for (index_t e = g.acc_off[s]; e < g.acc_off[s + 1]; ++e) {
-      const auto ei = static_cast<std::size_t>(e);
-      if (!g.acc_read[ei]) continue;  // pure output
-      const auto h = static_cast<std::size_t>(g.acc_handle[ei]);
-      if (h >= aff_owner_count) continue;
-      const int ow = aff_owner[h].load(std::memory_order_relaxed);
-      if (ow < 0 || ow >= width) continue;
-      tally[static_cast<std::size_t>(ow)] +=
-          g.acc_bytes[ei] ? g.acc_bytes[ei] : 1;
-      any = true;
-    }
-    if (!any) return -1;
-    int best = -1;
-    std::uint64_t best_bytes = 0;
-    for (int v = 0; v < width; ++v)
-      if (tally[static_cast<std::size_t>(v)] > best_bytes) {
-        best_bytes = tally[static_cast<std::size_t>(v)];
-        best = v;
-      }
-    return best;
-  }
-
   // --- ready queues ----------------------------------------------------------
 
   /// Count of ready (queued, unclaimed) slots across the occupancy mirrors;
@@ -624,110 +522,6 @@ struct Engine::Impl {
     q.size.fetch_add(static_cast<index_t>(n));
   }
 
-  /// Affinity-aware steal (DESIGN.md section 14), shared by the ws and lws
-  /// policies under aff_epoch. Pass 1 takes only slots whose input handles
-  /// overlap the thief's recent-write signature, skipping victims with no
-  /// overlapping queued slot; pass 2 (a steal is unavoidable) prefers a
-  /// slot that was NOT routed to its victim ("cold") within the scan
-  /// window, falling back to the queue's steal-side default. Victims whose
-  /// occupancy mirror reads zero are skipped without locking in both
-  /// passes.
-  TaskId steal_scored(int w, std::uint64_t my_sig) {
-    const bool is_ws = policy == SchedulerPolicy::WorkStealing;
-    const auto scan = static_cast<std::size_t>(aff_steal_scan);
-    for (int pass = my_sig != 0 ? 0 : 1; pass < 2; ++pass) {
-      for (int d = 1; d < width; ++d) {
-        const int v = (w + d) % width;
-        auto& vq = *workers[static_cast<std::size_t>(v)];
-        if (vq.size.load() == 0) continue;
-        std::lock_guard<std::mutex> lk(vq.mu);
-        const std::size_t n = is_ws ? vq.deque.size() : vq.heap.size();
-        if (n == 0) continue;
-        const std::size_t k = std::min(n, scan);
-        // Scan the steal side: the deque front for ws; for lws the heap's
-        // array head, which holds the highest-priority entries.
-        std::size_t take = n;
-        if (pass == 0) {
-          for (std::size_t i = 0; i < k; ++i) {
-            const TaskId id = is_ws ? vq.deque[i] : vq.heap[i];
-            if (aff_in_sig[static_cast<std::size_t>(id)] & my_sig) {
-              take = i;
-              break;
-            }
-          }
-          if (take == n) continue;  // zero overlap here: skip this victim
-        } else {
-          take = 0;
-          for (std::size_t i = 0; i < k; ++i) {
-            const TaskId id = is_ws ? vq.deque[i] : vq.heap[i];
-            if (slot_owner[static_cast<std::size_t>(id)].load(
-                    std::memory_order_relaxed) != v) {
-              take = i;
-              break;
-            }
-          }
-        }
-        TaskId id;
-        if (is_ws) {
-          id = vq.deque[take];
-          vq.deque.erase(vq.deque.begin() + static_cast<std::ptrdiff_t>(take));
-        } else {
-          id = vq.heap[take];
-          vq.heap[take] = vq.heap.back();
-          vq.heap.pop_back();
-          std::make_heap(vq.heap.begin(), vq.heap.end(), SlotPrioLess{key});
-        }
-        vq.size.fetch_sub(1);
-        runtime_counters().ll_steals.fetch_add(1, std::memory_order_relaxed);
-        return id;
-      }
-    }
-    runtime_counters().ll_failed_steals.fetch_add(1,
-                                                  std::memory_order_relaxed);
-    return -1;
-  }
-
-  /// Route worker `w`'s release batch to the slots' affinity targets with
-  /// one queue lock per distinct target, then wake parked workers for every
-  /// routed slot this worker will not immediately take itself. `self_busy`
-  /// marks releases from inside a fused chain, where the releasing worker
-  /// keeps running the chain and every routed slot is surplus.
-  void dispatch_affinity(int w, bool self_busy) {
-    WorkerState& me = *workers[static_cast<std::size_t>(w)];
-    const std::vector<TaskId>& batch = me.batch;
-    me.targets.clear();
-    bool keeps = false;
-    auto& rc = runtime_counters();
-    for (const TaskId id : batch) {
-      int t = aff_target(id, me.tally);
-      if (t < 0) {
-        t = w;
-        rc.affinity_misses.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        rc.affinity_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      me.targets.push_back(t);
-      if (t == w) keeps = true;
-    }
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const int t = me.targets[i];
-      if (t < 0) continue;  // already pushed with an earlier group
-      me.sub.clear();
-      for (std::size_t j = i; j < batch.size(); ++j) {
-        if (me.targets[j] != t) continue;
-        me.sub.push_back(batch[j]);
-        me.targets[j] = -1;
-      }
-      for (const TaskId id : me.sub)
-        slot_owner[static_cast<std::size_t>(id)].store(
-            t, std::memory_order_relaxed);
-      push_batch(t, me.sub.data(), me.sub.size());
-    }
-    const auto surplus =
-        static_cast<index_t>(batch.size()) - ((keeps && !self_busy) ? 1 : 0);
-    if (surplus > 0) wake(surplus);
-  }
-
   TaskId pop(int w) {
     const SlotPrioLess less{key};
     if (policy == SchedulerPolicy::Priority) {
@@ -758,7 +552,6 @@ struct Engine::Impl {
         return id;
       }
     }
-    if (aff_epoch) return steal_scored(w, own.sig);
     auto& rc = runtime_counters();
     if (is_ws) {
       // Steal from the most loaded worker (FIFO on the thief side); the
@@ -957,35 +750,18 @@ struct Engine::Impl {
 
   // --- the dispatcher --------------------------------------------------------
 
-  /// Seed one initially-ready slot. The round-robin cursor is advanced for
-  /// every ready slot under every policy (prio simply ignores it), exactly
-  /// like the simulator's seeding — also when affinity overrides the
-  /// target, so the cursor positions tests assert stay policy-independent.
-  /// Under aff_epoch a seed with a preferred worker (inputs with a known
-  /// last writer, a replayed slot's offline placement) goes there instead
-  /// of the cursor's worker.
+  /// Seed one initially-ready slot on the round-robin cursor's worker. The
+  /// cursor is advanced for every ready slot under every policy (prio
+  /// simply ignores it), exactly like the simulator's seeding, so the
+  /// cursor positions tests assert stay policy-independent.
   void seed(TaskId slot) {
-    int target = seed_rr;
+    push_batch(seed_rr, &slot, 1);
     seed_rr = (seed_rr + 1) % width;
-    if (aff_epoch) {
-      const int own = aff_target(slot, workers[0]->tally);
-      auto& rc = runtime_counters();
-      if (own >= 0) {
-        target = own;
-        rc.affinity_hits.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        rc.affinity_misses.fetch_add(1, std::memory_order_relaxed);
-      }
-      slot_owner[static_cast<std::size_t>(slot)].store(
-          target, std::memory_order_relaxed);
-    }
-    push_batch(target, &slot, 1);
   }
 
   /// Run `slot` on worker `w` and release its successors; returns the
   /// fused tail to run next, or -1 for none.
   TaskId execute(int w, TaskId slot) {
-    constexpr int kSigDecay = 128;
     const CapturedGraph& g = *eg;
     WorkerState& me = *workers[static_cast<std::size_t>(w)];
     const auto s = static_cast<std::size_t>(slot);
@@ -1012,25 +788,6 @@ struct Engine::Impl {
       if (!first_error) first_error = error;
     }
     dur[s] = d;
-    if (aff_epoch) {
-      // Publish write ownership before releasing successors, so a
-      // successor's placement sees this slot's outputs as ours.
-      std::uint64_t bits = 0;
-      for (index_t e = g.acc_off[s]; e < g.acc_off[s + 1]; ++e) {
-        const auto ei = static_cast<std::size_t>(e);
-        if (!g.acc_write[ei]) continue;
-        const index_t h = g.acc_handle[ei];
-        if (static_cast<std::size_t>(h) < aff_owner_count)
-          aff_owner[static_cast<std::size_t>(h)].store(
-              w, std::memory_order_relaxed);
-        bits |= aff_sig_bit(h);
-      }
-      if (++me.sig_age >= kSigDecay) {
-        me.sig = 0;
-        me.sig_age = 0;
-      }
-      me.sig |= bits;
-    }
     // Batched successor release: resolve all dependency counters first,
     // publish the newly-ready set with one lock, then hand the surplus
     // (everything this worker won't immediately run itself) to parked
@@ -1047,14 +804,10 @@ struct Engine::Impl {
         me.batch.push_back(succ);
     }
     if (!me.batch.empty()) {
-      if (aff_epoch) {
-        dispatch_affinity(w, /*self_busy=*/fused >= 0);
-      } else {
-        push_batch(w, me.batch.data(), me.batch.size());
-        const auto surplus =
-            static_cast<index_t>(me.batch.size()) - (fused >= 0 ? 0 : 1);
-        if (surplus > 0) wake(surplus);
-      }
+      push_batch(w, me.batch.data(), me.batch.size());
+      const auto surplus =
+          static_cast<index_t>(me.batch.size()) - (fused >= 0 ? 0 : 1);
+      if (surplus > 0) wake(surplus);
     }
     if (opts.record_trace)
       me.local_trace.push_back(
@@ -1095,7 +848,7 @@ struct Engine::Impl {
   }
 
   void worker_main(int w) {
-    la::WorkspaceLease workspace_lease(w);
+    la::WorkspaceLease workspace_lease;
     // Publish the worker context so tasks run here can open parallel
     // nested sub-epochs (and thieves arrive with an arena leased). A
     // 1-worker epoch has nobody to share a sub-epoch with: no pool context,
@@ -1112,8 +865,6 @@ struct Engine::Impl {
       wsp->heap.clear();
       wsp->size.store(0);
       wsp->local_trace.clear();
-      wsp->sig = 0;
-      wsp->sig_age = 0;
     }
     prio_heap.clear();
     prio_size.store(0);
@@ -1173,8 +924,6 @@ struct Engine::Impl {
       pending[i].store(g.pending0[i], std::memory_order_relaxed);
     if (opts.check_conflicts) checker_reset(g);
     reset_queues();
-    aff_epoch = aff_enabled_epoch();
-    if (aff_epoch) aff_setup(g);
     for (std::size_t i = 0; i < n; ++i)
       if (g.pending0[i] == 0) seed(static_cast<TaskId>(i));
     remaining.store(g.count);
@@ -1187,7 +936,6 @@ struct Engine::Impl {
         pool.emplace_back([this, w] { worker_main(w); });
       for (auto& th : pool) th.join();
     }
-    if (aff_epoch) aff_teardown();
     merge_trace();
     eg = nullptr;
     key = nullptr;
@@ -1199,12 +947,12 @@ Engine::Engine() : Engine(Options{}) {}
 Engine::Engine(Options opts) : impl_(std::make_unique<Impl>(opts)) {}
 Engine::~Engine() = default;
 
-Handle Engine::register_data(std::string name, std::size_t bytes) {
+Handle Engine::register_data(std::string name) {
   // During replay no accesses are interpreted, so per-epoch scratch data
   // (e.g. the solver's RHS panels) gets a placeholder handle instead of
   // growing the engine's handle table on every replayed epoch.
   if (impl_->replay != nullptr) return Handle{-1};
-  impl_->handles.push_back(HandleState{std::move(name), bytes, -1, {}});
+  impl_->handles.push_back(HandleState{std::move(name), -1, {}});
   return Handle{static_cast<index_t>(impl_->handles.size()) - 1};
 }
 
@@ -1228,11 +976,10 @@ TaskId Engine::submit(std::function<void()> fn, std::vector<Access> accesses,
   t.label = std::move(label);
   t.priority = priority;
   if (im.accesses_tracked()) {
-    // The checker and the affinity placer read the accesses at execution
-    // time, collapsed to one mode per handle (a task may list a handle
-    // several times); a capture keeps the same collapsed lists so replays
-    // stay checkable. Mixed read+write collapses to ReadWrite — still
-    // exclusive for the checker, still an input for placement.
+    // The checker reads the accesses at execution time, collapsed to one
+    // mode per handle (a task may list a handle several times); a capture
+    // keeps the same collapsed lists so replays stay checkable. Mixed
+    // read+write collapses to ReadWrite — still exclusive for the checker.
     for (const Access& a : accesses) {
       auto it = std::find_if(t.accesses.begin(), t.accesses.end(),
                              [&a](const Access& b) {
@@ -1246,28 +993,8 @@ TaskId Engine::submit(std::function<void()> fn, std::vector<Access> accesses,
   }
   im.tasks.push_back(std::move(t));
   im.fns.push_back(std::move(fn));
-
-  for (const Access& a : accesses) {
-    HCHAM_CHECK_MSG(a.handle.valid() &&
-                        a.handle.id < static_cast<index_t>(im.handles.size()),
-                    "unknown data handle");
-    HandleState& hs = im.handles[static_cast<std::size_t>(a.handle.id)];
-    if (a.mode == AccessMode::Read) {
-      if (hs.last_writer >= 0) im.add_edge(hs.last_writer, id);
-      // Dedupe: a task that lists the same handle twice (or writes then
-      // reads it) is one reader, not several.
-      if (hs.readers_since_write.empty() ||
-          hs.readers_since_write.back() != id)
-        hs.readers_since_write.push_back(id);
-    } else {
-      // Write / ReadWrite: after the last writer and every reader since.
-      if (hs.last_writer >= 0) im.add_edge(hs.last_writer, id);
-      for (const TaskId r : hs.readers_since_write)
-        if (r != id) im.add_edge(r, id);
-      hs.readers_since_write.clear();
-      hs.last_writer = id;
-    }
-  }
+  infer_edges(im.handles, accesses, id, "unknown data handle",
+              [&im, id](TaskId from) { im.add_edge(from, id); });
   return id;
 }
 
@@ -1487,7 +1214,7 @@ NestedEpoch::~NestedEpoch() {
   impl_->eng->nested_live.fetch_sub(1);
 }
 
-Handle NestedEpoch::register_data(std::string, std::size_t) {
+Handle NestedEpoch::register_data(std::string) {
   NestedEpochImpl& im = *impl_;
   HCHAM_CHECK_MSG(!im.sealed, "NestedEpoch: register_data() after wait()");
   // Handles are sub-epoch-local; names are accepted for symmetry with
@@ -1541,26 +1268,8 @@ TaskId NestedEpoch::submit(std::function<void()> fn,
     ++im.edges;
     ++pending;
   };
-  for (const Access& a : accesses) {
-    HCHAM_CHECK_MSG(
-        a.handle.valid() &&
-            a.handle.id < static_cast<index_t>(im.handles.size()),
-        "unknown nested data handle");
-    NestedEpochImpl::NestedHandle& hs =
-        im.handles[static_cast<std::size_t>(a.handle.id)];
-    if (a.mode == AccessMode::Read) {
-      if (hs.last_writer >= 0) add_edge(hs.last_writer);
-      if (hs.readers_since_write.empty() ||
-          hs.readers_since_write.back() != id)
-        hs.readers_since_write.push_back(id);
-    } else {
-      if (hs.last_writer >= 0) add_edge(hs.last_writer);
-      for (const TaskId r : hs.readers_since_write)
-        if (r != id) add_edge(r);
-      hs.readers_since_write.clear();
-      hs.last_writer = id;
-    }
-  }
+  infer_edges(im.handles, accesses, id, "unknown nested data handle",
+              add_edge);
   t.pending.store(pending, std::memory_order_relaxed);
   return id;
 }

@@ -62,13 +62,8 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Register a piece of data; the name shows up in DOT dumps. `bytes` is
-  /// the payload size the handle stands for (a tile's m*n*sizeof(T)); the
-  /// affinity scheduler weighs input edges by it when routing ready tasks
-  /// to the worker owning the plurality of their input bytes (DESIGN.md
-  /// section 14). 0 means unknown and weighs 1, so plain dependency handles
-  /// still vote by count.
-  Handle register_data(std::string name = "", std::size_t bytes = 0);
+  /// Register a piece of data; the name shows up in DOT dumps.
+  Handle register_data(std::string name = "");
 
   /// Submit a task. Must not be called while wait_all() is running.
   TaskId submit(std::function<void()> fn, std::vector<Access> accesses,
@@ -226,10 +221,8 @@ class NestedEpoch {
   NestedEpoch(const NestedEpoch&) = delete;
   NestedEpoch& operator=(const NestedEpoch&) = delete;
 
-  /// Register a sub-epoch-local datum for dependency inference. The byte
-  /// size is accepted for signature symmetry with Engine::register_data
-  /// (HluTaskGraph sinks both); nested placement ignores it.
-  Handle register_data(std::string name = "", std::size_t bytes = 0);
+  /// Register a sub-epoch-local datum for dependency inference.
+  Handle register_data(std::string name = "");
 
   /// Submit a nested task. Parallel mode defers it; inline mode runs it
   /// immediately (collecting, not raising, any error). Must not be called

@@ -48,25 +48,17 @@ inline bool replay_disabled() {
   return env_long("HCHAM_REPLAY_DISABLE", 0) != 0;
 }
 
-/// True when HCHAM_AFFINITY_DISABLE=1: ready tasks go to the releasing
-/// worker, steals are unscored, and capture skips the placement pass —
-/// the referee the affinity property tests and bench/locality_lu compare
-/// against (DESIGN.md section 14).
-inline bool affinity_disabled() {
-  return env_long("HCHAM_AFFINITY_DISABLE", 0) != 0;
-}
-
 // --- the captured DAG ------------------------------------------------------
 
 /// CSR form of one engine epoch, the only form the dispatcher executes;
 /// immutable once captured. Slot ids are epoch-local (0..count), assigned
 /// in submission order, so a replay binds the i-th submitted closure to
 /// slot i. A live epoch's CSR carries labels and access lists only when
-/// something reads them (capture, the conflict checker, affinity), and no
-/// durations, fusion or placement until a capture keeps it. Owns copies of
-/// everything replay needs — labels, edges, access lists — so it survives
-/// the engine retiring the epoch (which frees the live tasks' accesses)
-/// and even the engine's destruction.
+/// something reads them (capture, the conflict checker), and no durations
+/// or fusion until a capture keeps it. Owns copies of everything replay
+/// needs — labels, edges, access lists — so it survives the engine
+/// retiring the epoch (which frees the live tasks' accesses) and even the
+/// engine's destruction.
 struct CapturedGraph {
   index_t count = 0;
 
@@ -89,23 +81,12 @@ struct CapturedGraph {
   index_t fused_pairs = 0;
 
   // Collapsed access lists (strongest mode per handle), CSR over slots;
-  // retained so the access-conflict checker can audit replayed schedules
-  // and the affinity partitioner can weigh data edges. A ReadWrite access
-  // sets both flags: it is an input for placement and exclusive for the
-  // checker.
+  // retained so the access-conflict checker can audit replayed schedules.
+  // A ReadWrite access counts as a write: exclusive for the checker.
   std::vector<index_t> acc_off;   ///< size count + 1
   std::vector<index_t> acc_handle;
   std::vector<std::uint8_t> acc_write;  ///< 1 = write or readwrite
-  std::vector<std::uint8_t> acc_read;   ///< 1 = read or readwrite (an input)
-  std::vector<std::uint64_t> acc_bytes; ///< handle payload bytes (0 unknown)
   index_t max_handle = -1;
-
-  /// Offline affinity partitioning output (DESIGN.md section 14): preferred
-  /// worker per slot, honored by replay dispatch when placement_workers
-  /// matches the replaying engine's pool width (stealing stays the escape
-  /// valve). Empty when the pass did not run.
-  std::vector<int> placement;
-  int placement_workers = 0;
 
   index_t num_edges() const { return static_cast<index_t>(succ.size()); }
 
@@ -166,197 +147,6 @@ inline void fuse_linear_chains(CapturedGraph& g) {
       break;
     }
   }
-}
-
-/// True when the graph carries the per-access read flags and byte sizes the
-/// affinity passes need (hand-built test graphs may omit them; edges then
-/// weigh 1 each).
-inline bool has_access_bytes(const CapturedGraph& g) {
-  return g.acc_read.size() == g.acc_handle.size() &&
-         g.acc_bytes.size() == g.acc_handle.size();
-}
-
-/// Bytes of data flowing over edge i -> j: the payload bytes of every
-/// handle i writes and j reads. Byte-less handles count 1 so plain DAGs
-/// still partition by edge count; pure ordering edges (writer-after-reader)
-/// move no data and weigh 0.
-inline std::uint64_t edge_data_bytes(const CapturedGraph& g, index_t i,
-                                     index_t j) {
-  if (!has_access_bytes(g)) return 1;
-  std::uint64_t bytes = 0;
-  const auto si = static_cast<std::size_t>(i);
-  const auto sj = static_cast<std::size_t>(j);
-  for (index_t a = g.acc_off[si]; a < g.acc_off[si + 1]; ++a) {
-    const auto ai = static_cast<std::size_t>(a);
-    if (!g.acc_write[ai]) continue;
-    for (index_t b = g.acc_off[sj]; b < g.acc_off[sj + 1]; ++b) {
-      const auto bi = static_cast<std::size_t>(b);
-      if (!g.acc_read[bi] || g.acc_handle[bi] != g.acc_handle[ai]) continue;
-      bytes += g.acc_bytes[ai] ? g.acc_bytes[ai] : 1;
-      break;
-    }
-  }
-  return bytes;
-}
-
-/// Total data-edge bytes of the graph (the denominator bench/locality_lu
-/// reports cross-worker traffic against).
-inline std::uint64_t total_edge_bytes(const CapturedGraph& g) {
-  std::uint64_t t = 0;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(g.count); ++i)
-    for (index_t e = g.succ_off[i]; e < g.succ_off[i + 1]; ++e)
-      t += edge_data_bytes(g, static_cast<index_t>(i),
-                           g.succ[static_cast<std::size_t>(e)]);
-  return t;
-}
-
-/// Data-edge bytes crossing workers under `placement` (slot -> worker).
-inline std::uint64_t cross_edge_bytes(const CapturedGraph& g,
-                                      const std::vector<int>& placement) {
-  std::uint64_t t = 0;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(g.count); ++i) {
-    for (index_t e = g.succ_off[i]; e < g.succ_off[i + 1]; ++e) {
-      const auto s = static_cast<std::size_t>(g.succ[static_cast<std::size_t>(e)]);
-      if (placement[i] == placement[s]) continue;
-      t += edge_data_bytes(g, static_cast<index_t>(i),
-                           static_cast<index_t>(s));
-    }
-  }
-  return t;
-}
-
-/// Offline affinity partitioning (DESIGN.md section 14): assign each slot a
-/// preferred worker minimizing cross-worker data-edge bytes while keeping
-/// per-worker measured durations balanced (task counts when the graph has
-/// no durations). A greedy topological placement — slot order IS a
-/// topological order — scores each worker by attached predecessor bytes
-/// minus a load penalty, capped at (1 + HCHAM_AFFINITY_BALANCE) x the even
-/// share; HCHAM_AFFINITY_REFINE sweeps then move single slots, accepting
-/// only strictly cross-byte-reducing, cap-respecting moves, so the
-/// cross-byte series is monotonically non-increasing and the result is
-/// deterministic under ties (lowest worker wins). Fused tails are stitched
-/// to their head's worker afterwards — replay runs them inline there
-/// anyway. `sweep_cross`, when given, receives the cross-byte total after
-/// the greedy pass and after every sweep.
-inline void assign_affinity_placement(
-    CapturedGraph& g, int workers,
-    std::vector<std::uint64_t>* sweep_cross = nullptr) {
-  const auto n = static_cast<std::size_t>(g.count);
-  g.placement_workers = workers;
-  g.placement.assign(n, 0);
-  if (n == 0 || workers <= 1) return;
-  const auto P = static_cast<std::size_t>(workers);
-
-  // Reverse CSR (predecessor lists), both directions weighted once.
-  std::vector<index_t> pred_off(n + 1, 0);
-  std::vector<index_t> pred(g.succ.size(), 0);
-  std::vector<std::uint64_t> pred_w(g.succ.size(), 0);
-  std::vector<std::uint64_t> succ_w(g.succ.size(), 0);
-  for (const TaskId s : g.succ) ++pred_off[static_cast<std::size_t>(s) + 1];
-  for (std::size_t i = 0; i < n; ++i) pred_off[i + 1] += pred_off[i];
-  {
-    std::vector<index_t> cur(pred_off.begin(), pred_off.end() - 1);
-    for (std::size_t i = 0; i < n; ++i)
-      for (index_t e = g.succ_off[i]; e < g.succ_off[i + 1]; ++e) {
-        const auto ei = static_cast<std::size_t>(e);
-        const auto s = static_cast<std::size_t>(g.succ[ei]);
-        const std::uint64_t w =
-            edge_data_bytes(g, static_cast<index_t>(i), g.succ[ei]);
-        succ_w[ei] = w;
-        const auto slot = static_cast<std::size_t>(cur[s]++);
-        pred[slot] = static_cast<index_t>(i);
-        pred_w[slot] = w;
-      }
-  }
-
-  double total_dur = 0.0;
-  for (const double d : g.duration_s) total_dur += d;
-  const bool use_dur = total_dur > 0.0;
-  auto slot_load = [&](std::size_t i) {
-    return use_dur ? g.duration_s[i] : 1.0;
-  };
-  const double total_load = use_dur ? total_dur : static_cast<double>(n);
-  const double slack =
-      env_double_bounded("HCHAM_AFFINITY_BALANCE", 0.25, 0.0, 4.0);
-  const double cap = (1.0 + slack) * total_load / static_cast<double>(P);
-
-  std::uint64_t total_bytes = 0;
-  for (const std::uint64_t w : succ_w) total_bytes += w;
-  // Exchange rate between load imbalance and locality bytes: one even
-  // share of load forgone must buy at least its share of edge bytes.
-  const double mu =
-      static_cast<double>(total_bytes ? total_bytes : 1) / total_load;
-
-  std::vector<double> load(P, 0.0);
-  std::vector<double> gain(P, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::fill(gain.begin(), gain.end(), 0.0);
-    for (index_t e = pred_off[i]; e < pred_off[i + 1]; ++e) {
-      const auto ei = static_cast<std::size_t>(e);
-      gain[static_cast<std::size_t>(
-          g.placement[static_cast<std::size_t>(pred[ei])])] +=
-          static_cast<double>(pred_w[ei]);
-    }
-    // The least-loaded worker is always under cap (its load is at most the
-    // even share of what has been placed so far), so `best` lands.
-    int best = -1;
-    double best_score = 0.0;
-    for (std::size_t v = 0; v < P; ++v) {
-      if (load[v] >= cap) continue;
-      const double score = gain[v] - mu * load[v];
-      if (best < 0 || score > best_score) {
-        best = static_cast<int>(v);
-        best_score = score;
-      }
-    }
-    g.placement[i] = best < 0 ? 0 : best;
-    load[static_cast<std::size_t>(g.placement[i])] += slot_load(i);
-  }
-  if (sweep_cross) sweep_cross->push_back(cross_edge_bytes(g, g.placement));
-
-  const long sweeps = env_long_bounded("HCHAM_AFFINITY_REFINE", 3, 0, 64);
-  for (long s = 0; s < sweeps; ++s) {
-    bool moved = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto cur = static_cast<std::size_t>(g.placement[i]);
-      std::fill(gain.begin(), gain.end(), 0.0);
-      for (index_t e = pred_off[i]; e < pred_off[i + 1]; ++e) {
-        const auto ei = static_cast<std::size_t>(e);
-        gain[static_cast<std::size_t>(
-            g.placement[static_cast<std::size_t>(pred[ei])])] +=
-            static_cast<double>(pred_w[ei]);
-      }
-      for (index_t e = g.succ_off[i]; e < g.succ_off[i + 1]; ++e) {
-        const auto ei = static_cast<std::size_t>(e);
-        gain[static_cast<std::size_t>(
-            g.placement[static_cast<std::size_t>(g.succ[ei])])] +=
-            static_cast<double>(succ_w[ei]);
-      }
-      std::size_t best = cur;
-      double best_gain = gain[cur];
-      for (std::size_t v = 0; v < P; ++v) {
-        if (v == cur || load[v] + slot_load(i) > cap) continue;
-        if (gain[v] > best_gain) {
-          best = v;
-          best_gain = gain[v];
-        }
-      }
-      if (best != cur) {
-        g.placement[i] = static_cast<int>(best);
-        load[cur] -= slot_load(i);
-        load[best] += slot_load(i);
-        moved = true;
-      }
-    }
-    if (sweep_cross) sweep_cross->push_back(cross_edge_bytes(g, g.placement));
-    if (!moved) break;
-  }
-
-  if (!g.fused_next.empty())
-    for (std::size_t i = 0; i < n; ++i) {
-      const TaskId f = g.fused_next[i];
-      if (f >= 0) g.placement[static_cast<std::size_t>(f)] = g.placement[i];
-    }
 }
 
 // --- the bounded graph cache -----------------------------------------------

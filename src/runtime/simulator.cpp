@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 #include <queue>
 #include <vector>
 
@@ -21,17 +20,11 @@ struct PrioLess {
   }
 };
 
-/// Scheduler state mirroring the engine's three policies. With `scored`
-/// (the affinity layer's scored stealing), a thief scans the victim's
-/// queue for a task preferring the thief before settling for the default
-/// steal slot — the simulator counterpart of the engine's signature-overlap
-/// pass. `pref` is the preferred-worker table filled by simulate().
+/// Scheduler state mirroring the engine's three policies.
 class SimScheduler {
  public:
-  SimScheduler(const TaskGraph& g, SchedulerPolicy policy, int workers,
-               const std::vector<int>* pref, bool scored)
-      : g_(&g), policy_(policy), workers_(workers), pref_(pref),
-        scored_(scored) {
+  SimScheduler(const TaskGraph& g, SchedulerPolicy policy, int workers)
+      : g_(&g), policy_(policy), workers_(workers) {
     deques_.resize(static_cast<std::size_t>(workers));
     heaps_.resize(static_cast<std::size_t>(workers));
   }
@@ -73,34 +66,15 @@ class SimScheduler {
           own.pop_back();
           break;
         }
-        // Victim selection. Unscored: the longest queue. Scored (the
-        // affinity layer's two-pass steal): a victim whose steal slot
-        // prefers the thief, then one whose slot is cold (never placed),
-        // then the longest queue. Only the slot the steal would take is
-        // inspected — scoring never reorders a victim's queue.
+        // Steal from the longest queue (FIFO on the thief side).
         int victim = -1;
-        if (scored_) {
-          int cold = -1;
-          for (int v = 0; v < workers_ && victim < 0; ++v) {
-            if (v == w) continue;
-            const auto& q = deques_[static_cast<std::size_t>(v)];
-            if (q.empty()) continue;
-            const int p = (*pref_)[static_cast<std::size_t>(q.front())];
-            if (p == w) victim = v;
-            else if (p < 0 && cold < 0) cold = v;
-          }
-          if (victim < 0) victim = cold;
-        }
-        if (victim < 0) {
-          std::size_t best = 0;
-          for (int v = 0; v < workers_; ++v) {
-            if (v == w) continue;
-            const std::size_t sz =
-                deques_[static_cast<std::size_t>(v)].size();
-            if (sz > best) {
-              best = sz;
-              victim = v;
-            }
+        std::size_t best = 0;
+        for (int v = 0; v < workers_; ++v) {
+          if (v == w) continue;
+          const std::size_t sz = deques_[static_cast<std::size_t>(v)].size();
+          if (sz > best) {
+            best = sz;
+            victim = v;
           }
         }
         if (victim < 0) return -1;
@@ -118,31 +92,15 @@ class SimScheduler {
           own.pop_back();
           break;
         }
-        // Ring scan. Scored: first ring pass for a victim whose heap top
-        // prefers the thief, second for a cold top; the steal itself
-        // always pops the victim's top so priority order is untouched.
-        int victim = -1;
-        if (scored_) {
-          int cold = -1;
-          for (int d = 1; d < workers_ && victim < 0; ++d) {
-            const int v = (w + d) % workers_;
-            const auto& q = heaps_[static_cast<std::size_t>(v)];
-            if (q.empty()) continue;
-            const int p = (*pref_)[static_cast<std::size_t>(q.front())];
-            if (p == w) victim = v;
-            else if (p < 0 && cold < 0) cold = v;
-          }
-          if (victim < 0) victim = cold;
+        // Ring scan: pop the top of the first non-empty neighbour.
+        for (int d = 1; d < workers_ && id < 0; ++d) {
+          auto& vq = heaps_[static_cast<std::size_t>((w + d) % workers_)];
+          if (vq.empty()) continue;
+          std::pop_heap(vq.begin(), vq.end(), PrioLess{g_});
+          id = vq.back();
+          vq.pop_back();
         }
-        for (int d = 1; d < workers_ && victim < 0; ++d) {
-          const int v = (w + d) % workers_;
-          if (!heaps_[static_cast<std::size_t>(v)].empty()) victim = v;
-        }
-        if (victim < 0) return -1;
-        auto& vq = heaps_[static_cast<std::size_t>(victim)];
-        std::pop_heap(vq.begin(), vq.end(), PrioLess{g_});
-        id = vq.back();
-        vq.pop_back();
+        if (id < 0) return -1;
         ++steals_;
         break;
       }
@@ -158,8 +116,6 @@ class SimScheduler {
   const TaskGraph* g_;
   SchedulerPolicy policy_;
   int workers_;
-  const std::vector<int>* pref_;
-  bool scored_;
   index_t size_ = 0;
   index_t steals_ = 0;
   std::vector<TaskId> prio_;
@@ -219,18 +175,7 @@ SimResult simulate(const TaskGraph& g, SchedulerPolicy policy, int workers,
     }
   }
 
-  // Preferred worker per task: wherever its earliest-submitted predecessor
-  // ran. In the right-looking tiled factorizations this library submits,
-  // the oldest dependency of a task is the previous in-place update of the
-  // tile the task writes (the accumulation chain), i.e. the last writer of
-  // its dominant datum — the simulator counterpart of the engine's
-  // per-handle last-writer table. Filled incrementally as predecessors
-  // finish; final by the time the task is ready.
-  std::vector<int> pref(static_cast<std::size_t>(n), -1);
-  std::vector<TaskId> pref_src(static_cast<std::size_t>(n),
-                               std::numeric_limits<TaskId>::max());
-
-  SimScheduler sched(g, policy, workers, &pref, params.affinity_placement);
+  SimScheduler sched(g, policy, workers);
   int seed_rr = 0;
   auto next_seed = [&] {
     const int w = seed_rr;
@@ -281,10 +226,6 @@ SimResult simulate(const TaskGraph& g, SchedulerPolicy policy, int workers,
         start = runtime_free;
       }
       double dur = effective_duration(id);
-      if (pref[static_cast<std::size_t>(id)] == w) {
-        ++result.affinity_hits;
-        if (params.locality_gain > 0.0) dur *= 1.0 - params.locality_gain;
-      }
       worker_busy[static_cast<std::size_t>(w)] = 1;
       // Nested sub-epoch split: workers that would otherwise idle (more
       // idle peers than ready tasks) co-execute a long task's inner DAG.
@@ -338,28 +279,9 @@ SimResult simulate(const TaskGraph& g, SchedulerPolicy policy, int workers,
       helpers_of[static_cast<std::size_t>(e.task)].clear();
       for (const TaskId s :
            g.nodes[static_cast<std::size_t>(e.task)].successors) {
-        if (e.task < pref_src[static_cast<std::size_t>(s)]) {
-          pref_src[static_cast<std::size_t>(s)] = e.task;
-          pref[static_cast<std::size_t>(s)] = e.worker;
-        }
         if (--pending[static_cast<std::size_t>(s)] != 0) continue;
-        // Placement routing: a replayed epoch honors the offline
-        // partitioner's slot when one is supplied, otherwise the live
-        // last-writer preference — route the ready task to the worker that
-        // holds its dominant input, not to whoever happened to release it.
-        int target = e.worker;
-        if (params.affinity_placement) {
-          if (params.placement != nullptr &&
-              static_cast<std::size_t>(s) < params.placement->size() &&
-              (*params.placement)[static_cast<std::size_t>(s)] >= 0 &&
-              (*params.placement)[static_cast<std::size_t>(s)] < workers) {
-            target = (*params.placement)[static_cast<std::size_t>(s)];
-          } else if (pref[static_cast<std::size_t>(s)] >= 0) {
-            target = pref[static_cast<std::size_t>(s)];
-          }
-        }
         if (release[static_cast<std::size_t>(s)] <= now) {
-          sched.push(s, target);
+          sched.push(s, e.worker);
         } else {
           events.push(
               Event{release[static_cast<std::size_t>(s)], -1, s, true});

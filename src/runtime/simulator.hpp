@@ -64,30 +64,6 @@ struct SimParams {
   /// to the inner DAG's critical path and steal overhead. The split task's
   /// duration becomes dur / (1 + nested_efficiency * helpers).
   double nested_efficiency = 0.6;
-  /// Data-affinity placement model (DESIGN.md section 14). Every task has a
-  /// preferred worker: the one that executed its earliest-submitted
-  /// predecessor. In the right-looking tiled factorizations this library
-  /// submits, that predecessor is the previous in-place update of the tile
-  /// the task writes (the accumulation chain), i.e. the last writer of its
-  /// dominant datum — the simulator counterpart of the engine's per-handle
-  /// last-writer table. A task that runs on its preferred worker executes
-  /// in (1 - locality_gain) of its measured duration — the discount applies
-  /// in BOTH modes, because the cache effect is physical;
-  /// `affinity_placement` controls whether ready tasks are routed to the
-  /// preferred worker (the engine's last-writer placement, plus scored
-  /// steal-victim selection) or to the releasing worker (the
-  /// locality-blind baseline with unscored steals).
-  bool affinity_placement = false;
-  double locality_gain = 0.0;
-  /// Optional fixed per-task placement (the offline affinity partitioner's
-  /// output for a replayed epoch). When set alongside affinity_placement,
-  /// ready tasks are routed to placement[task] instead of the live
-  /// last-writer preference; out-of-range or negative slots fall back to
-  /// the releasing worker. The locality discount and the hit counter stay
-  /// keyed on where a task's chain predecessor PHYSICALLY ran — routing
-  /// policy changes, the cache model does not. Must outlive simulate() and
-  /// have one entry per task.
-  const std::vector<int>* placement = nullptr;
 };
 
 struct SimResult {
@@ -110,8 +86,6 @@ struct SimResult {
   /// Pops served from another worker's queue (ws/lws only; the central
   /// Priority queue has no notion of a steal).
   index_t steals = 0;
-  /// Tasks that executed on their preferred (heaviest-predecessor) worker.
-  index_t affinity_hits = 0;
   double parallel_efficiency() const {
     return makespan_s > 0.0
                ? busy_s / (makespan_s * static_cast<double>(workers))

@@ -40,8 +40,7 @@ inline void trace_to_json(const std::vector<TraceEvent>& trace,
       << "\"args\": {\"ll_steals\": " << rc.ll_steals
       << ", \"ll_failed_steals\": " << rc.ll_failed_steals
       << ", \"ll_parks\": " << rc.ll_parks << ", \"ll_wakes\": " << rc.ll_wakes
-      << ", \"affinity_hits\": " << rc.affinity_hits
-      << ", \"affinity_misses\": " << rc.affinity_misses << "}}";
+      << "}}";
   out << "\n]\n";
 }
 

@@ -32,19 +32,28 @@ class BoundedRequestQueue {
 
   /// Try to enqueue `item`. Moves from `item` ONLY on PushResult::Ok; on
   /// Full/Closed the caller still owns it. With timeout 0 this fails
-  /// fast; otherwise it waits up to `timeout` for space.
+  /// fast; otherwise it waits up to `timeout` for space. `depth`, when
+  /// given, receives the queue depth this push left behind, read under the
+  /// queue's own lock (a later size() may already see a consumer's pop).
   PushResult push(T& item,
-                  std::chrono::microseconds timeout = std::chrono::microseconds{0}) {
+                  std::chrono::microseconds timeout = std::chrono::microseconds{0},
+                  index_t* depth = nullptr) {
     std::unique_lock<std::mutex> lk(mu_);
     if (timeout.count() > 0) {
       not_full_.wait_for(lk, timeout, [&] {
         return closed_ || static_cast<index_t>(items_.size()) < capacity_;
       });
     }
-    if (closed_) return PushResult::Closed;
-    if (static_cast<index_t>(items_.size()) >= capacity_)
-      return PushResult::Full;
-    items_.push_back(std::move(item));
+    PushResult result = PushResult::Ok;
+    if (closed_) {
+      result = PushResult::Closed;
+    } else if (static_cast<index_t>(items_.size()) >= capacity_) {
+      result = PushResult::Full;
+    } else {
+      items_.push_back(std::move(item));
+    }
+    if (depth != nullptr) *depth = static_cast<index_t>(items_.size());
+    if (result != PushResult::Ok) return result;
     lk.unlock();
     not_empty_.notify_one();
     return PushResult::Ok;

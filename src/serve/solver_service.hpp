@@ -296,11 +296,13 @@ class SolverService {
     r.deadline = deadline.count() > 0 ? r.enqueued + deadline
                                       : Clock::time_point::max();
     std::future<SolveReply<T>> fut = r.promise.get_future();
-    const PushResult pr = queue_.push(r, opts_.enqueue_timeout);
+    index_t depth = 0;
+    const PushResult pr = queue_.push(r, opts_.enqueue_timeout, &depth);
     // Sample the depth gauge at the push/reject points too — the queue is
     // at its fullest right here, so a gauge updated only at batch pops
-    // systematically under-reports the peak.
-    stats_.queue_depth(queue_.size());
+    // systematically under-reports the peak. The depth comes from the push
+    // itself: a size() read here could follow the batching thread's pop.
+    stats_.queue_depth(depth);
     if (pr == PushResult::Full) {
       stats_.on_reject();
       SolveReply<T> rep;

@@ -129,11 +129,7 @@ struct RhsPanels {
     for (index_t k = 0; k < a.nt(); ++k)
       for (index_t p = 0; p < npanels; ++p)
         handles[static_cast<std::size_t>(k * npanels + p)] =
-            engine.register_data(
-                "rhs", static_cast<std::size_t>(a.tile_rows(k)) *
-                           static_cast<std::size_t>(std::min(
-                               width, b.cols() - p * width)) *
-                           sizeof(T));
+            engine.register_data("rhs");
   }
 
   rt::Handle handle(index_t k, index_t p) const {

@@ -54,13 +54,8 @@ class TileDesc {
         Tile<T>& t = tile(i, j);
         t.m = tile_rows(i);
         t.n = tile_cols(j);
-        // Dense-equivalent footprint: the affinity scheduler weighs handles
-        // by bytes, and for placement the dense bound ranks tiles correctly
-        // even when an H payload compresses below it.
         handles_.push_back(engine.register_data(
-            "tile(" + std::to_string(i) + "," + std::to_string(j) + ")",
-            static_cast<std::size_t>(t.m) * static_cast<std::size_t>(t.n) *
-                sizeof(T)));
+            "tile(" + std::to_string(i) + "," + std::to_string(j) + ")"));
       }
     }
   }

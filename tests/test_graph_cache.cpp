@@ -423,188 +423,6 @@ TEST(GraphCacheKeys, FactorizationReplayAfterSourceMatrixDied) {
       ASSERT_EQ(got(i, j), want(i, j)) << "(" << i << "," << j << ")";
 }
 
-// --- offline affinity partitioning (DESIGN.md section 14) ------------------
-
-/// Hand-built DAG for the partitioner: task i writes handle i (payload
-/// bytes[i]); an edge a -> b means b reads handle a. Fills the collapsed
-/// access lists the same way capture does, so edge_data_bytes sees real
-/// weights.
-CapturedGraph make_dag(const std::vector<double>& dur,
-                       const std::vector<std::pair<index_t, index_t>>& edges,
-                       const std::vector<std::uint64_t>& bytes) {
-  const auto n = static_cast<index_t>(dur.size());
-  CapturedGraph g;
-  g.count = n;
-  std::vector<std::vector<rt::TaskId>> succ(static_cast<std::size_t>(n));
-  std::vector<std::vector<rt::TaskId>> reads(static_cast<std::size_t>(n));
-  g.pending0.assign(static_cast<std::size_t>(n), 0);
-  for (const auto& [a, b] : edges) {
-    succ[static_cast<std::size_t>(a)].push_back(b);
-    reads[static_cast<std::size_t>(b)].push_back(a);
-    ++g.pending0[static_cast<std::size_t>(b)];
-  }
-  g.succ_off.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (index_t i = 0; i < n; ++i) {
-    const auto si = static_cast<std::size_t>(i);
-    g.succ_off[si + 1] =
-        g.succ_off[si] + static_cast<index_t>(succ[si].size());
-    for (const rt::TaskId s : succ[si]) g.succ.push_back(s);
-  }
-  g.duration_s = dur;
-  g.priority.assign(static_cast<std::size_t>(n), 0);
-  g.label.assign(static_cast<std::size_t>(n), "");
-  g.acc_off.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (index_t i = 0; i < n; ++i) {
-    const auto si = static_cast<std::size_t>(i);
-    g.acc_handle.push_back(i);
-    g.acc_write.push_back(1);
-    g.acc_read.push_back(0);
-    g.acc_bytes.push_back(bytes[si]);
-    for (const rt::TaskId p : reads[si]) {
-      g.acc_handle.push_back(p);
-      g.acc_write.push_back(0);
-      g.acc_read.push_back(1);
-      g.acc_bytes.push_back(bytes[static_cast<std::size_t>(p)]);
-    }
-    g.acc_off[si + 1] = static_cast<index_t>(g.acc_handle.size());
-  }
-  g.max_handle = n - 1;
-  return g;
-}
-
-TEST(AffinityPartition, BalancesIndependentTasksUnderTheCap) {
-  // 24 equal independent tasks, 4 workers: no data edges to chase, so the
-  // greedy pass must spread by load alone — every worker used, nobody over
-  // the (1 + 0.25) x even-share cap.
-  const index_t n = 24;
-  CapturedGraph g = make_dag(std::vector<double>(n, 1.0), {},
-                             std::vector<std::uint64_t>(n, 8));
-  rt::assign_affinity_placement(g, 4);
-  EXPECT_EQ(g.placement_workers, 4);
-  ASSERT_EQ(g.placement.size(), static_cast<std::size_t>(n));
-  std::vector<int> count(4, 0);
-  for (const int w : g.placement) {
-    ASSERT_GE(w, 0);
-    ASSERT_LT(w, 4);
-    ++count[static_cast<std::size_t>(w)];
-  }
-  for (const int c : count) {
-    EXPECT_GE(c, 1);
-    EXPECT_LE(c, 7);  // cap = 1.25 * 24 / 4 = 7.5
-  }
-}
-
-TEST(AffinityPartition, ChainPlacementBeatsRoundRobinWithinTheCap) {
-  // Two independent 6-task chains over 1 MiB handles: the partitioner may
-  // split a chain to keep the load even (the mu exchange rate prices
-  // locality against balance), but it must land far below the
-  // locality-blind round-robin baseline while respecting the load cap.
-  std::vector<std::pair<index_t, index_t>> edges;
-  for (index_t i = 0; i < 5; ++i) {
-    edges.push_back({i, i + 1});
-    edges.push_back({6 + i, 7 + i});
-  }
-  CapturedGraph g = make_dag(std::vector<double>(12, 1.0), edges,
-                             std::vector<std::uint64_t>(12, 1u << 20));
-  rt::assign_affinity_placement(g, 2);
-  std::vector<int> rr(12);
-  for (std::size_t i = 0; i < rr.size(); ++i) rr[i] = static_cast<int>(i % 2);
-  const std::uint64_t cross = rt::cross_edge_bytes(g, g.placement);
-  EXPECT_LT(cross, rt::cross_edge_bytes(g, rr) / 2);
-  std::vector<int> count(2, 0);
-  for (const int w : g.placement) {
-    ASSERT_GE(w, 0);
-    ASSERT_LT(w, 2);
-    ++count[static_cast<std::size_t>(w)];
-  }
-  for (const int c : count) {
-    EXPECT_GE(c, 1);
-    EXPECT_LE(c, 7);  // cap = 1.25 * 12 / 2 = 7.5
-  }
-}
-
-TEST(AffinityPartition, RefinementSweepsAreMonotoneNonIncreasing) {
-  // Layered DAG with mixed edge weights: the greedy pass leaves something
-  // on the table, and every refinement sweep may only reduce (never grow)
-  // the cross-worker byte count. The documented contract is monotonicity,
-  // not optimality.
-  std::vector<std::pair<index_t, index_t>> edges;
-  for (index_t b = 0; b < 8; ++b) {
-    edges.push_back({(b + 0) % 8, 8 + b});
-    edges.push_back({(b + 3) % 8, 8 + b});
-    edges.push_back({8 + b, 16 + (b + 1) % 8});
-    edges.push_back({8 + (b + 5) % 8, 16 + b});
-  }
-  std::vector<std::uint64_t> bytes(24);
-  for (std::size_t i = 0; i < bytes.size(); ++i)
-    bytes[i] = 1000 * (1 + (i % 5));
-  CapturedGraph g =
-      make_dag(std::vector<double>(24, 1.0), edges, bytes);
-  std::vector<std::uint64_t> sweeps;
-  rt::assign_affinity_placement(g, 4, &sweeps);
-  ASSERT_GE(sweeps.size(), 1u);
-  for (std::size_t s = 1; s < sweeps.size(); ++s)
-    EXPECT_LE(sweeps[s], sweeps[s - 1]) << "sweep " << s << " regressed";
-  EXPECT_EQ(sweeps.back(), rt::cross_edge_bytes(g, g.placement));
-}
-
-TEST(AffinityPartition, DeterministicUnderEqualDurations) {
-  // Ties everywhere (equal durations, equal bytes): the placement must
-  // still be a pure function of the graph — two runs, one answer.
-  std::vector<std::pair<index_t, index_t>> edges;
-  for (index_t i = 0; i < 8; ++i)
-    for (index_t j = 0; j < 2; ++j) edges.push_back({i, 8 + 2 * (i / 2) + j});
-  CapturedGraph a = make_dag(std::vector<double>(16, 1.0), edges,
-                             std::vector<std::uint64_t>(16, 4096));
-  CapturedGraph b = make_dag(std::vector<double>(16, 1.0), edges,
-                             std::vector<std::uint64_t>(16, 4096));
-  rt::assign_affinity_placement(a, 4);
-  rt::assign_affinity_placement(b, 4);
-  EXPECT_EQ(a.placement, b.placement);
-}
-
-TEST(AffinityPartition, FusedTailsInheritTheirHeadsWorker) {
-  // Replay runs a fused tail inline on its head's worker, so whatever the
-  // partitioner thinks, the tail must be stitched to the head afterwards.
-  CapturedGraph g = make_dag({1.0, 1.0, 1.0}, {{0, 1}, {1, 2}},
-                             {4096, 4096, 4096});
-  rt::fuse_linear_chains(g);
-  ASSERT_EQ(g.fused_next[0], 1);
-  rt::assign_affinity_placement(g, 2);
-  EXPECT_EQ(g.placement[1], g.placement[0]);
-  EXPECT_EQ(g.placement[2], g.placement[1]);
-}
-
-TEST(AffinityPartition, CaptureRunsThePassAndDisableSkipsIt) {
-  // End to end: a captured epoch carries byte-weighted access lists and a
-  // placement sized for the capturing engine's pool; under
-  // HCHAM_AFFINITY_DISABLE=1 capture must skip the pass entirely.
-  auto run = [] {
-    Engine eng({.num_workers = 2,
-                .policy = rt::SchedulerPolicy::LocalityWorkStealing});
-    const Handle a = eng.register_data("a", 4096);
-    const Handle b = eng.register_data("b", 256);
-    EXPECT_TRUE(eng.begin_capture());
-    eng.submit([] {}, {rt::readwrite(a)});
-    eng.submit([] {}, {rt::read(a), rt::readwrite(b)});
-    eng.wait_all();
-    return eng.end_capture();
-  };
-  auto g = run();
-  ASSERT_NE(g, nullptr);
-  EXPECT_TRUE(rt::has_access_bytes(*g));
-  EXPECT_EQ(g->placement_workers, 2);
-  EXPECT_EQ(g->placement.size(), static_cast<std::size_t>(g->count));
-  EXPECT_EQ(rt::edge_data_bytes(*g, 0, 1), 4096u);
-  {
-    ScopedEnv off("HCHAM_AFFINITY_DISABLE", "1");
-    auto ref = run();
-    ASSERT_NE(ref, nullptr);
-    EXPECT_EQ(ref->placement_workers, 0);
-    EXPECT_TRUE(ref->placement.empty());
-  }
-}
-
 // --- serve-layer stats -----------------------------------------------------
 
 TEST(ServeGraphStats, SessionSolvesThroughTheCacheAndStatsReport) {

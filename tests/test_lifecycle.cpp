@@ -198,6 +198,9 @@ TEST(SessionPersistence, RestoredSessionSolvesLikeTheOriginal) {
   TempFile f("lifecycle_session.hfac");
   SessionOptions opts;
   opts.workers = 2;
+  // Persistence is native-only (save_factors_to throws on the mixed path),
+  // whatever HCHAM_FACTOR_PRECISION says.
+  opts.factor = core::FactorOptions{};
   opts.save_factors_to = f.path;
   auto session = Session<double>::build(problem.points(), gen,
                                         make_options(64, 1e-8), opts);
@@ -355,21 +358,36 @@ TEST(UpdatableOperator, BackgroundRebaseKeepsServingAndSwapsIn) {
 
 constexpr index_t kCacheN = 160;
 
-SessionOptions cache_session_opts() {
+/// Cache sessions take their factor precision from the env, except the
+/// `native` ones of the spill tests: spilling persists factors, which the
+/// mixed path does not support (the cache discards such sessions instead).
+SessionOptions cache_session_opts(bool native) {
   SessionOptions o;
   o.workers = 1;
+  if (native) o.factor = core::FactorOptions{};
   return o;
 }
 
-serve::Session<double> build_cache_session(double height) {
+serve::Session<double> build_cache_session(double height,
+                                           bool native = false) {
   FemBemProblem<double> problem(kCacheN, 1.0, height);
   auto gen = [&problem](index_t i, index_t j) { return problem.entry(i, j); };
   return Session<double>::build(problem.points(), gen, make_options(64, 1e-7),
-                                cache_session_opts());
+                                cache_session_opts(native));
 }
 
-/// Bytes of one cache session, measured once (all test sessions share n).
-std::uint64_t one_session_bytes() {
+/// A native cache session for the spill tests.
+serve::Session<double> spill_session(double height) {
+  return build_cache_session(height, /*native=*/true);
+}
+
+/// Bytes of one cache session, measured once per precision mode (all test
+/// sessions share n).
+std::uint64_t one_session_bytes(bool native = false) {
+  if (native) {
+    static const std::uint64_t bytes = spill_session(8.0).memory_bytes();
+    return bytes;
+  }
   static const std::uint64_t bytes = build_cache_session(8.0).memory_bytes();
   return bytes;
 }
@@ -418,20 +436,21 @@ TEST(SessionCache, SpillToDiskAndReload) {
   TempFile spill_a("a.hfac");  // sanitize(id) + .hfac in cwd
   TempFile spill_b("b.hfac");  // b spills in turn when a reloads
   SessionCache<double> cache(
-      {.max_bytes = one_session_bytes() * 3 / 2, .spill_dir = "."});
+      {.max_bytes = one_session_bytes(/*native=*/true) * 3 / 2,
+       .spill_dir = "."});
   const auto b = Matrix<double>::random(kCacheN, 1, 9);
   Matrix<double> x_fresh = Matrix<double>::from_view(b.cview());
   {
-    auto p = cache.get_or_build("a", [] { return build_cache_session(6.0); });
+    auto p = cache.get_or_build("a", [] { return spill_session(6.0); });
     p.solve_now(x_fresh.view());
   }
-  { auto p = cache.get_or_build("b", [] { return build_cache_session(8.0); }); }
+  { auto p = cache.get_or_build("b", [] { return spill_session(8.0); }); }
   EXPECT_FALSE(cache.contains("a"));
   EXPECT_TRUE(cache.spilled("a"));
   {
     auto p = cache.get_or_build("a", [] {
       ADD_FAILURE() << "spilled session must reload from disk, not rebuild";
-      return build_cache_session(6.0);
+      return spill_session(6.0);
     });
     Matrix<double> x_reloaded = Matrix<double>::from_view(b.cview());
     p.solve_now(x_reloaded.view());
@@ -450,10 +469,10 @@ TEST(SessionCache, FailedSpillDegradesToDiscard) {
   // fails. That must degrade to a plain discard — counted, never thrown
   // (the spill runs from Pin's noexcept destructor path).
   SessionCache<double> cache(
-      {.max_bytes = one_session_bytes() * 3 / 2,
+      {.max_bytes = one_session_bytes(/*native=*/true) * 3 / 2,
        .spill_dir = "no_such_spill_dir.d"});
-  { auto p = cache.get_or_build("a", [] { return build_cache_session(6.0); }); }
-  { auto p = cache.get_or_build("b", [] { return build_cache_session(8.0); }); }
+  { auto p = cache.get_or_build("a", [] { return spill_session(6.0); }); }
+  { auto p = cache.get_or_build("b", [] { return spill_session(8.0); }); }
   EXPECT_FALSE(cache.contains("a"));
   EXPECT_FALSE(cache.spilled("a"));
   const auto s = cache.stats();
@@ -465,7 +484,7 @@ TEST(SessionCache, FailedSpillDegradesToDiscard) {
   {
     auto p = cache.get_or_build("a", [&rebuilt] {
       rebuilt = true;
-      return build_cache_session(6.0);
+      return spill_session(6.0);
     });
     auto b = Matrix<double>::random(kCacheN, 1, 5);
     p.solve_now(b.view());
@@ -478,9 +497,10 @@ TEST(SessionCache, BrokenSpillFileFallsBackToBuilder) {
   TempFile spill_a("a.hfac");
   TempFile spill_b("b.hfac");  // b spills when a's rebuild re-evicts it
   SessionCache<double> cache(
-      {.max_bytes = one_session_bytes() * 3 / 2, .spill_dir = "."});
-  { auto p = cache.get_or_build("a", [] { return build_cache_session(6.0); }); }
-  { auto p = cache.get_or_build("b", [] { return build_cache_session(8.0); }); }
+      {.max_bytes = one_session_bytes(/*native=*/true) * 3 / 2,
+       .spill_dir = "."});
+  { auto p = cache.get_or_build("a", [] { return spill_session(6.0); }); }
+  { auto p = cache.get_or_build("b", [] { return spill_session(8.0); }); }
   ASSERT_TRUE(cache.spilled("a"));
   // Sabotage the spill file: the reload must drop the spill record and
   // fall back to the builder, not leave "a" permanently unserveable.
@@ -489,7 +509,7 @@ TEST(SessionCache, BrokenSpillFileFallsBackToBuilder) {
   {
     auto p = cache.get_or_build("a", [&rebuilt] {
       rebuilt = true;
-      return build_cache_session(6.0);
+      return spill_session(6.0);
     });
     auto b = Matrix<double>::random(kCacheN, 1, 7);
     p.solve_now(b.view());
@@ -501,7 +521,7 @@ TEST(SessionCache, BrokenSpillFileFallsBackToBuilder) {
   {
     auto p = cache.get_or_build("a", [] {
       ADD_FAILURE() << "resident session must hit, not rebuild";
-      return build_cache_session(6.0);
+      return spill_session(6.0);
     });
   }
 }

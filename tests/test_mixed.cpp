@@ -261,6 +261,20 @@ TEST(MixedSession, ServesThroughFp32FactorsAndReportsStats) {
   EXPECT_NE(j.find("\"mixed_precision\":true"), std::string::npos) << j;
 }
 
+TEST(MixedSession, SavingFactorsIsRejectedOnTheMixedPath) {
+  // The demoted factors are a preconditioner, not a restorable operator:
+  // asking build() to persist them must throw instead of writing a file.
+  FemBemProblem<double> problem(128, 1.0, 8.0);
+  auto gen = [&problem](index_t i, index_t j) { return problem.entry(i, j); };
+  serve::SessionOptions so;
+  so.workers = 1;
+  so.factor.precision = core::FactorPrecision::Single;
+  so.save_factors_to = "mixed_session_rejected.hfac";
+  EXPECT_THROW(serve::Session<double>::build(problem.points(), gen,
+                                             make_options(64, 1e-8), so),
+               Error);
+}
+
 TEST(Stats, PlainSnapshotCarriesGraphAndMixedFields) {
   serve::ServiceStats st;
   st.record_graph(3, 7);
