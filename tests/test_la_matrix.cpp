@@ -1,7 +1,9 @@
-// Unit tests for the dense Matrix container and views.
+// Unit tests for the dense Matrix container and views, and for the
+// pooled scratch arenas (la/workspace.hpp) the dense kernels carve from.
 #include <gtest/gtest.h>
 
 #include "la/la.hpp"
+#include "la/workspace.hpp"
 #include "test_utils.hpp"
 
 namespace hcham {
@@ -152,6 +154,53 @@ TEST(Norms, DotcConjugatesFirstArgument) {
   const zdouble d = la::dotc<zdouble>(2, x, y);
   EXPECT_DOUBLE_EQ(d.real(), 3.0);
   EXPECT_DOUBLE_EQ(d.imag(), 0.0);
+}
+
+TEST(Workspace, ReleasedLeaseIsReusedByTheNextOne) {
+  // The pool (not a thread_local) is what keeps arenas warm across the
+  // engine's per-epoch worker threads: a lease hands its arena back on
+  // destruction and the next checkout gets it again.
+  EXPECT_EQ(la::tls_workspace(), nullptr);
+  la::Workspace* first = nullptr;
+  {
+    la::WorkspaceLease lease;
+    first = la::tls_workspace();
+    ASSERT_NE(first, nullptr);
+  }
+  EXPECT_EQ(la::tls_workspace(), nullptr);
+  la::WorkspaceLease again;
+  EXPECT_EQ(la::tls_workspace(), first);
+}
+
+TEST(Workspace, NestedLeasesBindDistinctArenasAndRestore) {
+  la::WorkspaceLease outer;
+  la::Workspace* const outer_ws = la::tls_workspace();
+  {
+    la::WorkspaceLease inner;
+    EXPECT_NE(la::tls_workspace(), outer_ws);
+    EXPECT_NE(la::tls_workspace(), nullptr);
+  }
+  EXPECT_EQ(la::tls_workspace(), outer_ws);
+}
+
+TEST(Workspace, ScopesReleaseToTheirMarkInStackOrder) {
+  la::WorkspaceLease lease;
+  la::Workspace& ws = *la::tls_workspace();
+  la::WorkspaceScope outer;
+  double* const kept = outer.alloc<double>(100);
+  std::uintptr_t sibling[2] = {0, 0};
+  std::size_t chunks_after_first = 0;
+  for (int k = 0; k < 2; ++k) {
+    la::WorkspaceScope inner;
+    sibling[k] = reinterpret_cast<std::uintptr_t>(inner.alloc<double>(1000));
+    EXPECT_EQ(sibling[k] % la::Workspace::kAlign, 0u);
+    if (k == 0) chunks_after_first = ws.num_chunks();
+  }
+  // The second scope reuses the bytes the first one released, past the
+  // outer scope's live allocation, without growing the arena.
+  EXPECT_EQ(sibling[0], sibling[1]);
+  EXPECT_GE(sibling[0], reinterpret_cast<std::uintptr_t>(kept + 100));
+  EXPECT_EQ(ws.num_chunks(), chunks_after_first);
 }
 
 }  // namespace

@@ -101,8 +101,9 @@ TEST(NestedGate, SaturatedPoolStaysInline) {
   // a tile would help nobody. Both probes must see a closed gate.
   Engine eng({.num_workers = 2});
   std::atomic<int> started{0};
+  std::atomic<int> judged{0};
   std::atomic<bool> both_started{false};
-  std::atomic<bool> gates_done{false};
+  std::atomic<bool> both_judged{false};
   std::atomic<bool> timed_out{false};
   bool parallel[2] = {true, true};
   auto probe = [&](int slot) {
@@ -113,20 +114,18 @@ TEST(NestedGate, SaturatedPoolStaysInline) {
     }
     NestedEpoch ep(eng, 1.0e9);
     parallel[slot] = ep.parallel();
-    if (slot == 0) gates_done.store(true);  // slot 1 mirrors below
+    // Keep this worker pinned until the other probe has also judged its
+    // gate: whichever probe finishes first would otherwise drain the
+    // fillers below and open the gate for the slower one. Both workers
+    // stay busy and both fillers stay queued for the whole window the
+    // two probes measure.
+    if (judged.fetch_add(1) + 1 == 2) both_judged.store(true);
+    if (!spin_until(both_judged)) timed_out.store(true);
   };
   auto h0 = eng.register_data();
   auto h1 = eng.register_data();
   eng.submit([&probe] { probe(0); }, {readwrite(h0)}, 5, "probe");
-  eng.submit(
-      [&probe, &gates_done, &timed_out] {
-        probe(1);
-        // Keep this worker pinned until slot 0 has also judged its gate,
-        // so the fillers below stay queued (the pool stays saturated) for
-        // the whole window both probes measure.
-        if (!spin_until(gates_done)) timed_out.store(true);
-      },
-      {readwrite(h1)}, 5, "probe");
+  eng.submit([&probe] { probe(1); }, {readwrite(h1)}, 5, "probe");
   auto h2 = eng.register_data();
   auto h3 = eng.register_data();
   eng.submit([] {}, {readwrite(h2)}, 0, "filler");

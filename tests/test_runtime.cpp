@@ -2,12 +2,16 @@
 // execution correctness under all schedulers, DAG export, and tracing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/trace_json.hpp"
 
@@ -261,6 +265,101 @@ TEST_P(RuntimePolicies, SeventyTwoWorkersMatchOneWorker) {
       EXPECT_LT(ev.worker, 72);
     }
   }
+}
+
+/// Spin until `pred()` holds or ~5 s elapse; returns whether it held.
+template <typename Pred>
+bool spin_until(Pred pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// Counter deltas and outcome of one run_fan_out().
+struct FanOut {
+  RuntimeCounterSnapshot before;
+  RuntimeCounterSnapshot after;
+  std::size_t threads = 0;  ///< distinct threads that ran a child
+  bool timed_out = false;
+};
+
+/// Two workers, one root task and four readers of its output. The root's
+/// release publishes every child at once — on the releasing worker's own
+/// queue (ws/lws) or on the central heap (prio) — and each child holds its
+/// worker until children have run on two distinct threads, so the other
+/// worker has to pick one up. With `wait_for_park` the root first waits
+/// until that worker has parked, so the release must also wake it.
+FanOut run_fan_out(SchedulerPolicy policy, bool wait_for_park) {
+  constexpr int kFanOut = 4;
+  Engine eng({.num_workers = 2, .policy = policy});
+  std::mutex mu;
+  std::vector<std::thread::id> ran;
+  std::atomic<bool> two_threads{false};
+  std::atomic<bool> timed_out{false};
+  FanOut out;
+  out.before = snapshot_runtime_counters();
+  auto root = eng.register_data();
+  eng.submit(
+      [&] {
+        if (!wait_for_park) return;
+        const bool parked = spin_until([&] {
+          return eng.parked_workers() == 1 &&
+                 snapshot_runtime_counters().ll_parks > out.before.ll_parks;
+        });
+        if (!parked) timed_out.store(true);
+      },
+      {write(root)});
+  for (int i = 0; i < kFanOut; ++i) {
+    auto h = eng.register_data();
+    eng.submit(
+        [&] {
+          {
+            std::lock_guard<std::mutex> lk(mu);
+            const auto me = std::this_thread::get_id();
+            if (std::find(ran.begin(), ran.end(), me) == ran.end())
+              ran.push_back(me);
+            if (ran.size() == 2) two_threads.store(true);
+          }
+          if (!spin_until([&] { return two_threads.load(); }))
+            timed_out.store(true);
+        },
+        {read(root), write(h)});
+  }
+  eng.wait_all();
+  out.after = snapshot_runtime_counters();
+  out.threads = ran.size();
+  out.timed_out = timed_out.load();
+  return out;
+}
+
+TEST_P(RuntimePolicies, ReleasedFanOutReachesTheIdleWorker) {
+  // ws/lws publish a release on the releaser's own queue, so the idle
+  // worker can only get a child through the (unscored) steal path; prio
+  // shares one central heap and has no steal path at all.
+  const FanOut r = run_fan_out(GetParam(), /*wait_for_park=*/false);
+  ASSERT_FALSE(r.timed_out);
+  EXPECT_EQ(r.threads, 2u);
+  if (GetParam() == SchedulerPolicy::Priority) {
+    EXPECT_EQ(r.after.ll_steals, r.before.ll_steals);
+    EXPECT_EQ(r.after.ll_failed_steals, r.before.ll_failed_steals);
+  } else {
+    EXPECT_GT(r.after.ll_steals, r.before.ll_steals);
+  }
+}
+
+TEST_P(RuntimePolicies, ReleaseWakesAParkedWorker) {
+  // The idle worker parks while the root runs; the root's surplus release
+  // must wake it with a targeted notify, or the children's rendezvous on
+  // two threads times out.
+  const FanOut r = run_fan_out(GetParam(), /*wait_for_park=*/true);
+  ASSERT_FALSE(r.timed_out);
+  EXPECT_EQ(r.threads, 2u);
+  EXPECT_GT(r.after.ll_parks, r.before.ll_parks);
+  EXPECT_GT(r.after.ll_wakes, r.before.ll_wakes);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, RuntimePolicies,
