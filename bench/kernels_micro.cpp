@@ -1,8 +1,9 @@
 // Micro-benchmarks of the dense substrate (the MKL replacement): the packed
 // register-tiled GEMM engine vs the reference kernel across sizes, shapes,
 // op combinations, and scalar types, plus TRSM / GETRF / QR / ACA riding on
-// the engine. Emits BENCH_kernels.json (schema: EXPERIMENTS.md) and prints
-// a human-readable table.
+// the engine and the rk::truncate kernel at the H-LU core shapes. Emits
+// BENCH_kernels.json (schema: EXPERIMENTS.md) and prints a human-readable
+// table.
 //
 // Usage: kernels_micro [--smoke] [--out=PATH]
 //   --smoke    trimmed sweep for CI (still covers blocked-vs-reference at
@@ -11,6 +12,7 @@
 //
 // Exit status is nonzero if the blocked double GEMM is slower than the
 // reference kernel at n = 512 — the regression gate CI runs on every push.
+#include <algorithm>
 #include <complex>
 #include <cstring>
 #include <string>
@@ -19,6 +21,7 @@
 #include "bench_common.hpp"
 #include "la/la.hpp"
 #include "rk/aca.hpp"
+#include "rk/truncation.hpp"
 
 using namespace hcham;
 
@@ -61,6 +64,50 @@ void gemm_pair(const char* tag, index_t m, index_t n, index_t k, int reps,
           la::gemm_reference<T>(opa, opb, T{1}, a.cview(), b.cview(), T{},
                                 c.view());
         }));
+  }
+}
+
+/// rk::truncate at the fine-grain H-LU core shapes: a rank-16 256 x 256
+/// block accumulated with copies of itself to `width` factor columns (32 =
+/// the block plus itself), truncated back to rank 16. One record per width,
+/// sized by the width, with the Jacobi sweeps per call; timing only, no
+/// gate. A leased arena stands in for the engine worker the kernel runs on.
+template <typename T>
+void truncate_records(const char* tag, int reps) {
+  la::WorkspaceLease lease;
+  const index_t m = 256, r = 16;
+  const auto u0 = la::Matrix<T>::random(m, r, 11);
+  const auto v0 = la::Matrix<T>::random(m, r, 12);
+  const rk::TruncationParams params{1e-8, -1};
+  for (const index_t width : {32, 64, 128}) {
+    constexpr int kCalls = 10;
+    std::vector<double> per_call;
+    const ArithCounterSnapshot before = snapshot_arith_counters();
+    for (int rep = 0; rep < reps; ++rep) {
+      std::vector<rk::RkMatrix<T>> work;
+      for (int c = 0; c < kCalls; ++c) {
+        rk::RkMatrix<T> w(la::Matrix<T>::from_view(u0.cview()),
+                          la::Matrix<T>::from_view(v0.cview()));
+        while (w.rank() < width) w.append_factors(T{1}, u0.cview(), v0.cview());
+        work.push_back(std::move(w));
+      }
+      Timer t;
+      for (auto& w : work) rk::truncate(w, params);
+      per_call.push_back(t.seconds() / kCalls);
+    }
+    const ArithCounterSnapshot after = snapshot_arith_counters();
+    std::sort(per_call.begin(), per_call.end());
+    bench::BenchRecord rec;
+    rec.name = std::string("rk_truncate_") + tag;
+    rec.size = width;
+    rec.reps = reps;
+    rec.median_s = per_call[per_call.size() / 2];
+    rec.min_s = per_call.front();
+    rec.extra.emplace_back(
+        "sweeps_per_call",
+        static_cast<double>(after.svd_sweeps - before.svd_sweeps) /
+            (reps * kCalls));
+    report(rec);
   }
 }
 
@@ -167,6 +214,9 @@ int main(int argc, char** argv) {
       if (r.rank() < 0) std::abort();  // keep the result observable
     }));
   }
+
+  truncate_records<double>("d", reps);
+  truncate_records<std::complex<double>>("z", reps);
 
   if (!g_json.write(out)) {
     std::fprintf(stderr, "error: cannot write %s\n", out.c_str());

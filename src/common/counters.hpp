@@ -1,6 +1,6 @@
 // Process-wide event counters for the H-arithmetic hot path: QR+SVD
-// recompressions, rounded additions and their fast paths, lazy-accumulator
-// updates/flushes, and workspace arena hits/misses.
+// recompressions and their Jacobi sweeps, rounded additions and their fast
+// paths, lazy-accumulator updates/flushes, and workspace arena hits/misses.
 //
 // They live in `common` (not `core`) because the rk and la layers bump them
 // and must not depend on higher layers. All operations are relaxed atomics:
@@ -30,8 +30,8 @@ namespace hcham {
                                LIST)                                          \
   struct Counters {                                                           \
     LIST(HCHAM_COUNTER_ATOMIC_)                                               \
-    void bump(std::atomic<std::uint64_t>& c) {                                \
-      c.fetch_add(1, std::memory_order_relaxed);                              \
+    void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {           \
+      c.fetch_add(n, std::memory_order_relaxed);                              \
     }                                                                         \
   };                                                                          \
   inline Counters& accessor() {                                               \
@@ -63,6 +63,8 @@ namespace hcham {
   X(acc_compactions)       /* pending-tail compressions */                    \
   X(ws_hits)               /* arena requests served in place */               \
   X(ws_misses)             /* arena requests that malloc'd */                 \
+  X(svd_sweeps)            /* one-sided Jacobi sweeps, all calls */           \
+  X(svd_unconverged)       /* Jacobi calls that hit the sweep cap */          \
   /* Batched leaf-kernel streams (la/batch.hpp): flushed streams, total */    \
   /* leaf descriptors pushed, descriptors executed inside a same-shape */     \
   /* bucket of >= HCHAM_BATCH_MIN_BUCKET entries, and descriptors */          \

@@ -1,14 +1,13 @@
 // Size-bucketed batched leaf-kernel streams (DESIGN.md section 12).
 //
 // H-arithmetic decomposes into thousands of small dense leaf calls — one
-// GEMM per dense leaf, a chained GEMM pair per Rk leaf, a QR pair per
-// truncation. Calling them one by one as the block-tree walk encounters
-// them leaves batching opportunities on the floor: many of the calls share
-// a shape (leaf sizes cluster around the clustering leaf_size and the
-// truncation ranks), and grouping same-shape calls lets one loop stream
-// them back to back over warm packing buffers — and is the natural
-// drop-in point for a SIMD/GPU batched backend (Zaspel's many-core
-// H-matrix reformulation, PAPERS.md).
+// GEMM per dense leaf, a chained GEMM pair per Rk leaf. Calling them one by
+// one as the block-tree walk encounters them leaves batching opportunities
+// on the floor: many of the calls share a shape (leaf sizes cluster around
+// the clustering leaf_size and the truncation ranks), and grouping
+// same-shape calls lets one loop stream them back to back over warm packing
+// buffers — and is the natural drop-in point for a SIMD/GPU batched
+// backend (Zaspel's many-core H-matrix reformulation, PAPERS.md).
 //
 // A BatchStream collects leaf descriptors during a traversal instead of
 // executing them inline; flush() groups them by shape and runs each group
@@ -39,12 +38,6 @@
 #include "la/workspace.hpp"
 
 namespace hcham::la {
-
-// qr_thin_ws lives in qr.hpp, which includes this header's siblings but not
-// this header; a declaration avoids pulling the Householder kernels into
-// every matmat user.
-template <typename T>
-void qr_thin_ws(ConstMatrixView<T> a, MatrixView<T> q, MatrixView<T> r);
 
 /// Process-wide batching switches, initialized from the environment once
 /// and mutable afterwards (benches toggle `enabled` to compare streamed vs
@@ -261,50 +254,6 @@ class BatchStream {
   }
 
   bool enabled_;
-  std::vector<Item> items_;
-};
-
-/// Stream of independent thin-QR factorizations, the truncation analogue of
-/// BatchStream: rk::truncate pushes the U- and V-factor QRs of one target
-/// (and, for a batched backend, many targets) and flush() runs them as one
-/// loop. Unlike the GEMM stream these are not accumulations, so execution
-/// stays strictly in collection order.
-template <typename T>
-class QrStream {
- public:
-  QrStream() = default;
-  QrStream(const QrStream&) = delete;
-  QrStream& operator=(const QrStream&) = delete;
-  ~QrStream() { flush(); }
-
-  void push(ConstMatrixView<T> a, MatrixView<T> q, MatrixView<T> r) {
-    arith_counters().bump(arith_counters().batch_ops);
-    if (!batch_config().enabled) {
-      arith_counters().bump(arith_counters().batch_immediate_ops);
-      qr_thin_ws<T>(a, q, r);
-      return;
-    }
-    items_.push_back(Item{a, q, r});
-  }
-
-  void flush() {
-    if (items_.empty()) return;
-    ArithCounters& ctr = arith_counters();
-    ctr.bump(ctr.batch_streams);
-    WorkspaceScope ws;  // shared mark: the Householder scratch stays warm
-    for (const Item& it : items_) {
-      qr_thin_ws<T>(it.a, it.q, it.r);
-      ctr.bump(ctr.batch_bucketed_ops);
-    }
-    items_.clear();
-  }
-
- private:
-  struct Item {
-    ConstMatrixView<T> a;
-    MatrixView<T> q;
-    MatrixView<T> r;
-  };
   std::vector<Item> items_;
 };
 

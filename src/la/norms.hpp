@@ -46,11 +46,44 @@ real_t<T> nrm2(index_t n, const T* x) {
   return norm_fro(ConstMatrixView<T>(x, n, 1, n > 0 ? n : 1));
 }
 
+/// Independent partial sums behind dotc / norm_fro_sq: a reduction into
+/// kReduceLanes accumulators vectorizes without reassociation flags.
+/// Complex vectors are reduced as interleaved (re, im) real arrays.
+inline constexpr index_t kReduceLanes = 8;
+
 /// Conjugated dot product x^H y.
 template <typename T>
 T dotc(index_t n, const T* x, const T* y) {
-  T acc{};
-  for (index_t i = 0; i < n; ++i) acc += conj_if(x[i]) * y[i];
+  using R = real_t<T>;
+  constexpr index_t kW = is_complex_v<T> ? 2 : 1;  // reals per element
+  const R* xr = reinterpret_cast<const R*>(x);
+  const R* yr = reinterpret_cast<const R*>(y);
+  // re += x_j y_j over all reals; for complex, im += x_re y_im - x_im y_re.
+  R re[kReduceLanes] = {};
+  R im[kReduceLanes] = {};
+  const index_t len = kW * n;
+  index_t j = 0;
+  for (; j + kReduceLanes <= len; j += kReduceLanes) {
+    for (index_t l = 0; l < kReduceLanes; ++l) {
+      re[l] += xr[j + l] * yr[j + l];
+      if constexpr (is_complex_v<T>)
+        im[l] += (l % 2 == 0 ? xr[j + l] * yr[j + l + 1]
+                             : -(xr[j + l] * yr[j + l - 1]));
+    }
+  }
+  R sre{};
+  R sim{};
+  for (index_t l = 0; l < kReduceLanes; ++l) {
+    sre += re[l];
+    sim += im[l];
+  }
+  T acc;
+  if constexpr (is_complex_v<T>) {
+    acc = T(sre, sim);
+  } else {
+    acc = sre;
+  }
+  for (index_t i = j / kW; i < n; ++i) acc += conj_if(x[i]) * y[i];
   return acc;
 }
 
@@ -72,12 +105,11 @@ std::pair<real_t<T>, real_t<T>> diag_abs_range(ConstMatrixView<T> a) {
   return {lo, hi};
 }
 
-/// Squared Frobenius norm (no scaling; used in hot ACA loops).
+/// Squared Euclidean norm of a raw vector (no scaling; used in the Jacobi
+/// sweeps).
 template <typename T>
 real_t<T> norm_fro_sq(index_t n, const T* x) {
-  real_t<T> acc{};
-  for (index_t i = 0; i < n; ++i) acc += abs_sq(x[i]);
-  return acc;
+  return scalar_traits<T>::real(dotc(n, x, x));
 }
 
 }  // namespace hcham::la

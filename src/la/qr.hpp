@@ -1,5 +1,7 @@
-// Householder QR (xGEQRF / xORGQR style) used by the low-rank truncation
-// kernels (QR of the thin U/V factors followed by a small SVD).
+// Householder QR (xGEQRF / xORGQR / xORMQR style) used by the low-rank
+// truncation kernels: the thin U/V factors are factored in place, and their
+// Q is applied to the small truncated results by ormqr instead of being
+// formed.
 //
 // Conventions follow LAPACK's zlarfg/zgeqrf: each reflector is
 //   H(i) = I - tau_i * v_i * v_i^H,  v_i = (1; stored below the diagonal),
@@ -65,8 +67,7 @@ void apply_reflector(const T* vtail, index_t m, T tau, bool conj_tau,
   for (index_t j = 0; j < c.cols(); ++j) {
     T* cj = c.col(j);
     // w = v^H * C(:, j)
-    T w = cj[0];
-    for (index_t i = 1; i < m; ++i) w += conj_if(vtail[i - 1]) * cj[i];
+    T w = cj[0] + dotc(m - 1, vtail, cj + 1);
     w *= t;
     cj[0] -= w;
     for (index_t i = 1; i < m; ++i) cj[i] -= vtail[i - 1] * w;
@@ -205,26 +206,21 @@ Matrix<T> orgqr(ConstMatrixView<T> a, const T* tau, index_t k) {
   return q;
 }
 
-/// Thin QR into caller-provided storage: A (m x n) -> Q (m x k), R (k x n,
-/// upper trapezoidal, fully overwritten), k = min(m, n). A is not modified;
-/// scratch comes from the thread's workspace arena.
+/// Apply the Q of geqrf's output from the left without forming it (xORMQR,
+/// side L, no transpose): C (m x p) <- Q C, Q = H(0)...H(k-1) held as the
+/// reflectors below the diagonal of a (m rows), k <= min(m, a.cols()).
+/// Costs ~4 m k p flops against orgqr_into's ~4 m k^2 plus a GEMM, which
+/// is what the truncation kernels save: they rotate r << k columns back.
 template <typename T>
-void qr_thin_ws(ConstMatrixView<T> a, MatrixView<T> q, MatrixView<T> r) {
+void ormqr(ConstMatrixView<T> a, const T* tau, index_t k, MatrixView<T> c) {
   const index_t m = a.rows();
-  const index_t n = a.cols();
-  const index_t k = m < n ? m : n;
-  HCHAM_CHECK(q.rows() == m && q.cols() == k);
-  HCHAM_CHECK(r.rows() == k && r.cols() == n);
-  WorkspaceScope ws;
-  MatrixView<T> work = ws.matrix<T>(m, n);
-  copy(a, work);
-  T* tau = ws.alloc<T>(k);
-  geqrf(work, tau);
-  orgqr_into(ConstMatrixView<T>(work), tau, k, q);
-  r.set_zero();
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i <= (j < k - 1 ? j : k - 1); ++i)
-      r(i, j) = work(i, j);
+  HCHAM_CHECK(k <= a.cols() && k <= m);
+  HCHAM_CHECK(c.rows() == m);
+  for (index_t i = k - 1; i >= 0; --i) {
+    detail::apply_reflector(m - i > 1 ? &a(i + 1, i) : nullptr, m - i, tau[i],
+                            /*conj_tau=*/false,
+                            c.block(i, 0, m - i, c.cols()));
+  }
 }
 
 /// Greedy column-pivoted truncated QR via modified Gram-Schmidt:
@@ -303,8 +299,8 @@ index_t qr_pivoted_rank(ConstMatrixView<T> a, MatrixView<T> q,
   return rank;
 }
 
-/// Thin QR convenience wrapper with owning outputs: A (m x n) -> Q (m x k),
-/// R (k x n upper), k = min(m, n). A is not modified.
+/// Thin QR with owning outputs: A (m x n) -> Q (m x k), R (k x n upper
+/// trapezoidal), k = min(m, n). A is not modified.
 template <typename T>
 void qr_thin(ConstMatrixView<T> a, Matrix<T>& q, Matrix<T>& r) {
   const index_t m = a.rows();
@@ -312,7 +308,16 @@ void qr_thin(ConstMatrixView<T> a, Matrix<T>& q, Matrix<T>& r) {
   const index_t k = m < n ? m : n;
   q.reset(m, k);
   r.reset(k, n);
-  qr_thin_ws<T>(a, q.view(), r.view());
+  WorkspaceScope ws;
+  MatrixView<T> work = ws.matrix<T>(m, n);
+  copy(a, work);
+  T* tau = ws.alloc<T>(k);
+  geqrf(work, tau);
+  orgqr_into(ConstMatrixView<T>(work), tau, k, q.view());
+  r.set_zero();
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i <= (j < k - 1 ? j : k - 1); ++i)
+      r(i, j) = work(i, j);
 }
 
 }  // namespace hcham::la

@@ -4,10 +4,15 @@
 // One-sided Jacobi applies unitary plane rotations to the columns of A until
 // they are mutually orthogonal; the column norms are then the singular
 // values, the normalized columns form U, and the accumulated rotations form
-// V, i.e. A = U * diag(sigma) * V^H. Jacobi is slower than bidiagonal
-// methods but simple, robust, and highly accurate — it is used here on the
-// small k x k cores of low-rank truncations and on modest dense blocks, so
-// its O(n^3) sweeps are never the bottleneck.
+// V, i.e. A = U * diag(sigma) * V^H. Jacobi is simple, robust and highly
+// accurate, but its sweep count depends on the input: on the rank-deficient
+// cores of concatenated low-rank updates it needs 20-40 sweeps. The
+// truncation kernel (rk/truncation.hpp) therefore never hands it a raw
+// core: it first deflates the core with a pivoted QR and runs Jacobi on the
+// transposed triangular factor (Drmac-Veselic preconditioning), where it
+// converges in a handful of sweeps. svd_into itself is the plain full SVD,
+// used as the test referee. Every call adds its sweeps to the `svd_sweeps`
+// counter, and a call that stops at the sweep cap bumps `svd_unconverged`.
 #pragma once
 
 #include <algorithm>
@@ -16,6 +21,7 @@
 #include <numeric>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/scalar.hpp"
 #include "la/matrix.hpp"
 #include "la/norms.hpp"
@@ -46,8 +52,11 @@ void jacobi_sweeps(MatrixView<T> work, MatrixView<T> v) {
   const R tol = std::sqrt(static_cast<R>(m)) * eps;
   const int max_sweeps = 42;
 
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    bool rotated = false;
+  int sweeps = 0;
+  bool rotated = true;
+  while (rotated && sweeps < max_sweeps) {
+    rotated = false;
+    ++sweeps;
     for (index_t p = 0; p < n - 1; ++p) {
       for (index_t q = p + 1; q < n; ++q) {
         T* cp = work.col(p);
@@ -87,8 +96,10 @@ void jacobi_sweeps(MatrixView<T> work, MatrixView<T> v) {
         }
       }
     }
-    if (!rotated) break;
   }
+  ArithCounters& ctr = arith_counters();
+  ctr.bump(ctr.svd_sweeps, static_cast<std::uint64_t>(sweeps));
+  if (rotated) ctr.bump(ctr.svd_unconverged);
 }
 
 }  // namespace detail

@@ -6,17 +6,28 @@
 // the relative tolerance (and below the rank cap). Rounded addition
 // concatenates factors and truncates; the concatenation is exact, so the
 // lazy accumulator (accumulator.hpp) can defer the truncate across many
-// additions without losing accuracy. All intermediate factors here come
-// from the thread's workspace arena (workspace.hpp), so steady-state
-// truncations allocate only for the final factors.
+// additions without losing accuracy.
+//
+// One rank-revealing kernel does the work, for every caller:
+//   - Qu and Qv are never formed. geqrf leaves their reflectors in arena
+//     copies of the factors and la::ormqr applies them to the r-column
+//     results, so the factor side costs O(m k r) instead of O(m k^2).
+//   - Cores built from concatenated updates are rank-deficient at rounding
+//     level, where a plain one-sided Jacobi needs 20-40 sweeps. The core is
+//     first deflated by a column-pivoted QR at tolerance kk * eps of the
+//     scalar type, core ~= Qc Rc, and Jacobi runs on Rc^H, whose columns
+//     the pivoting has graded (Drmac-Veselic preconditioned Jacobi, SIAM J.
+//     Matrix Anal. Appl. 29, 2008): a handful of sweeps. The deflation only
+//     drops rounding noise; select_rank still cuts genuine singular values.
+// All intermediate factors come from the thread's workspace arena
+// (workspace.hpp), so steady-state truncations allocate only for the final
+// factors.
 #pragma once
 
 #include <algorithm>
 #include <limits>
-#include <vector>
 
 #include "common/counters.hpp"
-#include "la/batch.hpp"
 #include "la/qr.hpp"
 #include "la/svd.hpp"
 #include "la/workspace.hpp"
@@ -30,70 +41,136 @@ struct TruncationParams {
   double eps = 1e-6;
   index_t max_rank = -1;
 
-  index_t select_rank(const std::vector<double>& sigma) const {
-    index_t r = la::numerical_rank(sigma, eps);
+  /// Rank to keep from `count` singular values sorted decreasing.
+  template <typename R>
+  index_t select_rank(const R* sigma, index_t count) const {
+    index_t r = 0;
+    if (count > 0) {
+      const double cutoff = eps * static_cast<double>(sigma[0]);
+      for (index_t i = 0; i < count; ++i)
+        if (static_cast<double>(sigma[i]) > cutoff) ++r;
+    }
     if (max_rank >= 0) r = std::min(r, max_rank);
     return r;
   }
 };
 
+namespace detail {
+
+/// Householder QR of an arena copy of a factor f (rows x k): `qr` holds R
+/// above and the reflectors below the diagonal, `r` (min(rows, k) x k) the
+/// upper-trapezoidal R with explicit zeros below.
+template <typename T>
+struct FactorQr {
+  la::MatrixView<T> qr;
+  T* tau;
+  la::MatrixView<T> r;
+};
+
+template <typename T>
+FactorQr<T> factor_qr(la::WorkspaceScope& ws, la::ConstMatrixView<T> f) {
+  const index_t m = f.rows();
+  const index_t k = f.cols();
+  const index_t kq = std::min(m, k);
+  FactorQr<T> out{ws.matrix<T>(m, k), ws.alloc<T>(kq), ws.matrix<T>(kq, k)};
+  la::copy(f, out.qr);
+  la::geqrf(out.qr, out.tau);
+  for (index_t j = 0; j < k; ++j)
+    for (index_t i = 0; i < kq; ++i) out.r(i, j) = i <= j ? out.qr(i, j) : T{};
+  return out;
+}
+
+/// out (rows x r) <- Q [s; 0], where the leading min(rows, k) rows of out
+/// hold s on entry: zero the rest, then rotate back by f's reflectors.
+template <typename T>
+void apply_q(const FactorQr<T>& f, la::MatrixView<T> out) {
+  const index_t kq = f.r.rows();
+  for (index_t j = 0; j < out.cols(); ++j)
+    for (index_t i = kq; i < out.rows(); ++i) out(i, j) = T{};
+  la::ormqr(la::ConstMatrixView<T>(f.qr), f.tau, kq, out);
+}
+
+/// Rank-revealing SVD of a small matrix c (p x q): c ~= (Qc Y) diag(sigma)
+/// X^H with rank columns. c is deflated to its rank at rounding level by
+/// the pivoted QR c ~= Qc Rc (Qc: p x rank, rows of Rc in pivot order), and
+/// the one-sided Jacobi runs on Rc^H = X diag(sigma) Y^H (q x rank).
+template <typename T>
+struct CoreSvd {
+  index_t rank;
+  la::MatrixView<T> qc;  ///< p x rank, orthonormal
+  la::MatrixView<T> y;   ///< rank x rank
+  la::MatrixView<T> x;   ///< q x rank, right singular vectors of c
+  real_t<T>* sigma;      ///< rank values, decreasing
+};
+
+template <typename T>
+CoreSvd<T> core_svd(la::WorkspaceScope& ws, la::ConstMatrixView<T> c) {
+  using R = real_t<T>;
+  const index_t p = c.rows();
+  const index_t q = c.cols();
+  const index_t kk = std::min(p, q);
+  la::MatrixView<T> qc = ws.matrix<T>(p, kk);
+  la::MatrixView<T> rc = ws.matrix<T>(kk, q);
+  const double rtol =
+      static_cast<double>(kk) * std::numeric_limits<R>::epsilon();
+  const index_t rank = la::qr_pivoted_rank<T>(c, qc, rc, rtol);
+  la::MatrixView<T> rch = ws.matrix<T>(q, rank);
+  for (index_t j = 0; j < rank; ++j)
+    for (index_t i = 0; i < q; ++i) rch(i, j) = conj_if(rc(j, i));
+  CoreSvd<T> out{rank, qc.block(0, 0, p, rank), ws.matrix<T>(rank, rank),
+                 ws.matrix<T>(q, rank), ws.alloc<R>(rank)};
+  if (rank > 0)
+    la::svd_into<T>(la::ConstMatrixView<T>(rch), out.x, out.sigma, out.y);
+  return out;
+}
+
+/// Leading r columns of the left factor, scaled: out (p x r) <- Qc Y_r
+/// diag(sigma_r).
+template <typename T>
+void scaled_left(const CoreSvd<T>& s, index_t r, la::MatrixView<T> out) {
+  la::gemm(la::Op::NoTrans, la::Op::NoTrans, T{1},
+           la::ConstMatrixView<T>(s.qc),
+           la::ConstMatrixView<T>(s.y).block(0, 0, s.rank, r), T{}, out);
+  for (index_t j = 0; j < r; ++j) {
+    const T sj = T(s.sigma[j]);
+    for (index_t i = 0; i < out.rows(); ++i) out(i, j) *= sj;
+  }
+}
+
+}  // namespace detail
+
 /// Truncate `a` in place to the requested accuracy. Returns the new rank.
 template <typename T>
 index_t truncate(RkMatrix<T>& a, const TruncationParams& params) {
-  using R = real_t<T>;
-  const index_t k = a.rank();
-  if (k == 0) {
+  if (a.rank() == 0) {
     a.mark_compressed();
     return 0;
   }
   arith_counters().bump(arith_counters().truncations);
-  const index_t m = a.rows();
-  const index_t n = a.cols();
-  const index_t ku = std::min(m, k);
-  const index_t kv = std::min(n, k);
-
   la::WorkspaceScope ws;
-  la::MatrixView<T> qu = ws.matrix<T>(m, ku);
-  la::MatrixView<T> ru = ws.matrix<T>(ku, k);
-  la::MatrixView<T> qv = ws.matrix<T>(n, kv);
-  la::MatrixView<T> rv = ws.matrix<T>(kv, k);
-  // The U- and V-factor QRs are independent: collect both as descriptors
-  // and run them as one bucket (la/batch.hpp) — the hook a batched QR
-  // backend slots into.
-  {
-    la::QrStream<T> qrs;
-    qrs.push(a.u().cview(), qu, ru);
-    qrs.push(a.v().cview(), qv, rv);
-    qrs.flush();
-  }
-
-  // Core = Ru * Rv^H (ku x kv), then its SVD.
+  const detail::FactorQr<T> fu = detail::factor_qr(ws, a.u().cview());
+  const detail::FactorQr<T> fv = detail::factor_qr(ws, a.v().cview());
+  const index_t ku = fu.r.rows();
+  const index_t kv = fv.r.rows();
   la::MatrixView<T> core = ws.matrix<T>(ku, kv);
-  la::gemm(la::Op::NoTrans, la::Op::ConjTrans, T{1}, la::ConstMatrixView<T>(ru),
-           la::ConstMatrixView<T>(rv), T{}, core);
-  const index_t kk = std::min(ku, kv);
-  la::MatrixView<T> su = ws.matrix<T>(ku, kk);
-  la::MatrixView<T> sv = ws.matrix<T>(kv, kk);
-  R* sigma_r = ws.alloc<R>(kk);
-  la::svd_into<T>(la::ConstMatrixView<T>(core), su, sigma_r, sv);
-
-  std::vector<double> sigma(sigma_r, sigma_r + kk);
-  const index_t r = params.select_rank(sigma);
+  la::gemm(la::Op::NoTrans, la::Op::ConjTrans, T{1},
+           la::ConstMatrixView<T>(fu.r), la::ConstMatrixView<T>(fv.r), T{},
+           core);
+  const detail::CoreSvd<T> s =
+      detail::core_svd(ws, la::ConstMatrixView<T>(core));
+  const index_t r = params.select_rank(s.sigma, s.rank);
   if (r == 0) {
     a.set_zero();
     return 0;
   }
 
-  // New U = Qu * (Uhat_r * Sigma_r), new V = Qv * Vhat_r.
-  la::MatrixView<T> us = ws.matrix<T>(ku, r);
-  for (index_t j = 0; j < r; ++j)
-    for (index_t i = 0; i < ku; ++i)
-      us(i, j) = su(i, j) * T(sigma_r[j]);
-  la::Matrix<T> nu(m, r), nv(n, r);
-  la::gemm(la::Op::NoTrans, la::Op::NoTrans, T{1}, la::ConstMatrixView<T>(qu),
-           la::ConstMatrixView<T>(us), T{}, nu.view());
-  la::gemm(la::Op::NoTrans, la::Op::NoTrans, T{1}, la::ConstMatrixView<T>(qv),
-           la::ConstMatrixView<T>(sv).block(0, 0, kv, r), T{}, nv.view());
+  // New U = Qu [Qc Y_r Sigma_r; 0], new V = Qv [X_r; 0].
+  la::Matrix<T> nu(a.rows(), r), nv(a.cols(), r);
+  detail::scaled_left(s, r, nu.view().block(0, 0, ku, r));
+  detail::apply_q(fu, nu.view());
+  la::copy(la::ConstMatrixView<T>(s.x).block(0, 0, kv, r),
+           nv.view().block(0, 0, kv, r));
+  detail::apply_q(fv, nv.view());
   a.set_factors(std::move(nu), std::move(nv));
   return r;
 }
@@ -101,13 +178,13 @@ index_t truncate(RkMatrix<T>& a, const TruncationParams& params) {
 /// Compress only the factor columns [from, rank) of `c` in place -- the
 /// pending tail of an accumulator target -- leaving the leading columns
 /// untouched. Rank revelation on the small core uses the greedy pivoted QR
-/// (O(kp^2 r)) rather than the Jacobi SVD (O(kp^3 sweeps)): a compaction
-/// only needs rank CONTROL, and the eventual flush still runs the real
-/// SVD truncation for the accuracy contract. The dropped mass is below
-/// ~eps * sigma_max(tail), so a compaction is no less accurate than the
-/// rounded addition of the same contributions would have been. The block
-/// stays pending (the watermark does not rise): head and tail are jointly
-/// recompressed by the eventual flush.
+/// at the truncation tolerance instead of an SVD: a compaction only needs
+/// rank CONTROL, and the eventual flush still runs the SVD truncation for
+/// the accuracy contract. The dropped mass is below ~eps * sigma_max(tail),
+/// so a compaction is no less accurate than the rounded addition of the
+/// same contributions would have been. The block stays pending (the
+/// watermark does not rise): head and tail are jointly recompressed by the
+/// eventual flush.
 template <typename T>
 index_t compact_tail(RkMatrix<T>& c, index_t from,
                      const TruncationParams& params) {
@@ -115,35 +192,32 @@ index_t compact_tail(RkMatrix<T>& c, index_t from,
   const index_t n = c.cols();
   const index_t kp = c.rank() - from;
   if (kp <= 0) return c.rank();
-  const index_t ku = std::min(m, kp);
-  const index_t kv = std::min(n, kp);
 
   la::WorkspaceScope ws;
-  la::MatrixView<T> qu = ws.matrix<T>(m, ku);
-  la::MatrixView<T> ru = ws.matrix<T>(ku, kp);
-  la::MatrixView<T> qv = ws.matrix<T>(n, kv);
-  la::MatrixView<T> rv = ws.matrix<T>(kv, kp);
-  {
-    la::QrStream<T> qrs;
-    qrs.push(c.u().cview().block(0, from, m, kp), qu, ru);
-    qrs.push(c.v().cview().block(0, from, n, kp), qv, rv);
-    qrs.flush();
-  }
-
+  const detail::FactorQr<T> fu =
+      detail::factor_qr(ws, c.u().cview().block(0, from, m, kp));
+  const detail::FactorQr<T> fv =
+      detail::factor_qr(ws, c.v().cview().block(0, from, n, kp));
+  const index_t ku = fu.r.rows();
+  const index_t kv = fv.r.rows();
   la::MatrixView<T> core = ws.matrix<T>(ku, kv);
-  la::gemm(la::Op::NoTrans, la::Op::ConjTrans, T{1}, la::ConstMatrixView<T>(ru),
-           la::ConstMatrixView<T>(rv), T{}, core);
+  la::gemm(la::Op::NoTrans, la::Op::ConjTrans, T{1},
+           la::ConstMatrixView<T>(fu.r), la::ConstMatrixView<T>(fv.r), T{},
+           core);
   const index_t kk = std::min(ku, kv);
   la::MatrixView<T> qc = ws.matrix<T>(ku, kk);
   la::MatrixView<T> rc = ws.matrix<T>(kk, kv);
   const index_t r = la::qr_pivoted_rank<T>(la::ConstMatrixView<T>(core), qc,
                                            rc, params.eps, params.max_rank);
+  // New tail U = Qu [Qc_r; 0], V = Qv [Rc_r^H; 0].
   la::MatrixView<T> nu = ws.matrix<T>(m, r);
   la::MatrixView<T> nv = ws.matrix<T>(n, r);
-  la::gemm(la::Op::NoTrans, la::Op::NoTrans, T{1}, la::ConstMatrixView<T>(qu),
-           la::ConstMatrixView<T>(qc).block(0, 0, ku, r), T{}, nu);
-  la::gemm(la::Op::NoTrans, la::Op::ConjTrans, T{1}, la::ConstMatrixView<T>(qv),
-           la::ConstMatrixView<T>(rc).block(0, 0, r, kv), T{}, nv);
+  la::copy(la::ConstMatrixView<T>(qc).block(0, 0, ku, r),
+           nu.block(0, 0, ku, r));
+  for (index_t j = 0; j < r; ++j)
+    for (index_t i = 0; i < kv; ++i) nv(i, j) = conj_if(rc(j, i));
+  detail::apply_q(fu, nu);
+  detail::apply_q(fv, nv);
   c.replace_tail(from, la::ConstMatrixView<T>(nu), la::ConstMatrixView<T>(nv));
   return c.rank();
 }
@@ -220,31 +294,22 @@ void rounded_add(RkMatrix<T>& c, T alpha, RkMatrix<T>&& a,
   detail::truncate_unless_tight(c, params);
 }
 
-/// Compress a dense block into an RkMatrix by truncated SVD.
+/// Compress a dense block into an RkMatrix by truncated SVD (the same
+/// deflated Jacobi kernel as truncate, applied to the block itself).
 template <typename T>
 RkMatrix<T> compress_svd(la::ConstMatrixView<T> a,
                          const TruncationParams& params) {
-  using R = real_t<T>;
-  const index_t m = a.rows();
-  const index_t n = a.cols();
-  const index_t k = std::min(m, n);
-  RkMatrix<T> result(m, n);
-  if (k == 0) return result;
+  RkMatrix<T> result(a.rows(), a.cols());
+  if (a.empty()) return result;
   la::WorkspaceScope ws;
-  la::MatrixView<T> su = ws.matrix<T>(m, k);
-  la::MatrixView<T> sv = ws.matrix<T>(n, k);
-  R* sigma_r = ws.alloc<R>(k);
-  la::svd_into<T>(a, su, sigma_r, sv);
-  std::vector<double> sigma(sigma_r, sigma_r + k);
-  const index_t r = params.select_rank(sigma);
+  const detail::CoreSvd<T> s = detail::core_svd(ws, a);
+  const index_t r = params.select_rank(s.sigma, s.rank);
   if (r == 0) return result;
-  la::Matrix<T> u(m, r), v(n, r);
-  for (index_t j = 0; j < r; ++j) {
-    const T s_j = T(sigma_r[j]);
-    for (index_t i = 0; i < m; ++i) u(i, j) = su(i, j) * s_j;
-    for (index_t i = 0; i < n; ++i) v(i, j) = sv(i, j);
-  }
-  result.set_factors(std::move(u), std::move(v));
+  la::Matrix<T> u(a.rows(), r);
+  detail::scaled_left(s, r, u.view());
+  result.set_factors(std::move(u),
+                     la::Matrix<T>::from_view(
+                         la::ConstMatrixView<T>(s.x).block(0, 0, a.cols(), r)));
   return result;
 }
 

@@ -1,8 +1,7 @@
 // Batched leaf-kernel stream tests (la/batch.hpp): deferred GEMM / Rk-apply
 // descriptors must produce exactly what the immediate calls produce, for
 // every op variant; the disable switch executes pushes immediately; the
-// min-bucket threshold only changes grouping, never results; QrStream
-// factorizations match the direct qr_thin_ws calls.
+// min-bucket threshold only changes grouping, never results.
 #include <gtest/gtest.h>
 
 #include <complex>
@@ -10,7 +9,6 @@
 
 #include "la/batch.hpp"
 #include "la/la.hpp"
-#include "la/qr.hpp"
 #include "test_utils.hpp"
 
 namespace hcham {
@@ -194,20 +192,6 @@ TEST(BatchStream, CountersTallyPushes) {
   const auto after = snapshot_arith_counters();
   EXPECT_GE(after.batch_ops - before.batch_ops, 5u);
   EXPECT_GE(after.batch_streams - before.batch_streams, 1u);
-}
-
-TEST(QrStream, MatchesDirectQr) {
-  using T = double;
-  const index_t m = 20, n = 7;
-  Matrix<T> a = Matrix<T>::random(m, n, 9);
-  Matrix<T> q1(m, n), r1(n, n), q2(m, n), r2(n, n);
-  la::qr_thin_ws<T>(a.cview(), q1.view(), r1.view());
-  {
-    la::QrStream<T> s;
-    s.push(a.cview(), q2.view(), r2.view());
-  }
-  EXPECT_EQ(testing::rel_diff<T>(q2.cview(), q1.cview()), 0.0);
-  EXPECT_EQ(testing::rel_diff<T>(r2.cview(), r1.cview()), 0.0);
 }
 
 }  // namespace

@@ -32,6 +32,18 @@ TEST(TaskHlu, MatchesSequentialHlu) {
             1e-10);
 }
 
+TEST(TaskHlu, JacobiConvergesInEveryTruncation) {
+  HmatFixture<double> fx(500);
+  auto h = fx.build(hmat_options(1e-8));
+  reset_arith_counters();
+  Engine eng({.num_workers = 2});
+  core::task_hlu(eng, h, rk::TruncationParams{1e-8, -1});
+  const ArithCounterSnapshot c = snapshot_arith_counters();
+  EXPECT_GT(c.truncations, 0u);
+  EXPECT_GT(c.svd_sweeps, 0u);
+  EXPECT_EQ(c.svd_unconverged, 0u);
+}
+
 class TaskHluPolicies : public ::testing::TestWithParam<SchedulerPolicy> {};
 
 TEST_P(TaskHluPolicies, SolveIsCorrect) {

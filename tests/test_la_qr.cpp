@@ -92,5 +92,38 @@ TEST(Qr, GeqrfRDiagonalRealForComplexInput) {
   for (index_t j = 0; j < 8; ++j) EXPECT_NEAR(a(j, j).imag(), 0.0, 1e-14);
 }
 
+/// ormqr applied to [S; 0] must match the thin Q of the first k reflectors
+/// (orgqr_into) times S: the only use the truncation kernels make of it.
+template <typename T>
+void check_ormqr(index_t m, index_t n, index_t k, std::uint64_t seed) {
+  auto a = Matrix<T>::random(m, n, seed);
+  std::vector<T> tau(std::min(m, n));
+  la::geqrf(a.view(), tau.data());
+  const index_t p = 3;
+  auto s = Matrix<T>::random(k, p, seed + 1);
+  Matrix<T> q(m, k), expected(m, p);
+  la::orgqr_into(a.cview(), tau.data(), k, q.view());
+  la::gemm(Op::NoTrans, Op::NoTrans, T{1}, q.cview(), s.cview(), T{},
+           expected.view());
+  Matrix<T> c(m, p);
+  la::copy(s.cview(), c.view().block(0, 0, k, p));
+  la::ormqr(a.cview(), tau.data(), k, c.view());
+  EXPECT_LT(rel_diff<T>(c.cview(), expected.cview()), 1e-13)
+      << "m=" << m << " n=" << n << " k=" << k;
+}
+
+template <typename T>
+void check_ormqr_shapes() {
+  check_ormqr<T>(30, 8, 8, 21);    // tall
+  check_ormqr<T>(6, 20, 6, 22);    // wide
+  check_ormqr<T>(25, 12, 5, 23);   // k < min(m, n)
+  check_ormqr<T>(100, 70, 70, 24); // blocked geqrf panels
+  check_ormqr<T>(1, 4, 1, 25);     // single-row reflector
+}
+
+TEST(Ormqr, MatchesOrgqrAndGemmReal) { check_ormqr_shapes<double>(); }
+
+TEST(Ormqr, MatchesOrgqrAndGemmComplex) { check_ormqr_shapes<zdouble>(); }
+
 }  // namespace
 }  // namespace hcham
