@@ -10,7 +10,8 @@
 using namespace hcham;
 
 int main() {
-  bench::print_header("Ablation A1: scheduler policies across tile sizes",
+  bench::print_header("Ablation A1: scheduler policies across tile sizes "
+                      "(every row modelled by rt::simulate)",
                       "precision,N,NB,policy,submit,threads,time_s,efficiency,"
                       "dispatch_wait_s,tasks,mean_task_ms,steals_per_task");
   const double eps = bench::bench_eps();

@@ -30,8 +30,16 @@ namespace hcham::bench {
 // ---------------------------------------------------------------------------
 // Machine-readable benchmark output (BENCH_*.json). Schema documented in
 // EXPERIMENTS.md: {"git_rev": "...", "records": [{"name", "size", "reps",
-// "median_s", "min_s", "gflops"}, ...]}. CI uploads these files as artifacts
-// and compares kernels across revisions.
+// "median_s", "min_s", "gflops", "source"}, ...]}. CI uploads these files as
+// artifacts and compares kernels across revisions.
+
+/// Where a record's numbers come from: timed on this host, or computed by
+/// the discrete-event simulator (rt::simulate).
+enum class Source { Measured, Modelled };
+
+inline const char* to_string(Source s) {
+  return s == Source::Modelled ? "modelled" : "measured";
+}
 
 struct BenchRecord {
   std::string name;    ///< kernel + variant, e.g. "gemm_blocked_d"
@@ -40,6 +48,7 @@ struct BenchRecord {
   double median_s = 0; ///< median wall time per repetition
   double min_s = 0;    ///< fastest repetition
   double gflops = 0;   ///< flops / median_s / 1e9 (0 when flops are undefined)
+  Source source = Source::Measured;
   /// Additional numeric fields appended verbatim to the record's JSON
   /// object (e.g. "workers", "speedup", "busy_fraction" for the scaling
   /// bench). Readers of the base schema can ignore them.
@@ -90,9 +99,10 @@ class BenchJson {
       const BenchRecord& r = records_[i];
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"size\": %ld, \"reps\": %d, "
-                   "\"median_s\": %.6e, \"min_s\": %.6e, \"gflops\": %.3f",
+                   "\"median_s\": %.6e, \"min_s\": %.6e, \"gflops\": %.3f, "
+                   "\"source\": \"%s\"",
                    json_escape(r.name).c_str(), static_cast<long>(r.size),
-                   r.reps, r.median_s, r.min_s, r.gflops);
+                   r.reps, r.median_s, r.min_s, r.gflops, to_string(r.source));
       for (const auto& [key, value] : r.extra)
         std::fprintf(f, ", \"%s\": %.6g", json_escape(key).c_str(), value);
       std::fprintf(f, "}%s\n", i + 1 < records_.size() ? "," : "");
@@ -160,28 +170,27 @@ inline index_t default_tile_size(index_t n) {
 /// Simulator parameters for the thread-scaling figures: the DAG is
 /// replayed at production kernel speed (durations divided by the measured
 /// speed ratio between MKL-class BLAS on the paper's Skylake core and this
-/// library's scalar kernels, default 10x) against STARPU-class runtime
-/// costs. Override with HCHAM_SIM_SPEEDUP / _TASK_OVERHEAD / _EDGE_OVERHEAD
-/// / _SUBMIT_COST (seconds). See DESIGN.md, substitution table.
+/// library's scalar kernels, 10x) against STARPU-class runtime costs (in
+/// seconds). See DESIGN.md, substitution table.
 inline rt::SimParams default_sim_params() {
   rt::SimParams p;
-  p.duration_scale = 1.0 / env_double("HCHAM_SIM_SPEEDUP", 10.0);
-  p.task_overhead_s = env_double("HCHAM_SIM_TASK_OVERHEAD", 2.0e-6);
-  p.edge_overhead_s = env_double("HCHAM_SIM_EDGE_OVERHEAD", 3.0e-7);
-  p.submit_cost_s = env_double("HCHAM_SIM_SUBMIT_COST", 1.0e-6);
-  p.edge_submit_cost_s = env_double("HCHAM_SIM_EDGE_SUBMIT_COST", 2.0e-7);
-  p.dispatch_serial_cost_s = env_double("HCHAM_SIM_DISPATCH_COST", 5.0e-6);
+  p.duration_scale = 1.0 / 10.0;
+  p.task_overhead_s = 2.0e-6;
+  p.edge_overhead_s = 3.0e-7;
+  p.submit_cost_s = 1.0e-6;
+  p.edge_submit_cost_s = 2.0e-7;
+  p.dispatch_serial_cost_s = 5.0e-6;
   return p;
 }
 
 /// default_sim_params with the submission model switched to DAG replay
-/// (graph capture/replay, DESIGN.md section 10): a flat per-task rebind
-/// cost, no per-edge inference. Override with HCHAM_SIM_REPLAY_SUBMIT_COST
-/// (seconds). Execution-side overheads stay at their live values.
+/// (graph capture/replay, DESIGN.md section 10): a flat 0.1 us per-task
+/// rebind cost, no per-edge inference. Execution-side overheads stay at
+/// their live values.
 inline rt::SimParams replay_sim_params() {
   rt::SimParams p = default_sim_params();
   p.replay_submission = true;
-  p.replay_submit_cost_s = env_double("HCHAM_SIM_REPLAY_SUBMIT_COST", 1.0e-7);
+  p.replay_submit_cost_s = 1.0e-7;
   return p;
 }
 

@@ -39,6 +39,7 @@ namespace {
 bench::BenchJson g_json;
 
 struct Point {
+  bench::Source source = bench::Source::Measured;
   double time_s = 0.0;
   index_t tasks = 0;
   double nested_a = 0.0;  ///< epochs (measured) / splits (simulated)
@@ -53,6 +54,7 @@ void report(const char* series, rt::SchedulerPolicy pol, index_t n,
   rec.size = n;
   rec.reps = 1;
   rec.median_s = rec.min_s = p.time_s;
+  rec.source = p.source;
   rec.extra = {{"workers", static_cast<double>(workers)},
                {"nt", static_cast<double>(nt)},
                {"nested", nested ? 1.0 : 0.0},
@@ -92,16 +94,13 @@ Point run_measured(index_t n, index_t nt, double eps, int workers,
 /// Simulator parameters for the nested split model: only tasks above 30%
 /// of the graph's longest task split (the big diagonal/panel kernels), an
 /// inner H-DAG supports a few helpers, and each helper converts 60% of its
-/// time into speedup. Override with HCHAM_SIM_NESTED_HELPERS / _EFF.
+/// time into speedup (the SimParams defaults of 3 helpers at 0.6).
 rt::SimParams nested_sim_params(const rt::TaskGraph& g) {
   rt::SimParams p = bench::default_sim_params();
   double max_dur = 0.0;
   for (const auto& node : g.nodes)
     max_dur = std::max(max_dur, node.duration_s);
   p.nested_min_task_s = 0.3 * max_dur * p.duration_scale;
-  p.nested_max_helpers =
-      static_cast<int>(env_long("HCHAM_SIM_NESTED_HELPERS", 3));
-  p.nested_efficiency = env_double("HCHAM_SIM_NESTED_EFF", 0.6);
   return p;
 }
 
@@ -109,6 +108,7 @@ Point sim_point(const rt::TaskGraph& g, rt::SchedulerPolicy pol, int workers,
                 const rt::SimParams& params) {
   const auto r = rt::simulate(g, pol, workers, params);
   Point p;
+  p.source = bench::Source::Modelled;
   p.time_s = r.makespan_s;
   p.tasks = g.num_tasks();
   p.nested_a = static_cast<double>(r.nested_splits);

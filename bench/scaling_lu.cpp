@@ -34,6 +34,7 @@ namespace {
 bench::BenchJson g_json;
 
 struct Point {
+  bench::Source source = bench::Source::Measured;
   double time_s = 0.0;
   double busy_fraction = 0.0;
   index_t tasks = 0;
@@ -46,6 +47,7 @@ void report(const char* series, rt::SchedulerPolicy pol, index_t n,
   rec.size = n;
   rec.reps = 1;
   rec.median_s = rec.min_s = p.time_s;
+  rec.source = p.source;
   rec.extra = {{"workers", static_cast<double>(workers)},
                {"speedup", p.time_s > 0.0 ? time_1w / p.time_s : 0.0},
                {"busy_fraction", p.busy_fraction}};
@@ -119,6 +121,7 @@ Point sim_point(const rt::TaskGraph& g, rt::SchedulerPolicy pol, int workers,
                 const rt::SimParams& params) {
   const auto r = rt::simulate(g, pol, workers, params);
   Point p;
+  p.source = bench::Source::Modelled;
   p.time_s = r.makespan_s;
   p.tasks = g.num_tasks();
   p.busy_fraction = r.parallel_efficiency();

@@ -195,6 +195,7 @@ int main(int argc, char** argv) {
     rec.size = n;
     rec.reps = 1;
     rec.median_s = rec.min_s = g.batched_s;
+    rec.source = g.measured ? bench::Source::Measured : bench::Source::Modelled;
     rec.extra = {
         {"nrhs", static_cast<double>(kGateCols)},
         {"seq_s", g.seq_s},

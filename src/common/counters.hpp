@@ -64,15 +64,7 @@ namespace hcham {
   X(ws_hits)               /* arena requests served in place */               \
   X(ws_misses)             /* arena requests that malloc'd */                 \
   X(svd_sweeps)            /* one-sided Jacobi sweeps, all calls */           \
-  X(svd_unconverged)       /* Jacobi calls that hit the sweep cap */          \
-  /* Batched leaf-kernel streams (la/batch.hpp): flushed streams, total */    \
-  /* leaf descriptors pushed, descriptors executed inside a same-shape */     \
-  /* bucket of >= HCHAM_BATCH_MIN_BUCKET entries, and descriptors */          \
-  /* executed immediately (stream disabled or unbatchable). */                \
-  X(batch_streams)                                                            \
-  X(batch_ops)                                                                \
-  X(batch_bucketed_ops)                                                       \
-  X(batch_immediate_ops)
+  X(svd_unconverged)       /* Jacobi calls that hit the sweep cap */
 
 HCHAM_DEFINE_COUNTERS_(ArithCounters, arith_counters, ArithCounterSnapshot,
                        snapshot_arith_counters, reset_arith_counters,

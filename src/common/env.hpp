@@ -1,5 +1,6 @@
-// Environment-variable helpers used by the bench harness to scale workloads
-// (e.g. HCHAM_BENCH_SCALE, HCHAM_MAX_N) without recompiling.
+// Environment-variable helpers: the library's runtime switches (the
+// HCHAM_* tables in README.md) and the bench harness's workload scaling
+// (e.g. HCHAM_BENCH_SCALE) read through these.
 #pragma once
 
 #include <cstdlib>
@@ -28,9 +29,9 @@ inline std::string env_string(const char* name, const std::string& fallback) {
   return (v == nullptr || *v == '\0') ? fallback : std::string(v);
 }
 
-// Bounded variants for knobs with a meaningful domain (block sizes, rank
-// budgets, cache capacities). A value outside [lo, hi] degrades to the
-// fallback -- NOT a clamp: a hostile environment ("HCHAM_GEMM_MC=-4")
+// Bounded variants for knobs with a meaningful domain (rank budgets, cache
+// capacities, tolerances). A value outside [lo, hi] degrades to the
+// fallback -- NOT a clamp: a hostile environment ("HCHAM_ACC_MAX_RANK=-4")
 // should behave exactly like an unset one instead of pinning the knob to
 // an extreme the defaults were never tuned for.
 

@@ -218,33 +218,28 @@ class TileHMatrix {
   }
 
   /// y = alpha A x + beta y in the ORIGINAL index ordering (sequential;
-  /// used for RHS generation and residual checks). The leaf GEMMs of ALL
-  /// nt^2 tiles are collected into one batched stream (la/batch.hpp) and
-  /// flushed once — the refinement residual loop is the hottest caller.
+  /// used for RHS generation and residual checks): one GEMM or H-matmat
+  /// per tile.
   void matvec(T alpha, const T* x, T beta, T* y) const {
     std::vector<T> xp(static_cast<std::size_t>(n_));
     std::vector<T> yp(static_cast<std::size_t>(n_), T{});
     for (index_t i = 0; i < n_; ++i)
       xp[static_cast<std::size_t>(i)] = x[clustering_.tree.perm(i)];
     const index_t nt = num_tiles();
-    {
-      la::BatchStream<T> stream;
-      for (index_t i = 0; i < nt; ++i) {
-        for (index_t j = 0; j < nt; ++j) {
-          const tile::Tile<T>& t = desc_->tile(i, j);
-          la::ConstMatrixView<T> xv(xp.data() + desc_->col_offset(j), t.n, 1,
-                                    t.n > 0 ? t.n : 1);
-          la::MatrixView<T> yv(yp.data() + desc_->row_offset(i), t.m, 1,
-                               t.m > 0 ? t.m : 1);
-          if (t.format == tile::TileFormat::Full) {
-            stream.push_gemm(la::Op::NoTrans, la::Op::NoTrans, T{1},
-                             t.full.cview(), xv, yv);
-          } else {
-            hmat::matmat_stream(stream, la::Op::NoTrans, T{1}, *t.h, xv, yv);
-          }
+    for (index_t i = 0; i < nt; ++i) {
+      for (index_t j = 0; j < nt; ++j) {
+        const tile::Tile<T>& t = desc_->tile(i, j);
+        la::ConstMatrixView<T> xv(xp.data() + desc_->col_offset(j), t.n, 1,
+                                  t.n > 0 ? t.n : 1);
+        la::MatrixView<T> yv(yp.data() + desc_->row_offset(i), t.m, 1,
+                             t.m > 0 ? t.m : 1);
+        if (t.format == tile::TileFormat::Full) {
+          la::gemm(la::Op::NoTrans, la::Op::NoTrans, T{1}, t.full.cview(), xv,
+                   T{1}, yv);
+        } else {
+          hmat::matmat(la::Op::NoTrans, T{1}, *t.h, xv, T{1}, yv);
         }
       }
-      stream.flush();
     }
     for (index_t i = 0; i < n_; ++i) {
       T& yi = y[clustering_.tree.perm(i)];

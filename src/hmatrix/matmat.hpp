@@ -5,44 +5,29 @@
 // propagation in H-GEMM, and matrix-vector products (solve residuals, RHS
 // generation) all reduce to them.
 //
-// The block-tree walk COLLECTS the dense/Rk leaf contributions into a
-// batched leaf-kernel stream (la/batch.hpp) instead of executing them
-// inline; flush() then runs same-shape groups back to back. Every leaf
-// contribution is an independent accumulation into Y, so the grouped order
-// is as correct as the walk order (rounding-level differences only, and
-// deterministic — the stream order is a pure function of the block
-// structure). Callers that span several H-blocks (tile kernels, the Tile-H
-// matvec) can pass their own stream to matmat_stream/matmat_left_stream and
-// flush once, batching leaves ACROSS blocks.
+// The block-tree walk runs each leaf in place, in walk order: a dense leaf
+// is one GEMM, an Rk leaf the chained GEMM pair of RkMatrix::apply.
 #pragma once
 
 #include "hmatrix/hmatrix.hpp"
-#include "la/batch.hpp"
 #include "la/gemm.hpp"
 
 namespace hcham::hmat {
 
-template <typename T>
-void matmat(la::Op op, T alpha, const HMatrix<T>& h,
-            la::ConstMatrixView<T> x, T beta, la::MatrixView<T> y);
-
 namespace detail {
 
+/// Y += alpha * op(H) * X.
 template <typename T>
-void matmat_collect(la::BatchStream<T>& stream, la::Op op, T alpha,
-                    const HMatrix<T>& h, la::ConstMatrixView<T> x,
-                    la::MatrixView<T> y) {
+void matmat_accumulate(la::Op op, T alpha, const HMatrix<T>& h,
+                       la::ConstMatrixView<T> x, la::MatrixView<T> y) {
   const index_t q = x.cols();
   switch (h.kind()) {
     case HMatrix<T>::Kind::Full:
-      stream.push_gemm(op, la::Op::NoTrans, alpha, h.full().cview(), x, y);
+      la::gemm(op, la::Op::NoTrans, alpha, h.full().cview(), x, T{1}, y);
       return;
-    case HMatrix<T>::Kind::Rk: {
-      const auto& r = h.rk();
-      if (r.is_zero()) return;
-      stream.push_rk_apply(op, alpha, r.u().cview(), r.v().cview(), x, y);
+    case HMatrix<T>::Kind::Rk:
+      h.rk().apply(op, alpha, x, y);
       return;
-    }
     case HMatrix<T>::Kind::Hierarchical: {
       // Row/col block ranges follow the 2 x 2 child split.
       const index_t r0 = h.child(0, 0).rows();
@@ -53,13 +38,11 @@ void matmat_collect(la::BatchStream<T>& stream, la::Op op, T alpha,
           const index_t ro = (i == 0) ? 0 : r0;
           const index_t co = (j == 0) ? 0 : c0;
           if (op == la::Op::NoTrans) {
-            matmat_collect(stream, op, alpha, ch,
-                           x.block(co, 0, ch.cols(), q),
-                           y.block(ro, 0, ch.rows(), q));
+            matmat_accumulate(op, alpha, ch, x.block(co, 0, ch.cols(), q),
+                              y.block(ro, 0, ch.rows(), q));
           } else {
-            matmat_collect(stream, op, alpha, ch,
-                           x.block(ro, 0, ch.rows(), q),
-                           y.block(co, 0, ch.cols(), q));
+            matmat_accumulate(op, alpha, ch, x.block(ro, 0, ch.rows(), q),
+                              y.block(co, 0, ch.cols(), q));
           }
         }
       }
@@ -68,20 +51,35 @@ void matmat_collect(la::BatchStream<T>& stream, la::Op op, T alpha,
   }
 }
 
-}  // namespace detail
-
-/// Accumulate alpha * op(H) * X into Y through a caller-owned stream; the
-/// caller flushes. Lets one stream batch leaves across many H-blocks.
+/// Y += alpha * X * H.
 template <typename T>
-void matmat_stream(la::BatchStream<T>& stream, la::Op op, T alpha,
-                   const HMatrix<T>& h, la::ConstMatrixView<T> x,
-                   la::MatrixView<T> y) {
-  const index_t rows = (op == la::Op::NoTrans) ? h.rows() : h.cols();
-  const index_t inner = (op == la::Op::NoTrans) ? h.cols() : h.rows();
-  HCHAM_CHECK(x.rows() == inner && y.rows() == rows && x.cols() == y.cols());
-  if (alpha == T{}) return;
-  detail::matmat_collect(stream, op, alpha, h, x, y);
+void matmat_left_accumulate(T alpha, la::ConstMatrixView<T> x,
+                            const HMatrix<T>& h, la::MatrixView<T> y) {
+  const index_t p = x.rows();
+  switch (h.kind()) {
+    case HMatrix<T>::Kind::Full:
+      la::gemm(la::Op::NoTrans, la::Op::NoTrans, alpha, x, h.full().cview(),
+               T{1}, y);
+      return;
+    case HMatrix<T>::Kind::Rk:
+      h.rk().apply_left(alpha, x, y);
+      return;
+    case HMatrix<T>::Kind::Hierarchical: {
+      const index_t r0 = h.child(0, 0).rows();
+      const index_t c0 = h.child(0, 0).cols();
+      for (int i = 0; i < 2; ++i)
+        for (int j = 0; j < 2; ++j) {
+          const HMatrix<T>& ch = h.child(i, j);
+          matmat_left_accumulate(alpha,
+                                 x.block(0, i == 0 ? 0 : r0, p, ch.rows()), ch,
+                                 y.block(0, j == 0 ? 0 : c0, p, ch.cols()));
+        }
+      return;
+    }
+  }
 }
+
+}  // namespace detail
 
 template <typename T>
 void matmat(la::Op op, T alpha, const HMatrix<T>& h,
@@ -91,9 +89,7 @@ void matmat(la::Op op, T alpha, const HMatrix<T>& h,
   HCHAM_CHECK(x.rows() == inner && y.rows() == rows && x.cols() == y.cols());
   la::scal(beta, y);
   if (alpha == T{}) return;
-  la::BatchStream<T> stream;
-  detail::matmat_collect(stream, op, alpha, h, x, y);
-  stream.flush();
+  detail::matmat_accumulate(op, alpha, h, x, y);
 }
 
 /// y += alpha * op(H) * x + beta * y on raw vectors.
@@ -109,64 +105,12 @@ void gemv(la::Op op, T alpha, const HMatrix<T>& h, const T* x, T beta,
 
 template <typename T>
 void matmat_left(T alpha, la::ConstMatrixView<T> x, const HMatrix<T>& h,
-                 T beta, la::MatrixView<T> y);
-
-namespace detail {
-
-template <typename T>
-void matmat_left_collect(la::BatchStream<T>& stream, T alpha,
-                         la::ConstMatrixView<T> x, const HMatrix<T>& h,
-                         la::MatrixView<T> y) {
-  const index_t p = x.rows();
-  switch (h.kind()) {
-    case HMatrix<T>::Kind::Full:
-      stream.push_gemm(la::Op::NoTrans, la::Op::NoTrans, alpha, x,
-                       h.full().cview(), y);
-      return;
-    case HMatrix<T>::Kind::Rk: {
-      const auto& r = h.rk();
-      if (r.is_zero()) return;
-      stream.push_rk_apply_left(alpha, r.u().cview(), r.v().cview(), x, y);
-      return;
-    }
-    case HMatrix<T>::Kind::Hierarchical: {
-      const index_t r0 = h.child(0, 0).rows();
-      const index_t c0 = h.child(0, 0).cols();
-      for (int i = 0; i < 2; ++i)
-        for (int j = 0; j < 2; ++j) {
-          const HMatrix<T>& ch = h.child(i, j);
-          matmat_left_collect(stream, alpha,
-                              x.block(0, i == 0 ? 0 : r0, p, ch.rows()), ch,
-                              y.block(0, j == 0 ? 0 : c0, p, ch.cols()));
-        }
-      return;
-    }
-  }
-}
-
-}  // namespace detail
-
-/// Accumulate alpha * X * H into Y through a caller-owned stream.
-template <typename T>
-void matmat_left_stream(la::BatchStream<T>& stream, T alpha,
-                        la::ConstMatrixView<T> x, const HMatrix<T>& h,
-                        la::MatrixView<T> y) {
-  HCHAM_CHECK(x.cols() == h.rows() && y.cols() == h.cols() &&
-              x.rows() == y.rows());
-  if (alpha == T{}) return;
-  detail::matmat_left_collect(stream, alpha, x, h, y);
-}
-
-template <typename T>
-void matmat_left(T alpha, la::ConstMatrixView<T> x, const HMatrix<T>& h,
                  T beta, la::MatrixView<T> y) {
   HCHAM_CHECK(x.cols() == h.rows() && y.cols() == h.cols() &&
               x.rows() == y.rows());
   la::scal(beta, y);
   if (alpha == T{}) return;
-  la::BatchStream<T> stream;
-  detail::matmat_left_collect(stream, alpha, x, h, y);
-  stream.flush();
+  detail::matmat_left_accumulate(alpha, x, h, y);
 }
 
 }  // namespace hcham::hmat

@@ -7,7 +7,7 @@
 //  * gemm_blocked (gemm_blocked.hpp) -- the packed register-tiled engine
 //    used for everything large enough to amortise packing.
 // `gemm` dispatches between them via gemm_prefers_blocked(); the threshold
-// is env-tunable (HCHAM_GEMM_MIN_FLOPS) and measured in bench/kernels_micro.
+// is the constant kGemmMinFlops, measured in bench/kernels_micro.
 #pragma once
 
 #include <type_traits>

@@ -18,8 +18,8 @@
 // without AVX-512, where auto-vectorization of the 8x6 tile is least
 // reliable.
 //
-// Blocking parameters and the dispatch threshold are env-tunable (see
-// KernelTuning); `gemm` in gemm.hpp routes large/regular shapes here and
+// Blocking parameters and the dispatch threshold are the kGemm* constants
+// below; `gemm` in gemm.hpp routes large/regular shapes here and
 // keeps the axpy-style reference loops for tiny or extremely skinny cases.
 #pragma once
 
@@ -35,7 +35,6 @@
 #endif
 
 #include "common/config.hpp"
-#include "common/env.hpp"
 #include "common/scalar.hpp"
 #include "la/blas_defs.hpp"
 #include "la/view.hpp"
@@ -44,47 +43,21 @@
 namespace hcham::la {
 
 // ---------------------------------------------------------------------------
-// Tuning: cache blocking + dispatch threshold, overridable via environment.
+// Tuning: cache blocking, dispatch threshold and panel widths.
 // ---------------------------------------------------------------------------
 
-/// Cache-level blocking and dispatch knobs shared by the blocked kernels.
-/// Defaults target a ~48 KiB L1 / 2 MiB L2 core; every field can be
-/// overridden at process start through the environment:
-///   HCHAM_GEMM_MC / HCHAM_GEMM_KC / HCHAM_GEMM_NC   cache block sizes
-///   HCHAM_GEMM_MIN_FLOPS   dispatch: smallest 2*m*n*k sent to the blocked
-///                          path (smaller products keep the reference loops)
-///   HCHAM_BLAS_NB          panel width for blocked TRSM/GETRF/POTRF
-///   HCHAM_QR_NB            panel width for the blocked Householder apply
-struct KernelTuning {
-  index_t mc = 128;
-  index_t kc = 384;
-  index_t nc = 4096;
-  index_t min_flops = 1 << 18;
-  index_t blas_nb = 64;
-  index_t qr_nb = 32;
-};
-
-inline const KernelTuning& kernel_tuning() {
-  static const KernelTuning tuning = [] {
-    KernelTuning t;
-    // Bounded reads: a hostile value (negative, zero, or absurdly large)
-    // degrades to the tuned default instead of driving the blocking loops
-    // into degenerate shapes.
-    constexpr long kMaxBlock = 1L << 24;
-    t.mc = env_long_bounded("HCHAM_GEMM_MC", t.mc, 8, kMaxBlock);
-    t.kc = env_long_bounded("HCHAM_GEMM_KC", t.kc, 8, kMaxBlock);
-    t.nc = env_long_bounded("HCHAM_GEMM_NC", t.nc, 8, kMaxBlock);
-    t.min_flops =
-        env_long_bounded("HCHAM_GEMM_MIN_FLOPS", t.min_flops, 0, 1L << 50);
-    t.blas_nb = env_long_bounded("HCHAM_BLAS_NB", t.blas_nb, 8, 1 << 16);
-    t.qr_nb = env_long_bounded("HCHAM_QR_NB", t.qr_nb, 4, 1 << 16);
-    return t;
-  }();
-  return tuning;
-}
-
-/// Default panel width for the blocked one-sided factorizations.
-inline index_t default_block_size() { return kernel_tuning().blas_nb; }
+/// Cache blocking for a ~48 KiB L1 / 2 MiB L2 core: an mc x kc block of
+/// op(A) stays in L2, a kc x nc panel of op(B) in L3.
+inline constexpr index_t kGemmMc = 128;
+inline constexpr index_t kGemmKc = 384;
+inline constexpr index_t kGemmNc = 4096;
+/// Smallest 2*m*n*k (8*m*n*k complex) sent to the blocked path; smaller
+/// products keep the reference loops.
+inline constexpr index_t kGemmMinFlops = index_t{1} << 18;
+/// Panel width of the blocked TRSM/GETRF/POTRF.
+inline constexpr index_t kBlasNb = 64;
+/// Panel width of the blocked Householder QR.
+inline constexpr index_t kQrNb = 32;
 
 // ---------------------------------------------------------------------------
 // Microkernel shape: mr x nr register tile, chosen per instruction set.
@@ -376,7 +349,7 @@ inline bool gemm_prefers_blocked(index_t m, index_t n, index_t k) {
   if (m < mr || n < nr || k < 8) return false;
   const double flops = (is_complex_v<T> ? 8.0 : 2.0) * static_cast<double>(m) *
                        static_cast<double>(n) * static_cast<double>(k);
-  return flops >= static_cast<double>(kernel_tuning().min_flops);
+  return flops >= static_cast<double>(kGemmMinFlops);
 }
 
 namespace detail {
@@ -393,11 +366,10 @@ void gemm_blocked_real(Op opa, Op opb, T alpha, ConstMatrixView<T> a,
   const index_t n = c.cols();
   const index_t k = (opa == Op::NoTrans) ? a.cols() : a.rows();
 
-  const KernelTuning& tune = kernel_tuning();
   // Round the A-block height to whole register tiles.
-  const index_t mc = std::max(mr, tune.mc - tune.mc % mr);
-  const index_t kc = tune.kc;
-  const index_t nc = std::max(nr, tune.nc - tune.nc % nr);
+  constexpr index_t mc = std::max(mr, kGemmMc - kGemmMc % mr);
+  constexpr index_t kc = kGemmKc;
+  constexpr index_t nc = std::max(nr, kGemmNc - kGemmNc % nr);
 
   WorkspaceScope ws;
   T* const pack_a_buf =
@@ -452,12 +424,11 @@ void gemm_blocked_complex(Op opa, Op opb, T alpha, ConstMatrixView<T> a,
   const index_t n = c.cols();
   const index_t k = (opa == Op::NoTrans) ? a.cols() : a.rows();
 
-  const KernelTuning& tune = kernel_tuning();
   // Block sizes in real elements; complex steps are half (mr is even, so a
   // whole number of complex rows fits every register tile).
-  const index_t mc_c = std::max(mr, tune.mc - tune.mc % mr) / 2;
-  const index_t kc_c = std::max<index_t>(4, tune.kc / 2);
-  const index_t nc = std::max(nr, tune.nc - tune.nc % nr);
+  constexpr index_t mc_c = std::max(mr, kGemmMc - kGemmMc % mr) / 2;
+  constexpr index_t kc_c = kGemmKc / 2;
+  constexpr index_t nc = std::max(nr, kGemmNc - kGemmNc % nr);
 
   R* const cr = reinterpret_cast<R*>(c.data());
   const index_t ldc_r = 2 * c.ld();

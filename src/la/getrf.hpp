@@ -95,11 +95,11 @@ int getrf_nopiv_panel(MatrixView<T> a) {
 }  // namespace detail
 
 /// Blocked LU with partial pivoting; ipiv must hold min(m, n) entries.
-/// The panel width defaults to the shared blocked-kernel tuning
-/// (HCHAM_BLAS_NB); the TRSM row panel and GEMM trailing update run on the
+/// The panel width defaults to the shared blocked-kernel constant
+/// (kBlasNb); the TRSM row panel and GEMM trailing update run on the
 /// packed register-tiled engine.
 template <typename T>
-int getrf(MatrixView<T> a, index_t* ipiv, index_t nb = default_block_size()) {
+int getrf(MatrixView<T> a, index_t* ipiv, index_t nb = kBlasNb) {
   const index_t m = a.rows();
   const index_t n = a.cols();
   const index_t kmax = m < n ? m : n;
@@ -133,7 +133,7 @@ int getrf(MatrixView<T> a, index_t* ipiv, index_t nb = default_block_size()) {
 /// Blocked LU without pivoting (the variant used at H-matrix leaves, where
 /// global pivoting is impossible; see DESIGN.md).
 template <typename T>
-int getrf_nopiv(MatrixView<T> a, index_t nb = default_block_size()) {
+int getrf_nopiv(MatrixView<T> a, index_t nb = kBlasNb) {
   const index_t m = a.rows();
   const index_t n = a.cols();
   const index_t kmax = m < n ? m : n;

@@ -40,9 +40,9 @@ int potrf_panel(MatrixView<T> a) {
 
 /// Blocked lower Cholesky in place; the strict upper triangle is ignored.
 /// The TRSM panel and the trailing Hermitian GEMM update inherit the packed
-/// register-tiled engine; nb defaults to HCHAM_BLAS_NB.
+/// register-tiled engine; nb defaults to kBlasNb.
 template <typename T>
-int potrf(MatrixView<T> a, index_t nb = default_block_size()) {
+int potrf(MatrixView<T> a, index_t nb = kBlasNb) {
   HCHAM_CHECK(a.rows() == a.cols());
   const index_t n = a.rows();
   for (index_t k = 0; k < n; k += nb) {

@@ -9,7 +9,7 @@
 // real, the factorization applies H^H so that A <- R, and Q = H(1)...H(k).
 //
 // geqrf is blocked for wide trailing updates: reflectors are accumulated a
-// panel (HCHAM_QR_NB columns) at a time into the compact WY form
+// panel (kQrNb columns) at a time into the compact WY form
 // Q = I - V T V^H (xLARFT), and the trailing matrix is updated with three
 // GEMMs (xLARFB) so the bulk of the flops runs on the packed register-tiled
 // engine.
@@ -144,9 +144,9 @@ void larfb_left_ctrans(ConstMatrixView<T> v, ConstMatrixView<T> t,
 /// Householder QR in place: on exit the upper triangle of A holds R and the
 /// reflectors are stored below the diagonal. tau must hold min(m, n) entries.
 /// Wide problems are processed a panel at a time with blocked (compact-WY)
-/// trailing updates; nb defaults to HCHAM_QR_NB.
+/// trailing updates; nb defaults to kQrNb.
 template <typename T>
-void geqrf(MatrixView<T> a, T* tau, index_t nb = kernel_tuning().qr_nb) {
+void geqrf(MatrixView<T> a, T* tau, index_t nb = kQrNb) {
   const index_t m = a.rows();
   const index_t n = a.cols();
   const index_t k = m < n ? m : n;

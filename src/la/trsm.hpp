@@ -6,7 +6,7 @@
 // NonUnit), matching lines 4 and 7 of the paper's Algorithm 1.
 //
 // Large solves are blocked: the triangular matrix is partitioned into
-// nb x nb diagonal blocks (HCHAM_BLAS_NB), each solved with the scalar
+// nb x nb diagonal blocks (kBlasNb), each solved with the scalar
 // substitution loops, and the trailing right-hand sides are updated with one
 // block-outer-product GEMM per step, so the bulk of the flops runs through
 // the packed register-tiled engine.
@@ -208,7 +208,7 @@ template <typename T>
 void trsm(Side side, Uplo uplo, Op op, Diag diag, T alpha,
           std::type_identity_t<ConstMatrixView<T>> a, MatrixView<T> b) {
   HCHAM_CHECK(a.rows() == a.cols());
-  const index_t nb = default_block_size();
+  constexpr index_t nb = kBlasNb;
   if (side == Side::Left) {
     HCHAM_CHECK(a.rows() == b.rows());
     if (a.rows() > nb && b.cols() >= 4) {

@@ -7,10 +7,10 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "la/gemm.hpp"
 #include "la/matrix.hpp"
+#include "la/workspace.hpp"
 
 namespace hcham::rk {
 
@@ -120,34 +120,62 @@ class RkMatrix {
              v_.cview(), T{1}, dst);
   }
 
-  /// y += alpha * op(U V^H) x, for op in {N, T, C}.
-  void gemv(la::Op op, T alpha, const T* x, T* y) const {
+  /// Y += alpha * op(U V^H) X, for op in {N, T, C}: two chained GEMMs
+  /// through a rank x q temporary from the calling thread's arena.
+  void apply(la::Op op, T alpha, la::ConstMatrixView<T> x,
+             la::MatrixView<T> y) const {
     if (is_zero()) return;
     const index_t k = rank();
-    std::vector<T> tmp(static_cast<std::size_t>(k));
+    const index_t q = x.cols();
+    la::WorkspaceScope ws;
+    la::MatrixView<T> tmp = ws.matrix<T>(k, q);
     switch (op) {
       case la::Op::NoTrans:
-        // y += alpha U (V^H x)
-        la::gemv(la::Op::ConjTrans, T{1}, v_.cview(), x, T{}, tmp.data());
-        la::gemv(la::Op::NoTrans, alpha, u_.cview(), tmp.data(), T{1}, y);
-        break;
+        // Y += alpha U (V^H X)
+        la::gemm(la::Op::ConjTrans, la::Op::NoTrans, T{1}, v_.cview(), x, T{},
+                 tmp);
+        la::gemm(la::Op::NoTrans, la::Op::NoTrans, alpha, u_.cview(), tmp,
+                 T{1}, y);
+        return;
       case la::Op::ConjTrans:
-        // (U V^H)^H = V U^H: y += alpha V (U^H x)
-        la::gemv(la::Op::ConjTrans, T{1}, u_.cview(), x, T{}, tmp.data());
-        la::gemv(la::Op::NoTrans, alpha, v_.cview(), tmp.data(), T{1}, y);
-        break;
-      case la::Op::Trans: {
-        // (U V^H)^T = conj(V) U^T: y += alpha conj(V) (U^T x)
-        la::gemv(la::Op::Trans, T{1}, u_.cview(), x, T{}, tmp.data());
-        for (index_t i = 0; i < cols_; ++i) {
-          T acc{};
-          for (index_t l = 0; l < k; ++l)
-            acc += conj_if(v_(i, l)) * tmp[static_cast<std::size_t>(l)];
-          y[i] += alpha * acc;
-        }
-        break;
-      }
+        // (U V^H)^H = V U^H: Y += alpha V (U^H X)
+        la::gemm(la::Op::ConjTrans, la::Op::NoTrans, T{1}, u_.cview(), x, T{},
+                 tmp);
+        la::gemm(la::Op::NoTrans, la::Op::NoTrans, alpha, v_.cview(), tmp,
+                 T{1}, y);
+        return;
+      case la::Op::Trans:
+        // (U V^H)^T = conj(V) U^T: Y += alpha conj(V) (U^T X)
+        la::gemm(la::Op::Trans, la::Op::NoTrans, T{1}, u_.cview(), x, T{},
+                 tmp);
+        for (index_t c = 0; c < q; ++c)
+          for (index_t i = 0; i < cols_; ++i) {
+            T acc{};
+            for (index_t l = 0; l < k; ++l)
+              acc += conj_if(v_(i, l)) * tmp(l, c);
+            y(i, c) += alpha * acc;
+          }
+        return;
     }
+  }
+
+  /// Y += alpha * X (U V^H) = alpha (X U) V^H.
+  void apply_left(T alpha, la::ConstMatrixView<T> x,
+                  la::MatrixView<T> y) const {
+    if (is_zero()) return;
+    la::WorkspaceScope ws;
+    la::MatrixView<T> tmp = ws.matrix<T>(x.rows(), rank());
+    la::gemm(la::Op::NoTrans, la::Op::NoTrans, T{1}, x, u_.cview(), T{}, tmp);
+    la::gemm(la::Op::NoTrans, la::Op::ConjTrans, alpha, tmp, v_.cview(), T{1},
+             y);
+  }
+
+  /// y += alpha * op(U V^H) x on raw vectors.
+  void gemv(la::Op op, T alpha, const T* x, T* y) const {
+    const index_t n = (op == la::Op::NoTrans) ? cols_ : rows_;
+    const index_t m = (op == la::Op::NoTrans) ? rows_ : cols_;
+    apply(op, alpha, la::ConstMatrixView<T>(x, n, 1, n > 0 ? n : 1),
+          la::MatrixView<T>(y, m, 1, m > 0 ? m : 1));
   }
 
  private:

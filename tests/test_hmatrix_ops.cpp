@@ -19,7 +19,7 @@ using hcham::testing::zdouble;
 constexpr double kEps = 1e-8;
 
 template <typename T>
-void check_matmat(Op op, index_t q) {
+void check_matmat(Op op, index_t q, double tol = 1e-6) {
   HmatFixture<T> fx(300);
   auto h = fx.build(hmat_options(kEps));
   auto dense = fx.dense_permuted();
@@ -31,13 +31,14 @@ void check_matmat(Op op, index_t q) {
   hmat::matmat(op, alpha, h, x.cview(), beta, y.view());
   hcham::testing::reference_gemm(op, Op::NoTrans, alpha, dense.cview(),
                                  x.cview(), beta, y_ref.view());
-  EXPECT_LT(rel_diff<T>(y.cview(), y_ref.cview()), 1e-6)
-      << la::to_string(op);
+  EXPECT_LT(rel_diff<T>(y.cview(), y_ref.cview()), tol) << la::to_string(op);
 }
 
 TEST(HmatMatmat, AllOpsReal) {
-  for (auto op : {Op::NoTrans, Op::Trans, Op::ConjTrans})
+  for (auto op : {Op::NoTrans, Op::Trans, Op::ConjTrans}) {
     check_matmat<double>(op, 3);
+    check_matmat<float>(op, 3, 1e-4);
+  }
 }
 
 TEST(HmatMatmat, AllOpsComplex) {
@@ -57,16 +58,64 @@ TEST(HmatMatmat, SingleVectorGemv) {
   for (index_t i = 0; i < 250; ++i) EXPECT_NEAR(y[i], y_ref[i], 1e-5);
 }
 
-TEST(HmatMatmat, LeftMultiplication) {
-  HmatFixture<double> fx(300);
+template <typename T>
+void check_matmat_left(T alpha, T beta) {
+  HmatFixture<T> fx(300);
   auto h = fx.build(hmat_options(kEps));
   auto dense = fx.dense_permuted();
-  auto x = Matrix<double>::random(4, 300, 31);
-  Matrix<double> y(4, 300), y_ref(4, 300);
-  hmat::matmat_left(1.5, x.cview(), h, 0.0, y.view());
-  la::gemm(Op::NoTrans, Op::NoTrans, 1.5, x.cview(), dense.cview(), 0.0,
+  auto x = Matrix<T>::random(4, 300, 31);
+  auto y = Matrix<T>::random(4, 300, 32);
+  auto y_ref = Matrix<T>::from_view(y.cview());
+  hmat::matmat_left(alpha, x.cview(), h, beta, y.view());
+  la::gemm(Op::NoTrans, Op::NoTrans, alpha, x.cview(), dense.cview(), beta,
            y_ref.view());
-  EXPECT_LT(rel_diff<double>(y.cview(), y_ref.cview()), 1e-6);
+  EXPECT_LT(rel_diff<T>(y.cview(), y_ref.cview()), 1e-6);
+}
+
+TEST(HmatMatmat, LeftMultiplication) {
+  check_matmat_left<double>(1.5, 0.0);
+  check_matmat_left<zdouble>(zdouble(1.5, -0.5), zdouble(0.25, 2.0));
+}
+
+/// First Rk leaf of `h` in walk order, or nullptr.
+template <typename T>
+rk::RkMatrix<T>* first_rk_leaf(HMatrix<T>& h) {
+  if (h.is_rk()) return &h.rk();
+  if (h.is_full()) return nullptr;
+  for (int i = 0; i < 2; ++i)
+    for (int j = 0; j < 2; ++j)
+      if (auto* r = first_rk_leaf(h.child(i, j))) return r;
+  return nullptr;
+}
+
+// A zero-rank Rk leaf (truncation can leave one) contributes nothing to
+// either product.
+TEST(HmatMatmat, ZeroRankRkLeaf) {
+  HmatFixture<zdouble> fx(300);
+  auto h = fx.build(hmat_options(kEps));
+  rk::RkMatrix<zdouble>* leaf = first_rk_leaf(h);
+  ASSERT_NE(leaf, nullptr);
+  ASSERT_GT(leaf->rank(), 0);
+  leaf->set_zero();
+  auto dense = h.to_dense();
+  const zdouble alpha(2.0, 1.0), beta(-1.0, 0.5);
+  for (auto op : {Op::NoTrans, Op::Trans, Op::ConjTrans}) {
+    auto x = Matrix<zdouble>::random(300, 3, 41);
+    auto y = Matrix<zdouble>::random(300, 3, 42);
+    auto y_ref = Matrix<zdouble>::from_view(y.cview());
+    hmat::matmat(op, alpha, h, x.cview(), beta, y.view());
+    hcham::testing::reference_gemm(op, Op::NoTrans, alpha, dense.cview(),
+                                   x.cview(), beta, y_ref.view());
+    EXPECT_LT(rel_diff<zdouble>(y.cview(), y_ref.cview()), 1e-12)
+        << la::to_string(op);
+  }
+  auto x = Matrix<zdouble>::random(3, 300, 43);
+  auto y = Matrix<zdouble>::random(3, 300, 44);
+  auto y_ref = Matrix<zdouble>::from_view(y.cview());
+  hmat::matmat_left(alpha, x.cview(), h, beta, y.view());
+  la::gemm(Op::NoTrans, Op::NoTrans, alpha, x.cview(), dense.cview(), beta,
+           y_ref.view());
+  EXPECT_LT(rel_diff<zdouble>(y.cview(), y_ref.cview()), 1e-12);
 }
 
 TEST(HmatAdd, RkUpdateDistributesOverTree) {

@@ -99,6 +99,47 @@ INSTANTIATE_TEST_SUITE_P(
                                          Op::ConjTrans),
                        ::testing::Values(Diag::Unit, Diag::NonUnit)));
 
+// la::trsm switches from the scalar substitution loops to the blocked
+// solve once the triangle exceeds the panel width kBlasNb; sizes on both
+// sides of it, and one spanning two full panels plus a remainder, must
+// agree with the unblocked reference.
+class TrsmPanelBoundary : public ::testing::TestWithParam<index_t> {};
+
+TEST_P(TrsmPanelBoundary, MatchesUnblockedReference) {
+  const index_t n = GetParam();
+  const index_t nrhs = 7;
+  for (auto uplo : {Uplo::Lower, Uplo::Upper})
+    for (auto op : {Op::NoTrans, Op::ConjTrans}) {
+      auto a = make_triangular<zdouble>(n, uplo, Diag::NonUnit, 4000 + n);
+      auto b = Matrix<zdouble>::random(n, nrhs, 4100 + n);
+      auto x = Matrix<zdouble>::from_view(b.cview());
+      auto x_ref = Matrix<zdouble>::from_view(b.cview());
+      la::trsm(Side::Left, uplo, op, Diag::NonUnit, zdouble(2), a.cview(),
+               x.view());
+      la::detail::trsm_left_unblocked(uplo, op, Diag::NonUnit, zdouble(2),
+                                      a.cview(), x_ref.view());
+      EXPECT_LT(rel_diff<zdouble>(x.cview(), x_ref.cview()), 1e-12)
+          << "left uplo=" << (uplo == Uplo::Lower ? "Lo" : "Up")
+          << " op=" << la::to_string(op);
+
+      auto br = Matrix<zdouble>::random(nrhs, n, 4200 + n);
+      auto xr = Matrix<zdouble>::from_view(br.cview());
+      auto xr_ref = Matrix<zdouble>::from_view(br.cview());
+      la::trsm(Side::Right, uplo, op, Diag::NonUnit, zdouble(2), a.cview(),
+               xr.view());
+      la::detail::trsm_right_unblocked(uplo, op, Diag::NonUnit, zdouble(2),
+                                       a.cview(), xr_ref.view());
+      EXPECT_LT(rel_diff<zdouble>(xr.cview(), xr_ref.cview()), 1e-12)
+          << "right uplo=" << (uplo == Uplo::Lower ? "Lo" : "Up")
+          << " op=" << la::to_string(op);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AroundKBlasNb, TrsmPanelBoundary,
+                         ::testing::Values(la::kBlasNb - 1, la::kBlasNb,
+                                           la::kBlasNb + 1,
+                                           2 * la::kBlasNb + 1));
+
 TEST(Trsm, PaperAlgorithm1Kernels) {
   // The two TRSM flavors used by the tiled LU (Algorithm 1, lines 4 and 7).
   check_trsm<double>(Side::Left, Uplo::Lower, Op::NoTrans, Diag::Unit, 32, 32,

@@ -91,6 +91,60 @@ TEST(RkMatrix, GemvAllOpsComplex) {
     check_rk_gemv<zdouble>(op, 10, 14, 3, 200);
 }
 
+// Panel applies: Y += alpha * op(U V^H) X and Y += alpha * X (U V^H),
+// the Rk-leaf kernels of hmat::matmat / matmat_left.
+template <typename T>
+void check_rk_apply(Op op, std::uint64_t seed) {
+  const index_t m = 30, n = 22, k = 6, q = 4;
+  auto a = random_rk<T>(m, n, k, seed);
+  auto dense = a.dense();
+  const index_t xr = (op == Op::NoTrans) ? n : m;
+  const index_t yr = (op == Op::NoTrans) ? m : n;
+  auto x = Matrix<T>::random(xr, q, seed + 5);
+  auto y = Matrix<T>::random(yr, q, seed + 6);
+  auto y_ref = Matrix<T>::from_view(y.cview());
+  const T alpha = T(static_cast<real_t<T>>(3));
+  a.apply(op, alpha, x.cview(), y.view());
+  hcham::testing::reference_gemm<T>(op, Op::NoTrans, alpha, dense.cview(),
+                                    x.cview(), T{1}, y_ref.view());
+  EXPECT_LT(rel_diff<T>(y.cview(), y_ref.cview()), 1e-13)
+      << la::to_string(op);
+}
+
+TEST(RkMatrix, ApplyAllOpsReal) {
+  for (auto op : {Op::NoTrans, Op::Trans, Op::ConjTrans})
+    check_rk_apply<double>(op, 300);
+}
+
+TEST(RkMatrix, ApplyAllOpsComplex) {
+  for (auto op : {Op::NoTrans, Op::Trans, Op::ConjTrans})
+    check_rk_apply<zdouble>(op, 400);
+}
+
+TEST(RkMatrix, ApplyLeftMatchesDense) {
+  auto a = random_rk<zdouble>(18, 26, 5, 4);
+  auto dense = a.dense();
+  auto x = Matrix<zdouble>::random(3, 18, 6);
+  auto y = Matrix<zdouble>::random(3, 26, 7);
+  auto y_ref = Matrix<zdouble>::from_view(y.cview());
+  a.apply_left(zdouble(1, -2), x.cview(), y.view());
+  la::gemm(Op::NoTrans, Op::NoTrans, zdouble(1, -2), x.cview(), dense.cview(),
+           zdouble(1), y_ref.view());
+  EXPECT_LT(rel_diff<zdouble>(y.cview(), y_ref.cview()), 1e-13);
+}
+
+TEST(RkMatrix, ZeroRankApplyLeavesTargetUntouched) {
+  RkMatrix<double> a(8, 6);
+  auto y = Matrix<double>::random(8, 2, 1);
+  auto y_left = Matrix<double>::random(2, 6, 2);
+  const auto y0 = Matrix<double>::from_view(y.cview());
+  const auto y_left0 = Matrix<double>::from_view(y_left.cview());
+  a.apply(Op::NoTrans, 1.0, Matrix<double>::random(6, 2, 3).cview(), y.view());
+  a.apply_left(1.0, Matrix<double>::random(2, 8, 4).cview(), y_left.view());
+  EXPECT_EQ(rel_diff<double>(y.cview(), y0.cview()), 0.0);
+  EXPECT_EQ(rel_diff<double>(y_left.cview(), y_left0.cview()), 0.0);
+}
+
 TEST(Truncate, ReducesOverestimatedRank) {
   // A rank-3 matrix stored with rank-10 factors must shrink to 3.
   auto exact = rank_r_matrix<double>(20, 15, 3, 7);

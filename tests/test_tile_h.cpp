@@ -105,6 +105,20 @@ TEST(TileH, MatvecMatchesDense) {
   EXPECT_LT(std::sqrt(err / ref), 1e-6);
 }
 
+TEST(TileH, ComplexMatvecMatchesDense) {
+  TileHSetup<zdouble> s(400);
+  auto m = s.build(128, 1e-8);
+  auto exact = s.problem.dense();
+  auto x = Matrix<zdouble>::random(400, 1, 4);
+  auto y = Matrix<zdouble>::random(400, 1, 5);
+  auto y_ref = Matrix<zdouble>::from_view(y.cview());
+  const zdouble alpha(2.0, -1.0), beta(0.5, 0.5);
+  m.matvec(alpha, x.data(), beta, y.data());
+  la::gemv<zdouble>(Op::NoTrans, alpha, exact.cview(), x.data(), beta,
+                    y_ref.data());
+  EXPECT_LT(rel_diff<zdouble>(y.cview(), y_ref.cview()), 1e-6);
+}
+
 class TileHPolicies : public ::testing::TestWithParam<SchedulerPolicy> {};
 
 TEST_P(TileHPolicies, FactorizeAndSolve) {
