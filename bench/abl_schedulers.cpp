@@ -12,7 +12,7 @@ using namespace hcham;
 int main() {
   bench::print_header("Ablation A1: scheduler policies across tile sizes "
                       "(every row modelled by rt::simulate)",
-                      "precision,N,NB,policy,submit,threads,time_s,efficiency,"
+                      "precision,N,NB,policy,threads,time_s,efficiency,"
                       "dispatch_wait_s,tasks,mean_task_ms,steals_per_task");
   const double eps = bench::bench_eps();
   const index_t n = bench::scaled(4000);
@@ -26,21 +26,14 @@ int main() {
       // Full SimResult: busy_s counts execution only, so the efficiency
       // column reflects real utilization; the serialized-dispatch wait is
       // reported separately (it is the contention the ablation studies).
-      // Each policy is modeled under both submission regimes: live STF
-      // inference and DAG replay (amortized flat-cost submission) — the
-      // gap is largest exactly where the small-tile contention bites.
-      for (const bool replay : {false, true}) {
-        const auto r = rt::simulate(m.graph, policy, threads,
-                                    replay ? bench::replay_sim_params()
-                                           : bench::default_sim_params());
-        const double per_task = static_cast<double>(std::max<index_t>(
-            1, static_cast<index_t>(m.graph.num_tasks())));
-        std::printf("d,%ld,%ld,%s,%s,%d,%.4f,%.3f,%.4f,%ld,%.3f,%.3f\n",
-                    n, nb, rt::to_string(policy), replay ? "replay" : "live",
-                    threads, r.makespan_s, r.parallel_efficiency(),
-                    r.dispatch_wait_s, m.tasks, mean_task_ms,
-                    static_cast<double>(r.steals) / per_task);
-      }
+      const auto r = rt::simulate(m.graph, policy, threads,
+                                  bench::default_sim_params());
+      const double per_task = static_cast<double>(std::max<index_t>(
+          1, static_cast<index_t>(m.graph.num_tasks())));
+      std::printf("d,%ld,%ld,%s,%d,%.4f,%.3f,%.4f,%ld,%.3f,%.3f\n", n, nb,
+                  rt::to_string(policy), threads, r.makespan_s,
+                  r.parallel_efficiency(), r.dispatch_wait_s, m.tasks,
+                  mean_task_ms, static_cast<double>(r.steals) / per_task);
     }
   }
   return 0;

@@ -7,7 +7,6 @@
 // variables:
 //   HCHAM_BENCH_SCALE  multiply all N by this factor (default 1.0)
 //   HCHAM_EPS          block accuracy (default 1e-4, the paper's setting)
-//   HCHAM_WORKERS      real worker threads for measured runs (default 1)
 #pragma once
 
 #include <algorithm>
@@ -180,17 +179,6 @@ inline rt::SimParams default_sim_params() {
   p.submit_cost_s = 1.0e-6;
   p.edge_submit_cost_s = 2.0e-7;
   p.dispatch_serial_cost_s = 5.0e-6;
-  return p;
-}
-
-/// default_sim_params with the submission model switched to DAG replay
-/// (graph capture/replay, DESIGN.md section 10): a flat 0.1 us per-task
-/// rebind cost, no per-edge inference. Execution-side overheads stay at
-/// their live values.
-inline rt::SimParams replay_sim_params() {
-  rt::SimParams p = default_sim_params();
-  p.replay_submission = true;
-  p.replay_submit_cost_s = 1.0e-7;
   return p;
 }
 

@@ -17,12 +17,20 @@ on odd ones, so slow drift of the host does not favour one side. Each run is
 For every workload and end-to-end metric the report gives the median and
 IQR (the spread between the quartiles) of each side, the change of the
 median, the largest relative difference within one pair (same seed, so 0
-for a metric both sides compute identically), how many pairs B won, and the
-metric's bound from BENCHMARK.json.
+for a metric both sides compute identically), how many pairs B won (a tie
+counts for neither side), and the metric's bound from BENCHMARK.json.
 A metric is flagged WORSE when B's median is worse than A's by more than
-that bound. The failed-operation counts (and runs that gave no result) of
-both sides close each workload. Exit status is 1 when a metric is WORSE or
-a side has failures, else 0.
+that bound, and UNRESOLVED when either side's IQR exceeds that bound
+relative to its median, unless every B run beats every A run. The
+failed-operation counts (and runs that gave no result) of both sides close
+each workload.
+
+A gain is claimed with --claim METRIC@WORKLOAD (repeatable). It is met only
+when B wins at least 9 in 10 pairs, B's median beats A's by more than A's
+IQR, and B's share of failed operations is not higher than A's.
+
+Exit status is 1 when a metric is WORSE or UNRESOLVED, a side has
+failures, or a claimed gain is not met, else 0.
 """
 import argparse
 import json
@@ -70,7 +78,27 @@ def fmt(x):
     return "%.4g" % x
 
 
-def report(workload, results, bounds):
+def claim_verdict(name, stats, share_a, share_b):
+    """One --claim line: whether B's gain on `name` meets the rule."""
+    if stats is None:
+        return False, "no pairs measured %s" % name
+    wins, n, gain, a_iqr = stats
+    misses = []
+    if 10 * wins < 9 * n:
+        misses.append("B won %d/%d pairs, needs 9 in 10" % (wins, n))
+    if gain <= a_iqr:
+        misses.append("median gain %.4g is not above A's IQR %.4g"
+                      % (gain, a_iqr))
+    if share_b > share_a:
+        misses.append("B failed share %.3g above A's %.3g"
+                      % (share_b, share_a))
+    if misses:
+        return False, "gain not met: " + "; ".join(misses)
+    return True, ("gain met: B won %d/%d pairs, median gain %.4g above A's "
+                  "IQR %.4g" % (wins, n, gain, a_iqr))
+
+
+def report(workload, results, bounds, claims=()):
     """Print one workload's table; returns True when it passes."""
     ok = True
     print("\n## %s (%d pairs)\n" % (workload, len(results["a"])))
@@ -83,6 +111,7 @@ def report(workload, results, bounds):
             for name in (r or {}).get("metrics", {}):
                 if name not in names:
                     names.append(name)
+    stats = {}
     for name in names:
         def values(side):
             return [r["metrics"][name]["value"] if r and name in r["metrics"]
@@ -99,28 +128,42 @@ def report(workload, results, bounds):
         wins = sum(1 for x, y in pairs if sign * (y - x) > 0)
         a1, am, a3 = quartiles(a)
         b1, bm, b3 = quartiles(b)
+        stats[name] = (wins, len(pairs), sign * (bm - am), a3 - a1)
         change = (bm - am) / am if am else 0.0
         pair_diff = max(abs(y - x) / abs(x) if x else abs(y)
                         for x, y in pairs)
+        spread = max((a3 - a1) / abs(am) if am else 0.0,
+                     (b3 - b1) / abs(bm) if bm else 0.0)
+        separated = min(sign * y for y in b) > max(sign * x for x in a)
         verdict = "ok"
         if bound is not None and sign * change < -bound:
             verdict = "WORSE"
+        elif bound is not None and spread > bound and not separated:
+            verdict = "UNRESOLVED"
+        if verdict != "ok":
             ok = False
         print("| %s | %s | %s | %s | %s | %+.2f%% | %.2g | %d/%d | %s | %s |"
               % (name, fmt(am), fmt(a3 - a1), fmt(bm), fmt(b3 - b1),
                  100.0 * change, pair_diff, wins, len(pairs),
                  "-" if bound is None else "%g" % bound, verdict))
+    share = {}
     for side in ("a", "b"):
         runs = results[side]
         missing = sum(1 for r in runs if r is None)
         failed = sum(r.get("failed", 0) for r in runs if r)
         attempted = sum(r.get("attempted", 0) for r in runs if r)
         wrong = sum(1 for r in runs if r and r.get("correct") is not True)
+        share[side] = failed / attempted if attempted else 0.0
         print("\n%s: %d failed of %d operations, %d runs without a result, "
               "%d runs not correct" % (side.upper(), failed, attempted,
                                        missing, wrong))
         if failed or missing or wrong:
             ok = False
+    for name in claims:
+        met, why = claim_verdict(name, stats.get(name), share["a"],
+                                 share["b"])
+        print("\nclaim %s@%s: %s" % (name, workload, why))
+        ok = ok and met
     return ok
 
 
@@ -139,7 +182,19 @@ def main():
     ap.add_argument("--seed0", type=int, default=1)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--json", help="write every raw result here")
+    ap.add_argument("--claim", action="append", default=[],
+                    metavar="METRIC@WORKLOAD",
+                    help="check that B gains on METRIC of WORKLOAD")
     args = ap.parse_args()
+
+    workloads = args.workloads.split(",")
+    claims = {w: [] for w in workloads}
+    for item in args.claim:
+        metric, sep, workload = item.partition("@")
+        if not sep or not metric or workload not in claims:
+            sys.exit("pairs: expected METRIC@WORKLOAD with a run workload, "
+                     "got %r" % item)
+        claims[workload].append(metric)
 
     sides = {"a": (os.path.abspath(args.a), parse_env(args.env_a)),
              "b": (os.path.abspath(args.b), parse_env(args.env_b))}
@@ -150,7 +205,7 @@ def main():
 
     all_results = {}
     ok = True
-    for workload in args.workloads.split(","):
+    for workload in workloads:
         results = {"a": [], "b": []}
         for i in range(args.pairs):
             seed = args.seed0 + i
@@ -162,7 +217,7 @@ def main():
             print("# %s pair %d/%d done" % (workload, i + 1, args.pairs),
                   file=sys.stderr, flush=True)
         all_results[workload] = results
-        ok = report(workload, results, bounds) and ok
+        ok = report(workload, results, bounds, claims[workload]) and ok
         sys.stdout.flush()
     if args.json:
         with open(args.json, "w") as f:

@@ -14,11 +14,9 @@
 // run of the same series) and "busy_fraction" (sum of task execution time
 // over workers x makespan, from the engine trace / simulator).
 //
-// Exit status is nonzero if the 4-worker Tile-H LU speedup (best policy)
-// falls below 2.0x — measured when the host has >= 4 hardware threads
-// (the CI runners do), otherwise from the calibrated DAG replay of the
-// measured graph (this repo's documented substitution for multi-core
-// hosts, see DESIGN.md).
+// Exit status is nonzero if the measured 4-worker Tile-H LU speedup (best
+// policy) falls below 2.0x. Hosts with fewer than 4 hardware threads
+// cannot run 4 workers in parallel: the gate reports skipped and exits 0.
 #include <cstring>
 #include <string>
 #include <thread>
@@ -152,7 +150,7 @@ int main(int argc, char** argv) {
               static_cast<long>(n), static_cast<long>(nb), eps, hw);
 
   // --- Tile-H LU, measured ------------------------------------------------
-  double gate_speedup_measured = 0.0;
+  double gate_speedup = 0.0;
   for (const auto pol : bench::all_policies()) {
     double time_1w = 0.0;
     for (const int w : worker_counts) {
@@ -160,8 +158,7 @@ int main(int argc, char** argv) {
       if (w == 1) time_1w = p.time_s;
       report("tileh_lu_measured", pol, n, w, p, time_1w);
       if (w == 4 && p.time_s > 0.0)
-        gate_speedup_measured =
-            std::max(gate_speedup_measured, time_1w / p.time_s);
+        gate_speedup = std::max(gate_speedup, time_1w / p.time_s);
     }
   }
 
@@ -186,37 +183,23 @@ int main(int argc, char** argv) {
   // --- DAG-replay points at the paper's thread counts ---------------------
   // One sequential measurement per graph, replayed by the calibrated
   // simulator (the Figs. 6-7 protocol); cross-checks the measured points
-  // and extends the sweep past the host's core count.
-  double gate_speedup_sim = 0.0;
+  // and extends the sweep past the host's core count. Modelled records
+  // only: the gate below never reads them.
   {
     auto m = bench::measure_tileh_lu<double>(n, nb, eps);
     auto h = bench::measure_hmat_lu<double>(n, eps);
     const std::vector<int> counts = {1, 2, 4, 9, 18, 36};
     for (const auto pol : bench::all_policies()) {
-      double tile_1w = 0.0, hmat_1w = 0.0, tile_rp_1w = 0.0, hmat_rp_1w = 0.0;
+      double tile_1w = 0.0, hmat_1w = 0.0;
       for (const int w : counts) {
         const Point pt = sim_point(m.graph, pol, w,
                                    bench::default_sim_params());
         if (w == 1) tile_1w = pt.time_s;
         report("tileh_lu_sim", pol, n, w, pt, tile_1w);
-        if (w == 4 && pt.time_s > 0.0)
-          gate_speedup_sim =
-              std::max(gate_speedup_sim, tile_1w / pt.time_s);
         const Point ph = sim_point(h.graph, pol, w,
                                    bench::default_sim_params());
         if (w == 1) hmat_1w = ph.time_s;
         report("hmat_lu_sim", pol, n, w, ph, hmat_1w);
-        // Same graphs under the DAG-replay submission model: the flat
-        // rebind cost replaces per-edge inference, which matters most for
-        // the edge-dense fine-grain H-LU at high thread counts.
-        const Point pr = sim_point(m.graph, pol, w,
-                                   bench::replay_sim_params());
-        if (w == 1) tile_rp_1w = pr.time_s;
-        report("tileh_lu_sim_replay", pol, n, w, pr, tile_rp_1w);
-        const Point hr = sim_point(h.graph, pol, w,
-                                   bench::replay_sim_params());
-        if (w == 1) hmat_rp_1w = hr.time_s;
-        report("hmat_lu_sim_replay", pol, n, w, hr, hmat_rp_1w);
       }
     }
   }
@@ -227,16 +210,19 @@ int main(int argc, char** argv) {
     std::printf("# wrote %s (%zu records)\n", out.c_str(),
                 g_json.records().size());
 
-  // CI gate: 4-worker Tile-H speedup (best policy) >= 2x. Measured when
-  // the host can actually run 4 workers in parallel; otherwise the
-  // DAG-replay speedup stands in (DESIGN.md substitution methodology).
-  const bool use_measured = hw >= 4;
-  const double gate = use_measured ? gate_speedup_measured : gate_speedup_sim;
-  std::printf("# gate: 4-worker tile-h speedup %.2fx (%s, threshold 2.0)\n",
-              gate, use_measured ? "measured" : "simulated");
-  if (gate < 2.0) {
+  // CI gate: measured 4-worker Tile-H speedup (best policy) >= 2x.
+  if (hw < 4) {
+    std::printf("# gate: 4-worker tile-h speedup skipped (hw_threads=%u)\n",
+                hw);
+    return 0;
+  }
+  std::printf("# gate: 4-worker tile-h speedup %.2fx (measured, threshold "
+              "2.0)\n",
+              gate_speedup);
+  if (gate_speedup < 2.0) {
     std::fprintf(stderr,
-                 "FAIL: 4-worker Tile-H LU speedup %.2fx below 2.0x\n", gate);
+                 "FAIL: 4-worker Tile-H LU speedup %.2fx below 2.0x\n",
+                 gate_speedup);
     return 1;
   }
   return 0;

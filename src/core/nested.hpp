@@ -8,7 +8,7 @@
 // in the H-LU Factorization", PAPERS.md).
 //
 // Gate and fallback: the NestedEpoch constructor decides the mode from the
-// dense-equivalent flop estimate (against HCHAM_NESTED_MIN_FLOPS), pool
+// dense-equivalent flop estimate (against rt::kNestedMinFlops), pool
 // occupancy, and the worker-context requirement; when it stays inline,
 // these kernels skip the decomposition overhead entirely and call the
 // plain sequential kernel — bit-identical either way, because the
@@ -31,7 +31,7 @@ struct NestedTileKernels {
 
   /// Dense-equivalent flop estimates feeding the gate. H-arithmetic does
   /// far less work than these cubes, but the gate only needs a monotone
-  /// size proxy; HCHAM_NESTED_MIN_FLOPS is calibrated against them.
+  /// size proxy; rt::kNestedMinFlops is calibrated against them.
   static double cube(index_t n) {
     const double d = static_cast<double>(n);
     return d * d * d;

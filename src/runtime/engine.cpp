@@ -1191,9 +1191,7 @@ NestedEpoch::NestedEpoch(Engine& engine, double est_flops)
     return;
   }
   if (env_long("HCHAM_NESTED_FORCE", 0) == 0) {
-    const double min_flops =
-        env_double_bounded("HCHAM_NESTED_MIN_FLOPS", 1.0e7, 0.0, 1.0e18);
-    if (est_flops < min_flops || !im.eng->nested_workers_available()) {
+    if (est_flops < kNestedMinFlops || !im.eng->nested_workers_available()) {
       runtime_counters().nested_inline.fetch_add(1,
                                                  std::memory_order_relaxed);
       return;

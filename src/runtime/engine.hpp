@@ -185,7 +185,7 @@ struct NestedEpochImpl;
 //
 // Mode is decided at construction by the nesting gate:
 //  * parallel mode — the calling thread is one of `engine`'s pool workers,
-//    the estimated kernel flops reach HCHAM_NESTED_MIN_FLOPS, and idle
+//    the estimated kernel flops reach kNestedMinFlops, and idle
 //    workers are available (some parked, or fewer ready tasks than
 //    workers). Submission defers tasks; wait() seals the graph, publishes
 //    the ready set, and parked/idle pool workers steal nested tasks from
@@ -206,11 +206,15 @@ struct NestedEpochImpl;
 // re-runs the gate naturally; begin_capture()/begin_replay() reject with an
 // Error while any NestedEpoch of the engine is live (a sub-epoch spanning
 // epochs would corrupt the captured closure-slot order).
+/// Dense-equivalent flop estimate from which a NestedEpoch may go
+/// parallel (the size half of the gate above).
+inline constexpr double kNestedMinFlops = 1.0e7;
+
 class NestedEpoch {
  public:
   /// Bind a sub-epoch to `engine`. `est_flops` is the caller's estimate of
   /// the work about to be submitted (dense-equivalent flops), tested
-  /// against HCHAM_NESTED_MIN_FLOPS by the gate; the default keeps the
+  /// against kNestedMinFlops by the gate; the default keeps the
   /// epoch inline unless HCHAM_NESTED_FORCE=1.
   explicit NestedEpoch(Engine& engine, double est_flops = 0.0);
 

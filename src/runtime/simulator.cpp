@@ -109,7 +109,6 @@ class SimScheduler {
     return id;
   }
 
-  index_t size() const { return size_; }
   index_t steals() const { return steals_; }
 
  private:
@@ -156,15 +155,7 @@ SimResult simulate(const TaskGraph& g, SchedulerPolicy policy, int workers,
   // Sequential submission: task i is available only once the submitting
   // thread has reached it.
   std::vector<double> release(static_cast<std::size_t>(n), 0.0);
-  if (params.replay_submission) {
-    // Replayed epoch: closures re-bind against the captured graph, flat
-    // cost per task, no dependency-inference component.
-    double cum = 0.0;
-    for (index_t i = 0; i < n; ++i) {
-      cum += params.replay_submit_cost_s;
-      release[static_cast<std::size_t>(i)] = cum;
-    }
-  } else if (params.submit_cost_s > 0.0 || params.edge_submit_cost_s > 0.0) {
+  if (params.submit_cost_s > 0.0 || params.edge_submit_cost_s > 0.0) {
     double cum = 0.0;
     for (index_t i = 0; i < n; ++i) {
       cum += params.submit_cost_s +
@@ -202,9 +193,6 @@ SimResult simulate(const TaskGraph& g, SchedulerPolicy policy, int workers,
   };
 
   std::vector<char> worker_busy(static_cast<std::size_t>(workers), 0);
-  // Nested sub-epoch model: helpers pinned to a split task, freed by its
-  // finish event alongside the owner.
-  std::vector<std::vector<int>> helpers_of(static_cast<std::size_t>(n));
 
   // Serialized runtime state: each dispatch passes through it in turn.
   const double serial_cost =
@@ -225,40 +213,9 @@ SimResult simulate(const TaskGraph& g, SchedulerPolicy policy, int workers,
         runtime_free = start + serial_cost;
         start = runtime_free;
       }
-      double dur = effective_duration(id);
+      const double dur = effective_duration(id);
       worker_busy[static_cast<std::size_t>(w)] = 1;
-      // Nested sub-epoch split: workers that would otherwise idle (more
-      // idle peers than ready tasks) co-execute a long task's inner DAG.
-      // They are pinned until the split task finishes — stealing nested
-      // tasks, not taking top-level ones — and each converts only
-      // nested_efficiency of its time into speedup (inner critical path
-      // and steal overhead eat the rest).
-      if (params.nested_min_task_s > 0.0 &&
-          dur >= params.nested_min_task_s) {
-        int idle_peers = 0;
-        for (int v = 0; v < workers; ++v)
-          if (!worker_busy[static_cast<std::size_t>(v)]) ++idle_peers;
-        const int spare =
-            idle_peers - static_cast<int>(std::min<index_t>(
-                             sched.size(), static_cast<index_t>(workers)));
-        const int nh = std::clamp(spare, 0, params.nested_max_helpers);
-        if (nh > 0) {
-          auto& hs = helpers_of[static_cast<std::size_t>(id)];
-          for (int v = 0; v < workers && static_cast<int>(hs.size()) < nh;
-               ++v) {
-            if (worker_busy[static_cast<std::size_t>(v)]) continue;
-            worker_busy[static_cast<std::size_t>(v)] = 1;
-            hs.push_back(v);
-          }
-          dur /= 1.0 + params.nested_efficiency *
-                           static_cast<double>(hs.size());
-          ++result.nested_splits;
-          result.nested_helper_s += dur * static_cast<double>(hs.size());
-        }
-      }
-      result.busy_s +=
-          dur * (1.0 + static_cast<double>(
-                           helpers_of[static_cast<std::size_t>(id)].size()));
+      result.busy_s += dur;
       result.dispatch_wait_s += start - now;
       events.push(Event{start + dur, w, id, false});
     }
@@ -274,9 +231,6 @@ SimResult simulate(const TaskGraph& g, SchedulerPolicy policy, int workers,
       sched.push(e.task, next_seed());
     } else {
       worker_busy[static_cast<std::size_t>(e.worker)] = 0;
-      for (const int v : helpers_of[static_cast<std::size_t>(e.task)])
-        worker_busy[static_cast<std::size_t>(v)] = 0;
-      helpers_of[static_cast<std::size_t>(e.task)].clear();
       for (const TaskId s :
            g.nodes[static_cast<std::size_t>(e.task)].successors) {
         if (--pending[static_cast<std::size_t>(s)] != 0) continue;

@@ -32,16 +32,6 @@ struct SimParams {
   /// submission completes, which throttles very fine-grained DAGs.
   double submit_cost_s = 0.0;
   double edge_submit_cost_s = 0.0;
-  /// DAG-replay submission model (graph capture/replay, DESIGN.md section
-  /// 10): submission degenerates to re-binding one closure per task, so
-  /// each task costs a flat replay_submit_cost_s and the per-edge
-  /// inference cost vanishes entirely. When set, this overrides
-  /// submit_cost_s / edge_submit_cost_s in the release model; the
-  /// execution-side overheads (task_overhead_s, edge_overhead_s,
-  /// dispatch_serial_cost_s) are unchanged - replay only removes the
-  /// submission-side inference, not the runtime's dependency bookkeeping.
-  bool replay_submission = false;
-  double replay_submit_cost_s = 0.0;
   /// Serialized dispatch: every task acquisition passes through the
   /// runtime's shared state (queues, dependency counters) for this long,
   /// system-wide. This is the contention cost the paper identifies as the
@@ -52,18 +42,6 @@ struct SimParams {
   /// dependency bookkeeping).
   double dispatch_serial_cost_s = 0.0;
   double distributed_dispatch_factor = 0.4;
-  /// Nested sub-epoch model (DESIGN.md section 11): a task at least this
-  /// long opens a sub-epoch, and pool workers that would otherwise idle
-  /// co-execute its inner task graph. 0 disables the model (the default,
-  /// and the HCHAM_NESTED_DISABLE behaviour).
-  double nested_min_task_s = 0.0;
-  /// Cap on helpers per split task (the inner DAG's own parallelism bound:
-  /// a 2x2 H-split exposes only a few concurrent leaves).
-  int nested_max_helpers = 3;
-  /// Fraction of each helper that converts into speedup; the rest is lost
-  /// to the inner DAG's critical path and steal overhead. The split task's
-  /// duration becomes dur / (1 + nested_efficiency * helpers).
-  double nested_efficiency = 0.6;
 };
 
 struct SimResult {
@@ -79,10 +57,6 @@ struct SimResult {
   /// could start. Previously folded into busy_s, which inflated the
   /// reported efficiency exactly when contention was worst.
   double dispatch_wait_s = 0.0;
-  /// Tasks that opened a nested sub-epoch (nested_min_task_s model) and
-  /// the helper-seconds contributed by otherwise-idle workers.
-  index_t nested_splits = 0;
-  double nested_helper_s = 0.0;
   /// Pops served from another worker's queue (ws/lws only; the central
   /// Priority queue has no notion of a steal).
   index_t steals = 0;

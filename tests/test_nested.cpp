@@ -1,16 +1,21 @@
 // Nested sub-epoch unit tests (DESIGN.md section 11): the heuristic gate
-// (flops threshold, occupancy/parked-worker check, HCHAM_NESTED_DISABLE),
-// STF inference inside a sub-epoch, error propagation to the parent epoch,
-// nested fault injection, and workspace-arena availability when a thief
-// executes a nested task.
+// (flops threshold, occupancy/parked-worker check, HCHAM_NESTED_DISABLE,
+// the threshold against a real coarse Tile-H LU), STF inference inside a
+// sub-epoch, error propagation to the parent epoch, nested fault
+// injection, and workspace-arena availability when a thief executes a
+// nested task.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <thread>
 #include <vector>
 
+#include "bem/testcase.hpp"
+#include "common/counters.hpp"
+#include "core/tile_h.hpp"
 #include "la/workspace.hpp"
 #include "runtime/engine.hpp"
 
@@ -65,13 +70,33 @@ TEST(NestedGate, LargeTileOnIdlePoolGoesParallel) {
 }
 
 TEST(NestedGate, FlopsBelowThresholdStaysInline) {
-  // Default HCHAM_NESTED_MIN_FLOPS is 1e7 dense-equivalent flops.
   EXPECT_FALSE(gate_decision(4, 1.0e3));
 }
 
 TEST(NestedGate, ThresholdIsTunable) {
-  EnvVar min_flops("HCHAM_NESTED_MIN_FLOPS", "100");
-  EXPECT_TRUE(gate_decision(4, 1.0e3));
+  // The threshold is the constant rt::kNestedMinFlops: an estimate equal
+  // to it opens the gate, the next double below it does not.
+  EXPECT_TRUE(gate_decision(4, rt::kNestedMinFlops));
+  EXPECT_FALSE(gate_decision(4, std::nextafter(rt::kNestedMinFlops, 0.0)));
+}
+
+TEST(NestedGate, CoarseTileHLuOpensTheGateUnforced) {
+  // Real tile sizes against the constant threshold: a 2x2 Tile-H LU of
+  // N = 1200 on 4 workers starts with one 600x600 H-GETRF and three idle
+  // workers, so the size/occupancy gate must open without
+  // HCHAM_NESTED_FORCE.
+  const index_t n = 1200;
+  bem::FemBemProblem<double> problem(n);
+  auto gen = [&problem](index_t i, index_t j) { return problem.entry(i, j); };
+  core::TileHOptions opts;
+  opts.tile_size = n / 2;
+  opts.clustering.leaf_size = 64;
+  opts.hmatrix.compression.eps = 1e-4;
+  Engine eng({.num_workers = 4});
+  auto a = core::TileHMatrix<double>::build(eng, problem.points(), gen, opts);
+  reset_runtime_counters();
+  a.factorize(eng);
+  EXPECT_GT(snapshot_runtime_counters().nested_epochs, 0u);
 }
 
 TEST(NestedGate, DisableEnvWins) {

@@ -171,43 +171,6 @@ TEST(Simulator, BusySecondsCountExecutionOnly) {
   EXPECT_NEAR(r0.parallel_efficiency(), 1.0, 1e-12);
 }
 
-TEST(Simulator, ReplaySubmissionModelIsFlatPerTask) {
-  // DAG-replay submission (graph capture/replay): a flat rebind cost per
-  // task, no per-edge inference. One worker, four independent 1s tasks,
-  // 0.1s rebind each: t0 becomes ready at 0.1 and the worker never starves
-  // again, so makespan = 0.1 + 4.0.
-  std::vector<double> d(4, 1.0);
-  auto g = make_graph(d, {});
-  SimParams p = kNoOverhead;
-  p.replay_submission = true;
-  p.replay_submit_cost_s = 0.1;
-  const auto r = simulate(g, SchedulerPolicy::Priority, 1, p);
-  EXPECT_NEAR(r.makespan_s, 4.1, 1e-12);
-}
-
-TEST(Simulator, ReplaySubmissionIgnoresEdgeDensity) {
-  // The live submission model charges per inbound edge; replay must not.
-  // Two graphs with identical work and shape but 4x the dependency count
-  // replay in exactly the same time (and faster than live submission).
-  auto sparse = make_graph({1e-3, 1e-3, 1e-3}, {{0, 2}, {1, 2}});
-  auto dense = sparse;
-  for (int extra = 0; extra < 6; ++extra) {
-    dense.nodes[0].successors.push_back(2);
-    ++dense.nodes[2].num_dependencies;
-  }
-  SimParams live = kNoOverhead;
-  live.submit_cost_s = 1e-4;
-  live.edge_submit_cost_s = 1e-4;
-  SimParams replay = live;
-  replay.replay_submission = true;
-  replay.replay_submit_cost_s = 1e-5;
-  const auto rs = simulate(sparse, SchedulerPolicy::Priority, 2, replay);
-  const auto rd = simulate(dense, SchedulerPolicy::Priority, 2, replay);
-  EXPECT_DOUBLE_EQ(rs.makespan_s, rd.makespan_s);
-  const auto ld = simulate(dense, SchedulerPolicy::Priority, 2, live);
-  EXPECT_LT(rd.makespan_s, ld.makespan_s);
-}
-
 TEST(Simulator, EngineSeedingMatchesSimulatorAcrossEpochs) {
   // simulate() restarts its round-robin seed cursor at worker 0 on every
   // call, so after pushing k initially-ready tasks the cursor sits at
