@@ -1,7 +1,9 @@
 // Micro-benchmarks of the dense substrate (the MKL replacement): the packed
-// register-tiled GEMM engine vs the reference kernel across sizes, shapes,
-// op combinations, and scalar types, plus TRSM / GETRF / QR / ACA riding on
-// the engine and the rk::truncate kernel at the H-LU core shapes. Emits
+// register-tiled GEMM engine vs plain axpy/dot reference loops across
+// sizes, shapes, op combinations, and scalar types; the leaf shapes the
+// H-matrix solves issue, through la::gemm against both the packed engine
+// and the reference loops; TRSM / GETRF / POTRF / QR / ACA riding on the
+// engine; and the rk::truncate kernel at the H-LU core shapes. Emits
 // BENCH_kernels.json (schema: EXPERIMENTS.md) and prints a human-readable
 // table.
 //
@@ -20,6 +22,7 @@
 
 #include "bench_common.hpp"
 #include "la/la.hpp"
+#include "la/potrf.hpp"
 #include "rk/aca.hpp"
 #include "rk/truncation.hpp"
 
@@ -36,6 +39,45 @@ void report(const bench::BenchRecord& r) {
   g_json.add(r);
 }
 
+/// The axpy/dot-style reference loops the engine is gated against:
+/// C = op(A) * op(B) (beta = 0), column-major, k-blocked for cache.
+template <typename T>
+void gemm_reference(la::Op opa, la::Op opb, la::ConstMatrixView<T> a,
+                    la::ConstMatrixView<T> b, la::MatrixView<T> c) {
+  const index_t m = c.rows();
+  const index_t n = c.cols();
+  const index_t k = opa == la::Op::NoTrans ? a.cols() : a.rows();
+  const auto opb_at = [&](index_t l, index_t j) -> T {
+    if (opb == la::Op::NoTrans) return b(l, j);
+    return opb == la::Op::Trans ? b(j, l) : conj_if(b(j, l));
+  };
+  c.set_zero();
+  if (opa == la::Op::NoTrans) {
+    constexpr index_t kb = 128;
+    for (index_t l0 = 0; l0 < k; l0 += kb) {
+      const index_t lend = std::min(l0 + kb, k);
+      for (index_t j = 0; j < n; ++j) {
+        T* cj = c.col(j);
+        for (index_t l = l0; l < lend; ++l) {
+          const T blj = opb_at(l, j);
+          const T* al = a.col(l);
+          for (index_t i = 0; i < m; ++i) cj[i] += al[i] * blj;
+        }
+      }
+    }
+    return;
+  }
+  const bool conja = opa == la::Op::ConjTrans;
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) {
+      const T* ai = a.col(i);
+      T acc{};
+      for (index_t l = 0; l < k; ++l)
+        acc += (conja ? conj_if(ai[l]) : ai[l]) * opb_at(l, j);
+      c(i, j) = acc;
+    }
+}
+
 /// GEMM timing for one scalar type: blocked engine vs reference kernel.
 template <typename T>
 void gemm_pair(const char* tag, index_t m, index_t n, index_t k, int reps,
@@ -48,8 +90,8 @@ void gemm_pair(const char* tag, index_t m, index_t n, index_t k, int reps,
   auto a = la::Matrix<T>::random(am, an, 1);
   auto b = la::Matrix<T>::random(bm, bn, 2);
   la::Matrix<T> c(m, n);
-  // Complex multiplies cost 4x a real one (the 1m engine runs 2m x k x 2n
-  // real flops; the conventional count is 8mnk vs 2mnk).
+  // Complex multiplies cost 4x a real one (the conventional count is 8mnk
+  // vs 2mnk).
   const double flops = (is_complex_v<T> ? 8.0 : 2.0) *
                        static_cast<double>(m) * static_cast<double>(n) *
                        static_cast<double>(k);
@@ -61,10 +103,92 @@ void gemm_pair(const char* tag, index_t m, index_t n, index_t k, int reps,
   if (also_reference) {
     report(bench::bench_time(
         std::string("gemm_reference_") + tag + suffix, n, flops, reps, [&] {
-          la::gemm_reference<T>(opa, opb, T{1}, a.cview(), b.cview(), T{},
-                                c.view());
+          gemm_reference<T>(opa, opb, a.cview(), b.cview(), c.view());
         }));
   }
+}
+
+/// One leaf-shape product C -= op(A) B, as the H-matrix solves issue it,
+/// timed three ways: la::gemm (the small-shape driver), the packed engine
+/// and the reference loops. Named leaf_<path>_<tag>_<op>_<m>x<n>x<k>.
+template <typename T>
+void leaf_gemm(const char* tag, la::Op opa, index_t m, index_t n, index_t k,
+               int reps) {
+  const bool nt = opa == la::Op::NoTrans;
+  const auto a = la::Matrix<T>::random(nt ? m : k, nt ? k : m, 1);
+  const auto b = la::Matrix<T>::random(k, n, 2);
+  la::Matrix<T> c(m, n);
+  const double flops = (is_complex_v<T> ? 8.0 : 2.0) * static_cast<double>(m) *
+                       static_cast<double>(n) * static_cast<double>(k);
+  const std::string shape = std::string(tag) + (nt ? "_nn_" : "_hn_") +
+                            std::to_string(m) + "x" + std::to_string(n) +
+                            "x" + std::to_string(k);
+  // Enough calls per repetition to time microsecond kernels.
+  constexpr int kCalls = 2000;
+  const auto timed = [&](const char* path, auto&& call) {
+    report(bench::bench_time(std::string("leaf_") + path + "_" + shape, m,
+                             flops * kCalls, reps, [&] {
+                               for (int i = 0; i < kCalls; ++i) call();
+                             }));
+  };
+  timed("gemm", [&] {
+    la::gemm<T>(opa, la::Op::NoTrans, T{-1}, a.cview(), b.cview(), T{1},
+                c.view());
+  });
+  timed("packed", [&] {
+    la::gemm_blocked<T>(opa, la::Op::NoTrans, T{-1}, a.cview(), b.cview(),
+                        T{1}, c.view());
+  });
+  timed("reference", [&] {
+    gemm_reference<T>(opa, la::Op::NoTrans, a.cview(), b.cview(), c.view());
+  });
+}
+
+/// Leaf-size TRSM (left, lower, unit: the forward solve), GETRF and POTRF
+/// at n = 64, repeated on fresh copies of one well-conditioned matrix.
+template <typename T>
+void leaf_factor_records(const char* tag, int reps) {
+  constexpr index_t n = 64;
+  constexpr int kCalls = 200;
+  auto g = la::Matrix<T>::random(n, n, 5);
+  for (index_t i = 0; i < n; ++i) g(i, i) += T(static_cast<real_t<T>>(n));
+  la::Matrix<T> spd(n, n);
+  la::gemm<T>(la::Op::NoTrans, la::Op::ConjTrans, T{1}, g.cview(), g.cview(),
+              T{}, spd.view());
+  const double cplx = is_complex_v<T> ? 4.0 : 1.0;
+  const double n3 = static_cast<double>(n) * n * n;
+  std::vector<la::Matrix<T>> work(kCalls);
+  const auto run = [&](const std::string& name, double flops,
+                       const la::Matrix<T>& src, auto&& kernel) {
+    std::vector<double> per_call;
+    for (int rep = 0; rep < reps; ++rep) {
+      for (auto& w : work) w = la::Matrix<T>::from_view(src.cview());
+      Timer t;
+      for (auto& w : work) kernel(w);
+      per_call.push_back(t.seconds() / kCalls);
+    }
+    std::sort(per_call.begin(), per_call.end());
+    bench::BenchRecord rec;
+    rec.name = name;
+    rec.size = n;
+    rec.reps = reps;
+    rec.median_s = per_call[per_call.size() / 2];
+    rec.min_s = per_call.front();
+    rec.gflops = cplx * flops / rec.median_s * 1e-9;
+    report(rec);
+  };
+  for (const index_t nrhs : {4, 32}) {
+    const auto rhs = la::Matrix<T>::random(n, nrhs, 6);
+    run(std::string("leaf_trsm_") + tag + "_rhs" + std::to_string(nrhs),
+        static_cast<double>(n) * n * nrhs, rhs, [&](la::Matrix<T>& x) {
+          la::trsm(la::Side::Left, la::Uplo::Lower, la::Op::NoTrans,
+                   la::Diag::Unit, T{1}, g.cview(), x.view());
+        });
+  }
+  run(std::string("leaf_getrf_nopiv_") + tag, 2.0 / 3.0 * n3, g,
+      [](la::Matrix<T>& x) { la::getrf_nopiv(x.view()); });
+  run(std::string("leaf_potrf_") + tag, n3 / 3.0, spd,
+      [](la::Matrix<T>& x) { la::potrf(x.view()); });
 }
 
 /// rk::truncate at the fine-grain H-LU core shapes: a rank-16 256 x 256
@@ -135,7 +259,7 @@ int main(int argc, char** argv) {
             : std::vector<index_t>{64, 128, 256, 512, 1024};
   for (const index_t n : dsizes) gemm_pair<double>("d", n, n, n, reps, true);
 
-  // Complex double (the 1m engine) and float.
+  // Complex double and float.
   const std::vector<index_t> zsizes = smoke ? std::vector<index_t>{512}
                                             : std::vector<index_t>{128, 256, 512};
   for (const index_t n : zsizes) {
@@ -214,6 +338,24 @@ int main(int argc, char** argv) {
       if (r.rank() < 0) std::abort();  // keep the result observable
     }));
   }
+
+  // Leaf shapes of the H-matrix solves (leaf 64, panels of 4, 6 and 32
+  // columns, ranks 4-16) and the leaf factorizations.
+  for (const index_t n : {4, 6, 32}) {
+    leaf_gemm<double>("d", la::Op::NoTrans, 64, n, 64, reps);
+    leaf_gemm<std::complex<double>>("z", la::Op::NoTrans, 64, n, 64, reps);
+  }
+  for (const index_t r : {4, 10, 16})
+    for (const index_t n : {4, 32}) {
+      leaf_gemm<double>("d", la::Op::ConjTrans, r, n, 64, reps);
+      leaf_gemm<std::complex<double>>("z", la::Op::ConjTrans, r, n, 64, reps);
+    }
+  for (const index_t r : {4, 10, 16}) {
+    leaf_gemm<double>("d", la::Op::NoTrans, 64, 32, r, reps);
+    leaf_gemm<std::complex<double>>("z", la::Op::NoTrans, 64, 32, r, reps);
+  }
+  leaf_factor_records<double>("d", reps);
+  leaf_factor_records<std::complex<double>>("z", reps);
 
   truncate_records<double>("d", reps);
   truncate_records<std::complex<double>>("z", reps);

@@ -6,7 +6,7 @@
 // fp64 digits with a few residual/correction sweeps against the fp64
 // operator. Demoting the factors halves the memory traffic on the
 // GEMM-bound hot path and doubles the SIMD width of the blocked kernels
-// (gemm_blocked.hpp's 16x6 float microkernel); a looser factor tolerance
+// (gemm_blocked.hpp's float microkernel); a looser factor tolerance
 // additionally shrinks the Rk ranks the factorization drags around.
 //
 // Environment:

@@ -1,13 +1,10 @@
 // General matrix-matrix product: C = alpha * op(A) * op(B) + beta * C.
 //
-// Two execution paths share the BLAS semantics:
-//  * gemm_reference -- the original axpy/dot-style loops organised for
-//    column-major data with a k-blocking; near-zero per-call overhead, used
-//    for tiny and extremely skinny products.
-//  * gemm_blocked (gemm_blocked.hpp) -- the packed register-tiled engine
-//    used for everything large enough to amortise packing.
-// `gemm` dispatches between them via gemm_prefers_blocked(); the threshold
-// is the constant kGemmMinFlops, measured in bench/kernels_micro.
+// Both drivers of gemm_blocked.hpp run the same register-tiled
+// microkernel: gemm_small reads leaf-sized and narrow operands in place,
+// gemm_blocked packs the shapes where packing amortizes.
+// gemm_prefers_packed() picks between them by shape alone, with the one
+// crossover constant kGemmSmallMax.
 #pragma once
 
 #include <type_traits>
@@ -19,22 +16,6 @@
 
 namespace hcham::la {
 
-namespace detail {
-
-/// Element accessor honouring the op tag. `a` is the untransposed view;
-/// logical element (i, j) of op(A) is returned.
-template <typename T>
-inline T op_at(ConstMatrixView<T> a, Op op, index_t i, index_t j) {
-  switch (op) {
-    case Op::NoTrans: return a(i, j);
-    case Op::Trans: return a(j, i);
-    case Op::ConjTrans: return conj_if(a(j, i));
-  }
-  return T{};
-}
-
-}  // namespace detail
-
 /// Logical dimensions of op(A).
 template <typename T>
 inline index_t op_rows(ConstMatrixView<T> a, Op op) {
@@ -45,77 +26,15 @@ inline index_t op_cols(ConstMatrixView<T> a, Op op) {
   return op == Op::NoTrans ? a.cols() : a.rows();
 }
 
-/// Reference GEMM: the axpy/dot-style loops. Kept both as the dispatch
-/// target for tiny/skinny shapes and as the oracle the blocked engine is
-/// tested against.
-template <typename T>
-void gemm_reference(Op opa, Op opb, T alpha,
-                    std::type_identity_t<ConstMatrixView<T>> a,
-                    std::type_identity_t<ConstMatrixView<T>> b, T beta,
-                    MatrixView<T> c) {
-  const index_t m = c.rows();
-  const index_t n = c.cols();
-  const index_t k = op_cols(a, opa);
-  HCHAM_CHECK(op_rows(a, opa) == m);
-  HCHAM_CHECK(op_rows(b, opb) == k && op_cols(b, opb) == n);
-
-  detail::scale_inplace(c, beta);
-  if (alpha == T{} || m == 0 || n == 0 || k == 0) return;
-
-  if (opa == Op::NoTrans) {
-    // C(:, j) += alpha * sum_l A(:, l) * opB(l, j); block over l for cache.
-    constexpr index_t kb = 128;
-    for (index_t l0 = 0; l0 < k; l0 += kb) {
-      const index_t lend = (l0 + kb < k) ? l0 + kb : k;
-      for (index_t j = 0; j < n; ++j) {
-        T* cj = c.col(j);
-        for (index_t l = l0; l < lend; ++l) {
-          const T blj = alpha * detail::op_at(b, opb, l, j);
-          if (blj == T{}) continue;
-          const T* al = a.col(l);
-          for (index_t i = 0; i < m; ++i) cj[i] += al[i] * blj;
-        }
-      }
-    }
-    return;
-  }
-
-  // opa is Trans or ConjTrans: op(A)(i, :) is column i of A, so the inner
-  // reduction streams contiguously down A.
-  const bool conja = (opa == Op::ConjTrans);
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t i = 0; i < m; ++i) {
-      const T* ai = a.col(i);
-      T acc{};
-      if (opb == Op::NoTrans) {
-        const T* bj = b.col(j);
-        if (conja) {
-          for (index_t l = 0; l < k; ++l) acc += conj_if(ai[l]) * bj[l];
-        } else {
-          for (index_t l = 0; l < k; ++l) acc += ai[l] * bj[l];
-        }
-      } else {
-        for (index_t l = 0; l < k; ++l) {
-          const T av = conja ? conj_if(ai[l]) : ai[l];
-          acc += av * detail::op_at(b, opb, l, j);
-        }
-      }
-      c(i, j) += alpha * acc;
-    }
-  }
-}
-
-/// C = alpha * op(A) * op(B) + beta * C, dispatching between the packed
-/// register-tiled engine and the reference loops by problem shape.
+/// C = alpha * op(A) * op(B) + beta * C on the driver its shape prefers.
 template <typename T>
 void gemm(Op opa, Op opb, T alpha, std::type_identity_t<ConstMatrixView<T>> a,
           std::type_identity_t<ConstMatrixView<T>> b, T beta,
           MatrixView<T> c) {
-  const index_t k = op_cols(a, opa);
-  if (gemm_prefers_blocked<T>(c.rows(), c.cols(), k)) {
+  if (gemm_prefers_packed<T>(c.rows(), c.cols(), op_cols(a, opa))) {
     gemm_blocked<T>(opa, opb, alpha, a, b, beta, c);
   } else {
-    gemm_reference<T>(opa, opb, alpha, a, b, beta, c);
+    gemm_small<T>(opa, opb, alpha, a, b, beta, c);
   }
 }
 

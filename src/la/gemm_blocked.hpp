@@ -1,38 +1,39 @@
-// Packed register-tiled GEMM engine: C += alpha * op(A) * op(B).
+// Register-tiled GEMM engine: C = alpha * op(A) * op(B) + beta * C.
 //
-// Layout follows the classic Goto/BLIS decomposition. The three cache loops
-// (nc -> kc -> mc) keep one kc x nc panel of op(B) in L3, one mc x kc block
-// of op(A) in L2, and one kc x nr sliver of the B panel in L1 while an
-// mr x nr register tile of C is updated by a fully-unrolled microkernel.
-// Both operands are repacked into contiguous, zero-padded panels:
+// One microkernel computes an mr x nr' tile of C (nr' <= nr, one
+// instantiation per width; a half-height mr/2 variant serves slivers no
+// taller than that) from an mr-row sliver of op(A) -- column l at
+// a + l*lda -- and nr' broadcasts per l from op(B), element (l, j) at
+// b[l*rsb + j*csb]. It writes C(i, j) = beta*C(i, j) + alpha*acc(i, j) for
+// the live rows only, at c[i*rsc + j*csc], so neither a narrow edge nor a
+// transposed C costs a scratch tile. Complex scalars run through the same
+// loop on interleaved (re, im) lanes: each column of B feeds two broadcasts
+// (Re b, Im b) into two accumulator sets that are recombined at the store;
+// a conjugated B only flips the signs of that recombination. The loop is
+// written with GCC/Clang vector types, two vector registers of rows per
+// column, so every accumulator stays in a register; mr/nr follow the
+// vector width of the instruction set (below).
 //
-//   Apack: ceil(mc/mr) panels, element (i, l) of panel p at [l*mr + i]
-//          (alpha and op(A) -- transpose/conjugation -- folded in),
-//   Bpack: ceil(nc/nr) panels, element (l, j) of panel q at [l*nr + j],
-//
-// so the microkernel only ever streams two dense buffers. The kernel is
-// plain C++20 written so the compiler's auto-vectorizer turns the unrolled
-// mr-loop into FMA vector code (mr/nr are chosen per instruction set below);
-// an explicit AVX2+FMA double-precision kernel is provided when the build
-// enables native-arch codegen (HCHAM_ENABLE_NATIVE_ARCH) on machines
-// without AVX-512, where auto-vectorization of the 8x6 tile is least
-// reliable.
-//
-// Blocking parameters and the dispatch threshold are the kGemm* constants
-// below; `gemm` in gemm.hpp routes large/regular shapes here and
-// keeps the axpy-style reference loops for tiny or extremely skinny cases.
+// Two drivers feed the kernel, chosen by shape alone (gemm_prefers_packed):
+//  * gemm_blocked -- the Goto/BLIS packed driver. Three cache loops
+//    (nc -> kc -> mc) keep a kc x nc panel of op(B) in L3 and an mc x kc
+//    block of op(A) in L2, both repacked into contiguous zero-padded panels
+//    (A: element (i, l) of sliver p at [p*kc + l*mr + i]; B: element (l, j)
+//    of panel q at [q*kc + l*nr + j]). Used where packing amortizes.
+//  * gemm_small -- the small-shape driver (BLIS "sup" style). A NoTrans A
+//    is read in place as mr-row slivers at stride lda and B is always read
+//    in place; only a Trans/ConjTrans A (or an edge sliver shorter than its
+//    tile) is packed, one k x mr sliver at a time, on the stack or, past
+//    k = kGemmSmallMax, into the workspace arena. When m < mr and n > m it
+//    computes C^T = op(B)^T op(A)^T instead, so rank-thin products fill
+//    whole register tiles.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
-#include <cstdint>
-#include <new>
 #include <type_traits>
-#include <vector>
-
-#if defined(HCHAM_ENABLE_NATIVE_ARCH) && defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#endif
+#include <utility>
 
 #include "common/config.hpp"
 #include "common/scalar.hpp"
@@ -40,28 +41,27 @@
 #include "la/view.hpp"
 #include "la/workspace.hpp"
 
+/// Hot kernel entry points start on a cache line, so their throughput does
+/// not ride on where the linker happens to place them.
+#define HCHAM_KERNEL_ENTRY __attribute__((noinline, aligned(64)))
+
 namespace hcham::la {
 
 // ---------------------------------------------------------------------------
-// Tuning: cache blocking, dispatch threshold and panel widths.
+// Tuning: cache blocking, driver crossover and the QR panel width.
 // ---------------------------------------------------------------------------
 
-/// Cache blocking for a ~48 KiB L1 / 2 MiB L2 core: an mc x kc block of
-/// op(A) stays in L2, a kc x nc panel of op(B) in L3.
+/// Cache blocking of the packed driver for a ~48 KiB L1 / 2 MiB L2 core: an
+/// mc x kc block of op(A) stays in L2, a kc x nc panel of op(B) in L3.
 inline constexpr index_t kGemmMc = 128;
 inline constexpr index_t kGemmKc = 384;
 inline constexpr index_t kGemmNc = 4096;
-/// Smallest 2*m*n*k (8*m*n*k complex) sent to the blocked path; smaller
-/// products keep the reference loops.
-inline constexpr index_t kGemmMinFlops = index_t{1} << 18;
-/// Panel width of the blocked TRSM/GETRF/POTRF.
-inline constexpr index_t kBlasNb = 64;
+/// Crossover between the drivers: products with m, n and k all at most
+/// this size take the small-shape driver, as do products narrower than a
+/// register tile in m or n (which packing would pad).
+inline constexpr index_t kGemmSmallMax = 128;
 /// Panel width of the blocked Householder QR.
 inline constexpr index_t kQrNb = 32;
-
-// ---------------------------------------------------------------------------
-// Microkernel shape: mr x nr register tile, chosen per instruction set.
-// ---------------------------------------------------------------------------
 
 namespace detail {
 #if defined(__AVX512F__)
@@ -73,12 +73,11 @@ inline constexpr int kVecBytes = 16;
 #endif
 }  // namespace detail
 
-/// Register-tile shape of the microkernel for scalar type T, in units of T
-/// elements. The real kernel uses two vector registers of rows (mr_real) by
-/// enough columns to hide the FMA latency without spilling accumulators.
-/// Complex products run through the same real kernel via the 1m expansion
-/// (each complex entry of A packed as a 2x2 real block [re -im; im re],
-/// each entry of B as [re; im]), so one complex row covers two real rows.
+/// Register-tile shape for scalar type T, in units of T. The tile holds two
+/// vector registers of real lanes per column (mr_real) by enough columns
+/// (nr_real broadcasts per l) to hide the FMA latency without spilling the
+/// accumulators. A complex column takes two broadcasts and a complex row
+/// two lanes, so complex tiles are half as tall and half as wide.
 template <typename T>
 struct GemmMicroShape {
   using real_type = real_t<T>;
@@ -87,242 +86,17 @@ struct GemmMicroShape {
                                static_cast<index_t>(sizeof(real_type)));
   static constexpr index_t nr_real = detail::kVecBytes >= 64 ? 8 : 6;
   static constexpr index_t mr = is_complex_v<T> ? mr_real / 2 : mr_real;
-  static constexpr index_t nr = nr_real;
+  static constexpr index_t nr = is_complex_v<T> ? nr_real / 2 : nr_real;
 };
 
-// ---------------------------------------------------------------------------
-// Packing buffers come from the per-thread workspace arena (workspace.hpp):
-// 64-byte aligned, retained across calls by the arena's chunk reuse, with a
-// plain-allocation fallback on threads that hold no arena lease.
-// ---------------------------------------------------------------------------
+/// Whether an m x n x k product takes the packed driver (else gemm_small).
+template <typename T>
+constexpr bool gemm_prefers_packed(index_t m, index_t n, index_t k) {
+  if (m < GemmMicroShape<T>::mr || n < GemmMicroShape<T>::nr) return false;
+  return std::max({m, n, k}) > kGemmSmallMax;
+}
 
 namespace detail {
-
-/// Element (i, l) of op(A) where `a` is the untransposed view.
-template <typename T>
-inline T op_a_at(ConstMatrixView<T> a, Op op, index_t i, index_t l) {
-  switch (op) {
-    case Op::NoTrans: return a(i, l);
-    case Op::Trans: return a(l, i);
-    case Op::ConjTrans: return conj_if(a(l, i));
-  }
-  return T{};
-}
-
-/// Pack the mc x kc block op(A)(i0:i0+mcb, l0:l0+kcb), scaled by alpha, into
-/// mr-row panels: dst[p*mr*kcb + l*mr + i], zero-padded to a full mr.
-template <typename T>
-void pack_a(ConstMatrixView<T> a, Op opa, T alpha, index_t i0, index_t l0,
-            index_t mcb, index_t kcb, T* HCHAM_RESTRICT dst) {
-  constexpr index_t mr = GemmMicroShape<T>::mr;
-  for (index_t p = 0; p < mcb; p += mr) {
-    const index_t mrb = std::min(mr, mcb - p);
-    T* HCHAM_RESTRICT panel = dst + p * kcb;
-    if (opa == Op::NoTrans) {
-      for (index_t l = 0; l < kcb; ++l) {
-        const T* HCHAM_RESTRICT col = a.col(l0 + l) + i0 + p;
-        T* HCHAM_RESTRICT out = panel + l * mr;
-        for (index_t i = 0; i < mrb; ++i) out[i] = alpha * col[i];
-        for (index_t i = mrb; i < mr; ++i) out[i] = T{};
-      }
-    } else {
-      const bool conja = (opa == Op::ConjTrans);
-      for (index_t l = 0; l < kcb; ++l) {
-        T* HCHAM_RESTRICT out = panel + l * mr;
-        for (index_t i = 0; i < mrb; ++i) {
-          const T v = a(l0 + l, i0 + p + i);
-          out[i] = alpha * (conja ? conj_if(v) : v);
-        }
-        for (index_t i = mrb; i < mr; ++i) out[i] = T{};
-      }
-    }
-  }
-}
-
-/// Pack the kc x nc panel op(B)(l0:l0+kcb, j0:j0+ncb) into nr-column panels:
-/// dst[q*nr*kcb + l*nr + j], zero-padded to a full nr.
-template <typename T>
-void pack_b(ConstMatrixView<T> b, Op opb, index_t l0, index_t j0, index_t kcb,
-            index_t ncb, T* HCHAM_RESTRICT dst) {
-  constexpr index_t nr = GemmMicroShape<T>::nr;
-  for (index_t q = 0; q < ncb; q += nr) {
-    const index_t nrb = std::min(nr, ncb - q);
-    T* HCHAM_RESTRICT panel = dst + q * kcb;
-    if (opb == Op::NoTrans) {
-      for (index_t l = 0; l < kcb; ++l) {
-        T* HCHAM_RESTRICT out = panel + l * nr;
-        for (index_t j = 0; j < nrb; ++j) out[j] = b(l0 + l, j0 + q + j);
-        for (index_t j = nrb; j < nr; ++j) out[j] = T{};
-      }
-    } else {
-      const bool conjb = (opb == Op::ConjTrans);
-      for (index_t l = 0; l < kcb; ++l) {
-        const T* HCHAM_RESTRICT col = b.col(l0 + l);
-        T* HCHAM_RESTRICT out = panel + l * nr;
-        for (index_t j = 0; j < nrb; ++j) {
-          const T v = col[j0 + q + j];
-          out[j] = conjb ? conj_if(v) : v;
-        }
-        for (index_t j = nrb; j < nr; ++j) out[j] = T{};
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Microkernel: C(mr x nr) += Apanel * Bpanel over kc, accumulated in
-// registers. The generic version relies on full unrolling of the constexpr
-// tile loops; GCC/Clang vectorize the mr-loop with FMA at -O3.
-// ---------------------------------------------------------------------------
-
-template <typename T, int MR, int NR>
-inline void microkernel(index_t kc, const T* HCHAM_RESTRICT ap,
-                        const T* HCHAM_RESTRICT bp, T* HCHAM_RESTRICT c,
-                        index_t ldc) {
-  T acc[NR][MR];
-  for (int j = 0; j < NR; ++j)
-    for (int i = 0; i < MR; ++i) acc[j][i] = T{};
-  for (index_t l = 0; l < kc; ++l) {
-#pragma GCC unroll 8
-    for (int j = 0; j < NR; ++j) {
-      const T blj = bp[j];
-#pragma GCC unroll 32
-      for (int i = 0; i < MR; ++i) acc[j][i] += ap[i] * blj;
-    }
-    ap += MR;
-    bp += NR;
-  }
-  for (int j = 0; j < NR; ++j) {
-    T* HCHAM_RESTRICT cj = c + j * ldc;
-    for (int i = 0; i < MR; ++i) cj[i] += acc[j][i];
-  }
-}
-
-#if defined(HCHAM_ENABLE_NATIVE_ARCH) && defined(__AVX2__) && \
-    defined(__FMA__) && !defined(__AVX512F__)
-/// Hand-vectorized 8x6 double kernel for AVX2+FMA machines (without
-/// AVX-512 the auto-vectorizer tends to spill the 12-accumulator tile).
-template <>
-inline void microkernel<double, 8, 6>(index_t kc,
-                                      const double* HCHAM_RESTRICT ap,
-                                      const double* HCHAM_RESTRICT bp,
-                                      double* HCHAM_RESTRICT c, index_t ldc) {
-  __m256d acc[6][2];
-  for (int j = 0; j < 6; ++j) {
-    acc[j][0] = _mm256_setzero_pd();
-    acc[j][1] = _mm256_setzero_pd();
-  }
-  for (index_t l = 0; l < kc; ++l) {
-    const __m256d a0 = _mm256_loadu_pd(ap);
-    const __m256d a1 = _mm256_loadu_pd(ap + 4);
-#pragma GCC unroll 6
-    for (int j = 0; j < 6; ++j) {
-      const __m256d b = _mm256_broadcast_sd(bp + j);
-      acc[j][0] = _mm256_fmadd_pd(a0, b, acc[j][0]);
-      acc[j][1] = _mm256_fmadd_pd(a1, b, acc[j][1]);
-    }
-    ap += 8;
-    bp += 6;
-  }
-  for (int j = 0; j < 6; ++j) {
-    double* cj = c + j * ldc;
-    _mm256_storeu_pd(cj, _mm256_add_pd(_mm256_loadu_pd(cj), acc[j][0]));
-    _mm256_storeu_pd(cj + 4, _mm256_add_pd(_mm256_loadu_pd(cj + 4), acc[j][1]));
-  }
-}
-
-/// Matching 16x6 single-precision kernel (two 8-float vectors of rows);
-/// also carries the complex<float> 1m expansion, which runs through the
-/// real float microkernel. This is what makes fp32 factors (the
-/// mixed-precision path) run at twice the fp64 SIMD width.
-template <>
-inline void microkernel<float, 16, 6>(index_t kc,
-                                      const float* HCHAM_RESTRICT ap,
-                                      const float* HCHAM_RESTRICT bp,
-                                      float* HCHAM_RESTRICT c, index_t ldc) {
-  __m256 acc[6][2];
-  for (int j = 0; j < 6; ++j) {
-    acc[j][0] = _mm256_setzero_ps();
-    acc[j][1] = _mm256_setzero_ps();
-  }
-  for (index_t l = 0; l < kc; ++l) {
-    const __m256 a0 = _mm256_loadu_ps(ap);
-    const __m256 a1 = _mm256_loadu_ps(ap + 8);
-#pragma GCC unroll 6
-    for (int j = 0; j < 6; ++j) {
-      const __m256 b = _mm256_broadcast_ss(bp + j);
-      acc[j][0] = _mm256_fmadd_ps(a0, b, acc[j][0]);
-      acc[j][1] = _mm256_fmadd_ps(a1, b, acc[j][1]);
-    }
-    ap += 16;
-    bp += 6;
-  }
-  for (int j = 0; j < 6; ++j) {
-    float* cj = c + j * ldc;
-    _mm256_storeu_ps(cj, _mm256_add_ps(_mm256_loadu_ps(cj), acc[j][0]));
-    _mm256_storeu_ps(cj + 8, _mm256_add_ps(_mm256_loadu_ps(cj + 8), acc[j][1]));
-  }
-}
-#endif
-
-/// 1m packing of A for complex scalars: the mc x kc complex block of
-/// alpha * op(A) becomes a (2*mc) x (2*kc) real block where each entry v
-/// expands to [[Re v, -Im v], [Im v, Re v]], packed into mr_real-row panels.
-template <typename T>
-void pack_a_1m(ConstMatrixView<T> a, Op opa, T alpha, index_t i0, index_t l0,
-               index_t mcb, index_t kcb,
-               typename GemmMicroShape<T>::real_type* HCHAM_RESTRICT dst) {
-  constexpr index_t mr = GemmMicroShape<T>::mr_real;
-  const index_t mcb_r = 2 * mcb;
-  const index_t kcb_r = 2 * kcb;
-  for (index_t p = 0; p < mcb_r; p += mr) {
-    const index_t mrb = std::min(mr, mcb_r - p);  // even: p and mcb_r are
-    auto* HCHAM_RESTRICT panel = dst + p * kcb_r;
-    for (index_t l = 0; l < kcb; ++l) {
-      auto* HCHAM_RESTRICT out0 = panel + (2 * l) * mr;
-      auto* HCHAM_RESTRICT out1 = panel + (2 * l + 1) * mr;
-      for (index_t i = 0; i < mrb; i += 2) {
-        const T v = alpha * op_a_at(a, opa, i0 + (p + i) / 2, l0 + l);
-        out0[i] = v.real();
-        out0[i + 1] = v.imag();
-        out1[i] = -v.imag();
-        out1[i + 1] = v.real();
-      }
-      for (index_t i = mrb; i < mr; ++i) {
-        out0[i] = {};
-        out1[i] = {};
-      }
-    }
-  }
-}
-
-/// 1m packing of B for complex scalars: the kc x nc complex panel of op(B)
-/// becomes a (2*kc) x nc real panel with each entry w expanded to
-/// [Re w; Im w], packed into nr-column panels.
-template <typename T>
-void pack_b_1m(ConstMatrixView<T> b, Op opb, index_t l0, index_t j0,
-               index_t kcb, index_t ncb,
-               typename GemmMicroShape<T>::real_type* HCHAM_RESTRICT dst) {
-  constexpr index_t nr = GemmMicroShape<T>::nr_real;
-  const index_t kcb_r = 2 * kcb;
-  for (index_t q = 0; q < ncb; q += nr) {
-    const index_t nrb = std::min(nr, ncb - q);
-    auto* HCHAM_RESTRICT panel = dst + q * kcb_r;
-    for (index_t l = 0; l < kcb; ++l) {
-      auto* HCHAM_RESTRICT out0 = panel + (2 * l) * nr;
-      auto* HCHAM_RESTRICT out1 = panel + (2 * l + 1) * nr;
-      for (index_t j = 0; j < nrb; ++j) {
-        const T w = op_a_at(b, opb, l0 + l, j0 + q + j);
-        out0[j] = w.real();
-        out1[j] = w.imag();
-      }
-      for (index_t j = nrb; j < nr; ++j) {
-        out0[j] = {};
-        out1[j] = {};
-      }
-    }
-  }
-}
 
 /// C *= beta, with the beta == 0 case overwriting (so NaNs in C are
 /// ignored, as BLAS specifies) and beta == 1 a no-op.
@@ -337,165 +111,285 @@ void scale_inplace(MatrixView<T> c, T beta) {
     for (index_t i = 0; i < c.rows(); ++i) c(i, j) *= beta;
 }
 
-}  // namespace detail
-
-/// Decide whether a product of logical size m x n x k should take the
-/// blocked path. Tiny or extremely skinny products stay on the reference
-/// loops, whose per-call overhead is near zero.
+/// A strided operand: element (i, j) is conj?(p[i*rs + j*cs]).
 template <typename T>
-inline bool gemm_prefers_blocked(index_t m, index_t n, index_t k) {
-  constexpr index_t mr = GemmMicroShape<T>::mr;
-  constexpr index_t nr = GemmMicroShape<T>::nr;
-  if (m < mr || n < nr || k < 8) return false;
-  const double flops = (is_complex_v<T> ? 8.0 : 2.0) * static_cast<double>(m) *
-                       static_cast<double>(n) * static_cast<double>(k);
-  return flops >= static_cast<double>(kGemmMinFlops);
+struct Strided {
+  const T* p;
+  index_t rs, cs;
+  bool conj;
+
+  static Strided of(ConstMatrixView<T> v, Op op) {
+    if (op == Op::NoTrans) return {v.data(), 1, v.ld(), false};
+    return {v.data(), v.ld(), 1, is_complex_v<T> && op == Op::ConjTrans};
+  }
+  Strided transposed() const { return {p, cs, rs, conj}; }
+  T at(index_t i, index_t j) const {
+    const T v = p[i * rs + j * cs];
+    return conj ? conj_if(v) : v;
+  }
+};
+
+/// Everything one microkernel call reads: see the file comment.
+template <typename T>
+struct MicroTile {
+  index_t k;
+  const T* a;
+  index_t lda;
+  const T* b;
+  index_t rsb, csb;
+  bool conjb;
+  T* c;
+  index_t rsc, csc;
+  index_t m_live;
+  T alpha, beta;
+};
+
+/// The kernel on a tile MV vector registers tall (MV = 2: mr rows; MV = 1:
+/// mr / 2, for slivers no taller than that) and NR columns wide.
+template <typename T, int NR, int MV>
+HCHAM_KERNEL_ENTRY void microkernel(const MicroTile<T>& t) {
+  using R = real_t<T>;
+  typedef R V __attribute__((vector_size(kVecBytes)));
+  constexpr int W = is_complex_v<T> ? 2 : 1;  // real lanes per T
+  constexpr int VL = kVecBytes / static_cast<int>(sizeof(R));
+  constexpr int NB = NR * W;  // broadcasts per l
+  const R* HCHAM_RESTRICT a = reinterpret_cast<const R*>(t.a);
+  const R* HCHAM_RESTRICT b = reinterpret_cast<const R*>(t.b);
+  const index_t lda = W * t.lda, rsb = W * t.rsb, csb = W * t.csb;
+  V acc[NB][MV];
+  for (int jw = 0; jw < NB; ++jw)
+    for (int v = 0; v < MV; ++v) acc[jw][v] = V{};
+  for (index_t l = 0; l < t.k; ++l) {
+    V av[MV];
+    for (int v = 0; v < MV; ++v)
+      __builtin_memcpy(&av[v], a + v * VL, sizeof(V));
+#pragma GCC unroll 16
+    for (int jw = 0; jw < NB; ++jw) {
+      const R bv = b[(jw / W) * csb + jw % W];
+      for (int v = 0; v < MV; ++v) acc[jw][v] += av[v] * bv;
+    }
+    a += lda;
+    b += rsb;
+  }
+  // acc[W*j] holds lane w of A(i) times Re(b) at lane W*i + w, and
+  // acc[W*j + 1] the same with Im(b); C(i, j) recombines them (conj(b)
+  // flips Im(b)).
+  constexpr int MRT = MV * VL / W;
+  R lanes[NB][MV * VL];
+  __builtin_memcpy(lanes, acc, sizeof(lanes));
+  T tile[NR][MRT];
+  const R sb = t.conjb ? R{-1} : R{1};
+  for (int j = 0; j < NR; ++j)
+    for (int i = 0; i < MRT; ++i) {
+      if constexpr (W == 2) {
+        const R* re = lanes[2 * j];
+        const R* im = lanes[2 * j + 1];
+        tile[j][i] = T(re[2 * i] - sb * im[2 * i + 1],
+                       re[2 * i + 1] + sb * im[2 * i]);
+      } else {
+        tile[j][i] = lanes[j][i];
+      }
+    }
+  const auto store = [&](auto rsc) {
+    for (int j = 0; j < NR; ++j) {
+      T* HCHAM_RESTRICT cj = t.c + j * t.csc;
+      for (index_t i = 0; i < t.m_live; ++i) {
+        T& cij = cj[i * rsc];
+        cij = t.beta == T{} ? t.alpha * tile[j][i]
+                            : t.beta * cij + t.alpha * tile[j][i];
+      }
+    }
+  };
+  if (t.rsc == 1) {
+    store(std::integral_constant<index_t, 1>{});
+  } else {
+    store(t.rsc);
+  }
 }
 
-namespace detail {
+template <typename T, int MV, std::size_t... J>
+constexpr auto microkernel_table(std::index_sequence<J...>) {
+  return std::array<void (*)(const MicroTile<T>&), sizeof...(J)>{
+      &microkernel<T, static_cast<int>(J) + 1, MV>...};
+}
 
-/// Real-scalar driver: the three cache loops around pack_a/pack_b and the
-/// register-tile microkernel. alpha is folded into the packed A panels;
-/// beta has already been applied to C by the caller.
+/// Run the microkernel on a tile n_live <= nr columns wide whose A sliver
+/// is `height` (mr or mr / 2) rows tall.
 template <typename T>
-void gemm_blocked_real(Op opa, Op opb, T alpha, ConstMatrixView<T> a,
-                       ConstMatrixView<T> b, MatrixView<T> c) {
+inline void run_tile(const MicroTile<T>& t, index_t n_live, index_t height) {
+  using Cols = std::make_index_sequence<static_cast<std::size_t>(
+      GemmMicroShape<T>::nr)>;
+  static constexpr auto kFull = microkernel_table<T, 2>(Cols{});
+  static constexpr auto kHalf = microkernel_table<T, 1>(Cols{});
+  const auto j = static_cast<std::size_t>(n_live - 1);
+  (height == GemmMicroShape<T>::mr ? kFull[j] : kHalf[j])(t);
+}
+
+/// Copy rows i0 .. i0+rows of op(A)(:, l0 .. l0+kb) into a sliver of
+/// H >= rows rows at dst[l*H + i], zero-padded below the live rows. H is a
+/// constant so the copies vectorize whatever `rows` is.
+template <index_t H, typename T>
+void pack_sliver(const Strided<T>& a, index_t i0, index_t rows, index_t l0,
+                 index_t kb, T* HCHAM_RESTRICT dst) {
+  if (a.rs == 1 && !a.conj) {  // columns of the sliver are contiguous
+    for (index_t l = 0; l < kb; ++l) {
+      const T* HCHAM_RESTRICT col = a.p + i0 + (l0 + l) * a.cs;
+      T* HCHAM_RESTRICT out = dst + l * H;
+      for (index_t i = 0; i < H; ++i) out[i] = i < rows ? col[i] : T{};
+    }
+    return;
+  }
+  for (index_t i = 0; i < rows; ++i)  // rows of the sliver are contiguous
+    for (index_t l = 0; l < kb; ++l) dst[l * H + i] = a.at(i0 + i, l0 + l);
+  if (rows < H)
+    for (index_t l = 0; l < kb; ++l)
+      for (index_t i = 0; i < H; ++i)
+        if (i >= rows) dst[l * H + i] = T{};
+}
+
+/// Copy op(B)(l0 .. l0+kb, j0 .. j0+cols) into nr-column panels at
+/// dst[q*kb + l*nr + j], zero-padded to a full nr.
+template <typename T>
+void pack_b(const Strided<T>& b, index_t l0, index_t kb, index_t j0,
+            index_t cols, T* HCHAM_RESTRICT dst) {
+  constexpr index_t nr = GemmMicroShape<T>::nr;
+  for (index_t q = 0; q < cols; q += nr) {
+    const index_t nb = std::min(nr, cols - q);
+    T* HCHAM_RESTRICT panel = dst + q * kb;
+    for (index_t l = 0; l < kb; ++l) {
+      T* HCHAM_RESTRICT out = panel + l * nr;
+      for (index_t j = 0; j < nb; ++j) out[j] = b.at(l0 + l, j0 + q + j);
+      for (index_t j = nb; j < nr; ++j) out[j] = T{};
+    }
+  }
+}
+
+/// Checks the shapes and handles the cases no kernel runs for. Returns
+/// false when C is already final.
+template <typename T>
+bool gemm_prologue(Op opa, Op opb, T alpha, ConstMatrixView<T> a,
+                   ConstMatrixView<T> b, T beta, MatrixView<T> c) {
+  const index_t k = (opa == Op::NoTrans) ? a.cols() : a.rows();
+  HCHAM_CHECK(((opa == Op::NoTrans) ? a.rows() : a.cols()) == c.rows());
+  HCHAM_CHECK(((opb == Op::NoTrans) ? b.rows() : b.cols()) == k);
+  HCHAM_CHECK(((opb == Op::NoTrans) ? b.cols() : b.rows()) == c.cols());
+  if (c.rows() == 0 || c.cols() == 0) return false;
+  if (alpha == T{} || k == 0) {
+    scale_inplace(c, beta);
+    return false;
+  }
+  return true;
+}
+
+}  // namespace detail
+
+/// Small-shape GEMM: C = alpha * op(A) * op(B) + beta * C without packing
+/// B, and A packed only when it is not a plain NoTrans view (see the file
+/// comment). Correct for every shape; `gemm` sends it the products
+/// gemm_prefers_packed() rejects.
+template <typename T>
+HCHAM_KERNEL_ENTRY void gemm_small(Op opa, Op opb, T alpha,
+                                   std::type_identity_t<ConstMatrixView<T>> a,
+                                   std::type_identity_t<ConstMatrixView<T>> b,
+                                   T beta, MatrixView<T> c) {
+  if (!detail::gemm_prologue(opa, opb, alpha, a, b, beta, c)) return;
   constexpr index_t mr = GemmMicroShape<T>::mr;
   constexpr index_t nr = GemmMicroShape<T>::nr;
-  const index_t m = c.rows();
-  const index_t n = c.cols();
+  auto sa = detail::Strided<T>::of(a, opa);
+  auto sb = detail::Strided<T>::of(b, opb);
+  index_t m = c.rows(), n = c.cols(), rsc = 1, csc = c.ld();
+  const index_t k = (opa == Op::NoTrans) ? a.cols() : a.rows();
+  if (m < mr && n > m) {  // C^T = op(B)^T op(A)^T fills whole tiles
+    std::swap(sa, sb);
+    sa = sa.transposed();
+    sb = sb.transposed();
+    std::swap(m, n);
+    std::swap(rsc, csc);
+  }
+  const bool in_place = sa.rs == 1 && !sa.conj;
+  // A sliver up to kGemmSmallMax deep lives on the stack (16 KiB): the
+  // solves call this from threads that hold no arena, where the arena
+  // falls back to a heap allocation per call.
+  alignas(64) unsigned char local[mr * kGemmSmallMax * sizeof(T)];
+  WorkspaceScope ws;
+  T* sliver = nullptr;
+  for (index_t i0 = 0; i0 < m; i0 += mr) {
+    const index_t m_live = std::min(mr, m - i0);
+    // A short edge (or a rank-thin m) runs on half-height tiles.
+    const index_t height = m_live > mr / 2 ? mr : mr / 2;
+    detail::MicroTile<T> t{k, sa.p + i0, sa.cs, nullptr, sb.rs, sb.cs,
+                           sb.conj, nullptr, rsc, csc, m_live, alpha, beta};
+    if (!in_place || m_live < height) {
+      if (sliver == nullptr)
+        sliver = k <= kGemmSmallMax ? reinterpret_cast<T*>(local)
+                                    : ws.alloc<T>(mr * k);
+      if (height == mr) {
+        detail::pack_sliver<mr>(sa, i0, m_live, 0, k, sliver);
+      } else {
+        detail::pack_sliver<mr / 2>(sa, i0, m_live, 0, k, sliver);
+      }
+      t.a = sliver;
+      t.lda = height;
+    }
+    for (index_t j0 = 0; j0 < n; j0 += nr) {
+      t.b = sb.p + j0 * sb.cs;
+      t.c = c.data() + i0 * rsc + j0 * csc;
+      detail::run_tile(t, std::min(nr, n - j0), height);
+    }
+  }
+}
+
+/// Packed GEMM: C = alpha * op(A) * op(B) + beta * C through the Goto/BLIS
+/// cache loops. Correct for every shape; `gemm` sends it the products
+/// gemm_prefers_packed() accepts.
+template <typename T>
+HCHAM_KERNEL_ENTRY void gemm_blocked(
+    Op opa, Op opb, T alpha, std::type_identity_t<ConstMatrixView<T>> a,
+    std::type_identity_t<ConstMatrixView<T>> b, T beta, MatrixView<T> c) {
+  if (!detail::gemm_prologue(opa, opb, alpha, a, b, beta, c)) return;
+  constexpr index_t mr = GemmMicroShape<T>::mr;
+  constexpr index_t nr = GemmMicroShape<T>::nr;
+  // Real-lane block sizes; complex blocks hold half as many elements.
+  constexpr index_t w = is_complex_v<T> ? 2 : 1;
+  constexpr index_t mc = std::max(mr, kGemmMc / w - kGemmMc / w % mr);
+  constexpr index_t kc = kGemmKc / w;
+  constexpr index_t nc = std::max(nr, kGemmNc - kGemmNc % nr);
+  const auto sa = detail::Strided<T>::of(a, opa);
+  const auto sb = detail::Strided<T>::of(b, opb);
+  const index_t m = c.rows(), n = c.cols();
   const index_t k = (opa == Op::NoTrans) ? a.cols() : a.rows();
 
-  // Round the A-block height to whole register tiles.
-  constexpr index_t mc = std::max(mr, kGemmMc - kGemmMc % mr);
-  constexpr index_t kc = kGemmKc;
-  constexpr index_t nc = std::max(nr, kGemmNc - kGemmNc % nr);
-
   WorkspaceScope ws;
-  T* const pack_a_buf =
-      ws.alloc<T>(ceil_div(std::min(mc, m), mr) * mr * std::min(kc, k));
-  T* const pack_b_buf =
-      ws.alloc<T>(ceil_div(std::min(nc, n), nr) * nr * std::min(kc, k));
-
+  T* const pack_a = ws.alloc<T>(ceil_div(std::min(mc, m), mr) * mr *
+                                std::min(kc, k));
+  T* const pack_b = ws.alloc<T>(ceil_div(std::min(nc, n), nr) * nr *
+                                std::min(kc, k));
   for (index_t jc = 0; jc < n; jc += nc) {
     const index_t ncb = std::min(nc, n - jc);
     for (index_t pc = 0; pc < k; pc += kc) {
       const index_t kcb = std::min(kc, k - pc);
-      pack_b(b, opb, pc, jc, kcb, ncb, pack_b_buf);
+      detail::pack_b(sb, pc, kcb, jc, ncb, pack_b);
+      // Later k blocks accumulate onto the first one's result.
+      const T beta_pc = pc == 0 ? beta : T{1};
       for (index_t ic = 0; ic < m; ic += mc) {
         const index_t mcb = std::min(mc, m - ic);
-        pack_a(a, opa, alpha, ic, pc, mcb, kcb, pack_a_buf);
+        for (index_t p = 0; p < mcb; p += mr)
+          detail::pack_sliver<mr>(sa, ic + p, std::min(mr, mcb - p), pc, kcb,
+                                  pack_a + p * kcb);
         for (index_t q = 0; q < ncb; q += nr) {
-          const index_t nrb = std::min(nr, ncb - q);
-          const T* bpanel = pack_b_buf + q * kcb;
           for (index_t p = 0; p < mcb; p += mr) {
-            const index_t mrb = std::min(mr, mcb - p);
-            const T* apanel = pack_a_buf + p * kcb;
-            if (mrb == mr && nrb == nr) {
-              microkernel<T, mr, nr>(kcb, apanel, bpanel, &c(ic + p, jc + q),
-                                     c.ld());
-            } else {
-              // Edge tile: accumulate into a full mr x nr scratch, then add
-              // the live part into C.
-              T tmp[mr * nr] = {};
-              microkernel<T, mr, nr>(kcb, apanel, bpanel, tmp, mr);
-              for (index_t j = 0; j < nrb; ++j)
-                for (index_t i = 0; i < mrb; ++i)
-                  c(ic + p + i, jc + q + j) += tmp[i + j * mr];
-            }
+            const detail::MicroTile<T> t{
+                kcb,     pack_a + p * kcb,
+                mr,      pack_b + q * kcb,
+                nr,      1,
+                false,   &c(ic + p, jc + q),
+                1,       c.ld(),
+                std::min(mr, mcb - p), alpha, beta_pc};
+            detail::run_tile(t, std::min(nr, ncb - q), mr);
           }
         }
       }
     }
-  }
-}
-
-/// Complex driver (the 1m method): the complex product is expressed as a
-/// real product of twice the height and depth via the 2x2 expansion done in
-/// pack_a_1m/pack_b_1m, so it reuses the real microkernel at real-GEMM
-/// rates. C is addressed through its interleaved real view (ld doubles).
-template <typename T>
-void gemm_blocked_complex(Op opa, Op opb, T alpha, ConstMatrixView<T> a,
-                          ConstMatrixView<T> b, MatrixView<T> c) {
-  using R = typename GemmMicroShape<T>::real_type;
-  constexpr index_t mr = GemmMicroShape<T>::mr_real;
-  constexpr index_t nr = GemmMicroShape<T>::nr_real;
-  const index_t m = c.rows();
-  const index_t n = c.cols();
-  const index_t k = (opa == Op::NoTrans) ? a.cols() : a.rows();
-
-  // Block sizes in real elements; complex steps are half (mr is even, so a
-  // whole number of complex rows fits every register tile).
-  constexpr index_t mc_c = std::max(mr, kGemmMc - kGemmMc % mr) / 2;
-  constexpr index_t kc_c = kGemmKc / 2;
-  constexpr index_t nc = std::max(nr, kGemmNc - kGemmNc % nr);
-
-  R* const cr = reinterpret_cast<R*>(c.data());
-  const index_t ldc_r = 2 * c.ld();
-
-  WorkspaceScope ws;
-  R* const pack_a_buf = ws.alloc<R>(ceil_div(std::min(2 * mc_c, 2 * m), mr) *
-                                    mr * 2 * std::min(kc_c, k));
-  R* const pack_b_buf = ws.alloc<R>(ceil_div(std::min(nc, n), nr) * nr * 2 *
-                                    std::min(kc_c, k));
-
-  for (index_t jc = 0; jc < n; jc += nc) {
-    const index_t ncb = std::min(nc, n - jc);
-    for (index_t pc = 0; pc < k; pc += kc_c) {
-      const index_t kcb = std::min(kc_c, k - pc);
-      const index_t kcb_r = 2 * kcb;
-      pack_b_1m(b, opb, pc, jc, kcb, ncb, pack_b_buf);
-      for (index_t ic = 0; ic < m; ic += mc_c) {
-        const index_t mcb = std::min(mc_c, m - ic);
-        const index_t mcb_r = 2 * mcb;
-        pack_a_1m(a, opa, alpha, ic, pc, mcb, kcb, pack_a_buf);
-        for (index_t q = 0; q < ncb; q += nr) {
-          const index_t nrb = std::min(nr, ncb - q);
-          const R* bpanel = pack_b_buf + q * kcb_r;
-          for (index_t p = 0; p < mcb_r; p += mr) {
-            const index_t mrb = std::min(mr, mcb_r - p);
-            const R* apanel = pack_a_buf + p * kcb_r;
-            R* ctile = cr + (2 * ic + p) + (jc + q) * ldc_r;
-            if (mrb == mr && nrb == nr) {
-              microkernel<R, mr, nr>(kcb_r, apanel, bpanel, ctile, ldc_r);
-            } else {
-              R tmp[mr * nr] = {};
-              microkernel<R, mr, nr>(kcb_r, apanel, bpanel, tmp, mr);
-              for (index_t j = 0; j < nrb; ++j)
-                for (index_t i = 0; i < mrb; ++i)
-                  ctile[i + j * ldc_r] += tmp[i + j * mr];
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-}  // namespace detail
-
-/// Blocked GEMM: C = alpha * op(A) * op(B) + beta * C. Semantics identical
-/// to `gemm` (gemm.hpp); correct for every shape, but meant for products
-/// where gemm_prefers_blocked() holds.
-template <typename T>
-void gemm_blocked(Op opa, Op opb, T alpha,
-                  std::type_identity_t<ConstMatrixView<T>> a,
-                  std::type_identity_t<ConstMatrixView<T>> b, T beta,
-                  MatrixView<T> c) {
-  const index_t m = c.rows();
-  const index_t n = c.cols();
-  const index_t k = (opa == Op::NoTrans) ? a.cols() : a.rows();
-  HCHAM_CHECK(((opa == Op::NoTrans) ? a.rows() : a.cols()) == m);
-  HCHAM_CHECK(((opb == Op::NoTrans) ? b.rows() : b.cols()) == k);
-  HCHAM_CHECK(((opb == Op::NoTrans) ? b.cols() : b.rows()) == n);
-
-  detail::scale_inplace(c, beta);
-  if (alpha == T{} || m == 0 || n == 0 || k == 0) return;
-
-  if constexpr (is_complex_v<T>) {
-    detail::gemm_blocked_complex<T>(opa, opb, alpha, a, b, c);
-  } else {
-    detail::gemm_blocked_real<T>(opa, opb, alpha, a, b, c);
   }
 }
 

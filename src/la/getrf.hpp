@@ -2,12 +2,13 @@
 // used inside H-arithmetic, row-swap application (xLASWP), and the
 // corresponding solves (xGETRS).
 //
-// getrf follows the LAPACK blocked right-looking formulation: factor a
-// panel, exchange rows on both sides, TRSM the row panel, GEMM-update the
-// trailing matrix. info follows the LAPACK convention (0 = success,
-// k > 0 = exact zero pivot at step k).
+// getrf and getrf_nopiv recurse on halves of the columns (Toledo): the
+// coupling blocks go through la::trsm and la::gemm, and only panels of at
+// most kRecursionBase columns run the unblocked loops. info follows the
+// LAPACK convention (0 = success, k > 0 = exact zero pivot at step k).
 #pragma once
 
+#include <algorithm>
 #include <type_traits>
 #include <vector>
 
@@ -94,66 +95,59 @@ int getrf_nopiv_panel(MatrixView<T> a) {
 
 }  // namespace detail
 
-/// Blocked LU with partial pivoting; ipiv must hold min(m, n) entries.
-/// The panel width defaults to the shared blocked-kernel constant
-/// (kBlasNb); the TRSM row panel and GEMM trailing update run on the
-/// packed register-tiled engine.
+/// Recursive LU with partial pivoting (Toledo); ipiv must hold min(m, n)
+/// entries. The left half of the columns is factored first, its row
+/// exchanges are applied to the right half, which is then solved (TRSM)
+/// and updated (GEMM) before its own recursion. Panels of at most
+/// kRecursionBase columns run the unblocked loops.
 template <typename T>
-int getrf(MatrixView<T> a, index_t* ipiv, index_t nb = kBlasNb) {
+int getrf(MatrixView<T> a, index_t* ipiv) {
   const index_t m = a.rows();
   const index_t n = a.cols();
-  const index_t kmax = m < n ? m : n;
-  int info = 0;
-  for (index_t k = 0; k < kmax; k += nb) {
-    const index_t jb = std::min(nb, kmax - k);
-    MatrixView<T> panel = a.block(k, k, m - k, jb);
-    const int pinfo = detail::getrf_panel(panel, ipiv + k);
-    if (pinfo != 0 && info == 0) info = pinfo + static_cast<int>(k);
-    // Pivot indices become absolute row numbers.
-    for (index_t i = k; i < k + jb; ++i) ipiv[i] += k;
-    // Exchange rows of the columns left and right of the panel.
-    if (k > 0) laswp(a.block(0, 0, m, k), ipiv, k, k + jb);
-    if (k + jb < n) {
-      MatrixView<T> right = a.block(0, k + jb, m, n - k - jb);
-      laswp(right, ipiv, k, k + jb);
-      // U row panel.
-      trsm(Side::Left, Uplo::Lower, Op::NoTrans, Diag::Unit, T{1},
-           a.block(k, k, jb, jb), right.block(k, 0, jb, n - k - jb));
-      // Trailing update.
-      if (k + jb < m) {
-        gemm(Op::NoTrans, Op::NoTrans, T{-1}, a.block(k + jb, k, m - k - jb, jb),
-             ConstMatrixView<T>(right.block(k, 0, jb, n - k - jb)), T{1},
-             right.block(k + jb, 0, m - k - jb, n - k - jb));
-      }
-    }
-  }
+  const index_t kmax = std::min(m, n);
+  if (kmax <= kRecursionBase)
+    return detail::getrf_panel(a, ipiv);
+  const index_t n1 = detail::recursion_split<T>(kmax);
+  const index_t n2 = n - n1;
+  int info = getrf(a.block(0, 0, m, n1), ipiv);
+  MatrixView<T> right = a.block(0, n1, m, n2);
+  laswp(right, ipiv, 0, n1);
+  trsm(Side::Left, Uplo::Lower, Op::NoTrans, Diag::Unit, T{1},
+       a.block(0, 0, n1, n1), right.block(0, 0, n1, n2));
+  gemm(Op::NoTrans, Op::NoTrans, T{-1}, a.block(n1, 0, m - n1, n1),
+       ConstMatrixView<T>(right.block(0, 0, n1, n2)), T{1},
+       right.block(n1, 0, m - n1, n2));
+  const int info2 = getrf(right.block(n1, 0, m - n1, n2), ipiv + n1);
+  if (info == 0 && info2 != 0) info = info2 + static_cast<int>(n1);
+  // Pivot indices become row numbers of `a`; the left half follows the
+  // second half's exchanges.
+  for (index_t i = n1; i < kmax; ++i) ipiv[i] += n1;
+  laswp(a.block(0, 0, m, n1), ipiv, n1, kmax);
   return info;
 }
 
-/// Blocked LU without pivoting (the variant used at H-matrix leaves, where
-/// global pivoting is impossible; see DESIGN.md).
+/// Recursive LU without pivoting (the variant used at H-matrix leaves,
+/// where global pivoting is impossible; see DESIGN.md). Stops at the first
+/// zero pivot and returns its 1-based index.
 template <typename T>
-int getrf_nopiv(MatrixView<T> a, index_t nb = kBlasNb) {
+int getrf_nopiv(MatrixView<T> a) {
   const index_t m = a.rows();
   const index_t n = a.cols();
-  const index_t kmax = m < n ? m : n;
-  for (index_t k = 0; k < kmax; k += nb) {
-    const index_t jb = std::min(nb, kmax - k);
-    const int pinfo =
-        detail::getrf_nopiv_panel(a.block(k, k, m - k, jb));
-    if (pinfo != 0) return pinfo + static_cast<int>(k);
-    if (k + jb < n) {
-      MatrixView<T> right = a.block(k, k + jb, m - k, n - k - jb);
-      trsm(Side::Left, Uplo::Lower, Op::NoTrans, Diag::Unit, T{1},
-           a.block(k, k, jb, jb), right.block(0, 0, jb, n - k - jb));
-      if (k + jb < m) {
-        gemm(Op::NoTrans, Op::NoTrans, T{-1}, a.block(k + jb, k, m - k - jb, jb),
-             ConstMatrixView<T>(right.block(0, 0, jb, n - k - jb)), T{1},
-             right.block(jb, 0, m - k - jb, n - k - jb));
-      }
-    }
-  }
-  return 0;
+  const index_t kmax = std::min(m, n);
+  if (kmax <= kRecursionBase)
+    return detail::getrf_nopiv_panel(a);
+  const index_t n1 = detail::recursion_split<T>(kmax);
+  const index_t n2 = n - n1;
+  if (const int info = getrf_nopiv(a.block(0, 0, m, n1)); info != 0)
+    return info;
+  MatrixView<T> right = a.block(0, n1, m, n2);
+  trsm(Side::Left, Uplo::Lower, Op::NoTrans, Diag::Unit, T{1},
+       a.block(0, 0, n1, n1), right.block(0, 0, n1, n2));
+  gemm(Op::NoTrans, Op::NoTrans, T{-1}, a.block(n1, 0, m - n1, n1),
+       ConstMatrixView<T>(right.block(0, 0, n1, n2)), T{1},
+       right.block(n1, 0, m - n1, n2));
+  const int info = getrf_nopiv(right.block(n1, 0, m - n1, n2));
+  return info == 0 ? 0 : info + static_cast<int>(n1);
 }
 
 /// Solve op(A) X = B given the pivoted LU of A.

@@ -1,7 +1,8 @@
 // Cholesky factorization (xPOTRF, lower variant): A = L * L^H for
 // Hermitian positive-definite A. Used by the symmetric solver path (the
-// real 1/d BEM kernel is positive definite). Blocked right-looking
-// formulation; info follows LAPACK (k > 0: leading minor k not positive).
+// real 1/d BEM kernel is positive definite). Recursive formulation whose
+// coupling blocks go through la::trsm and la::gemm; info follows LAPACK
+// (k > 0: leading minor k not positive).
 #pragma once
 
 #include <cmath>
@@ -36,31 +37,47 @@ int potrf_panel(MatrixView<T> a) {
   return 0;
 }
 
+/// A22 -= A21 * A21^H on the lower triangle of A22 only: the diagonal
+/// halves recurse and the block below them is one gemm.
+template <typename T>
+void herk_lower(ConstMatrixView<T> a21, MatrixView<T> a22) {
+  const index_t n = a22.rows();
+  const index_t k = a21.cols();
+  if (n <= kRecursionBase) {  // full product of the block, lower half kept
+    T buf[kRecursionBase * kRecursionBase];
+    MatrixView<T> full(buf, n, n, n);
+    gemm(Op::NoTrans, Op::ConjTrans, T{-1}, a21, a21, T{}, full);
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = j; i < n; ++i) a22(i, j) += full(i, j);
+    return;
+  }
+  const index_t n1 = recursion_split<T>(n);
+  herk_lower(a21.block(0, 0, n1, k), a22.block(0, 0, n1, n1));
+  gemm(Op::NoTrans, Op::ConjTrans, T{-1}, a21.block(n1, 0, n - n1, k),
+       a21.block(0, 0, n1, k), T{1}, a22.block(n1, 0, n - n1, n1));
+  herk_lower(a21.block(n1, 0, n - n1, k), a22.block(n1, n1, n - n1, n - n1));
+}
+
 }  // namespace detail
 
-/// Blocked lower Cholesky in place; the strict upper triangle is ignored.
-/// The TRSM panel and the trailing Hermitian GEMM update inherit the packed
-/// register-tiled engine; nb defaults to kBlasNb.
+/// Recursive lower Cholesky in place (Gustavson); the strict upper
+/// triangle is neither read nor written. The leading half is factored,
+/// the block below it solved (TRSM), the trailing half updated on its
+/// lower triangle (GEMM) and factored in turn.
 template <typename T>
-int potrf(MatrixView<T> a, index_t nb = kBlasNb) {
+int potrf(MatrixView<T> a) {
   HCHAM_CHECK(a.rows() == a.cols());
   const index_t n = a.rows();
-  for (index_t k = 0; k < n; k += nb) {
-    const index_t jb = std::min(nb, n - k);
-    const int info = detail::potrf_panel(a.block(k, k, jb, jb));
-    if (info != 0) return info + static_cast<int>(k);
-    if (k + jb < n) {
-      // Panel below the diagonal: A21 <- A21 * L11^-H.
-      MatrixView<T> a21 = a.block(k + jb, k, n - k - jb, jb);
-      trsm(Side::Right, Uplo::Lower, Op::ConjTrans, Diag::NonUnit, T{1},
-           a.block(k, k, jb, jb), a21);
-      // Trailing Hermitian update: A22 -= A21 * A21^H (lower part).
-      MatrixView<T> a22 = a.block(k + jb, k + jb, n - k - jb, n - k - jb);
-      gemm(Op::NoTrans, Op::ConjTrans, T{-1}, ConstMatrixView<T>(a21),
-           ConstMatrixView<T>(a21), T{1}, a22);
-    }
-  }
-  return 0;
+  if (n <= kRecursionBase) return detail::potrf_panel(a);
+  const index_t n1 = detail::recursion_split<T>(n);
+  const index_t n2 = n - n1;
+  if (const int info = potrf(a.block(0, 0, n1, n1)); info != 0) return info;
+  MatrixView<T> a21 = a.block(n1, 0, n2, n1);
+  trsm(Side::Right, Uplo::Lower, Op::ConjTrans, Diag::NonUnit, T{1},
+       a.block(0, 0, n1, n1), a21);
+  detail::herk_lower<T>(a21, a.block(n1, n1, n2, n2));
+  const int info = potrf(a.block(n1, n1, n2, n2));
+  return info == 0 ? 0 : info + static_cast<int>(n1);
 }
 
 /// Solve A X = B given the lower Cholesky factor (A = L L^H).

@@ -5,13 +5,14 @@
 // tiled H-LU uses (Left, Lower, NoTrans, Unit) and (Right, Upper, NoTrans,
 // NonUnit), matching lines 4 and 7 of the paper's Algorithm 1.
 //
-// Large solves are blocked: the triangular matrix is partitioned into
-// nb x nb diagonal blocks (kBlasNb), each solved with the scalar
-// substitution loops, and the trailing right-hand sides are updated with one
-// block-outer-product GEMM per step, so the bulk of the flops runs through
-// the packed register-tiled engine.
+// Every size takes one recursive path: the triangle splits at about half
+// (rounded to the GEMM register tile height), the coupling block goes
+// through la::gemm, and substitution runs only on base blocks of at most
+// kRecursionBase rows. GETRF and POTRF recurse the same way and share the
+// base size.
 #pragma once
 
+#include <algorithm>
 #include <type_traits>
 
 #include "common/scalar.hpp"
@@ -21,77 +22,82 @@
 
 namespace hcham::la {
 
+/// Largest triangle (TRSM) or panel width (GETRF, POTRF) the recursions
+/// hand to their substitution / unblocked base loops.
+inline constexpr index_t kRecursionBase = 16;
+
 namespace detail {
 
+/// Substitution on a base block of the left solve. B is solved one vector
+/// of right-hand sides at a time, held in registers as split real and
+/// imaginary parts, so every update is a vector FMA across columns.
 template <typename T>
-void trsm_left_unblocked(Uplo uplo, Op op, Diag diag, T alpha,
-                         ConstMatrixView<T> a, MatrixView<T> b) {
+void trsm_left_base(Uplo uplo, Op op, Diag diag, ConstMatrixView<T> a,
+                    MatrixView<T> b) {
+  using R = real_t<T>;
+  typedef R V __attribute__((vector_size(kVecBytes)));
+  constexpr index_t jb = kVecBytes / sizeof(R);
+  constexpr int W = is_complex_v<T> ? 2 : 1;
   const index_t m = b.rows();
   const index_t n = b.cols();
   const bool unit = (diag == Diag::Unit);
-  if (alpha != T{1}) scal(alpha, b);
-
-  if (op == Op::NoTrans) {
-    // Column-oriented forward/backward substitution with axpy updates.
-    const bool fwd = (uplo == Uplo::Lower);
-    for (index_t j = 0; j < n; ++j) {
-      T* bj = b.col(j);
-      if (fwd) {
-        for (index_t k = 0; k < m; ++k) {
-          if (!unit) bj[k] /= a(k, k);
-          const T xk = bj[k];
-          if (xk == T{}) continue;
-          const T* ak = a.col(k);
-          for (index_t i = k + 1; i < m; ++i) bj[i] -= ak[i] * xk;
-        }
-      } else {
-        for (index_t k = m - 1; k >= 0; --k) {
-          if (!unit) bj[k] /= a(k, k);
-          const T xk = bj[k];
-          if (xk == T{}) continue;
-          const T* ak = a.col(k);
-          for (index_t i = 0; i < k; ++i) bj[i] -= ak[i] * xk;
-        }
-      }
-    }
-    return;
-  }
-
-  // op(A) with op in {T, C}: the reduction runs down a column of A, which is
-  // contiguous. A lower-triangular transposed system solves backward.
-  const bool conj = (op == Op::ConjTrans);
-  const bool backward = (uplo == Uplo::Lower);
-  for (index_t j = 0; j < n; ++j) {
-    T* bj = b.col(j);
-    if (backward) {
-      for (index_t i = m - 1; i >= 0; --i) {
-        const T* ai = a.col(i);
-        T acc = bj[i];
-        for (index_t l = i + 1; l < m; ++l)
-          acc -= (conj ? conj_if(ai[l]) : ai[l]) * bj[l];
-        if (!unit) acc /= (conj ? conj_if(ai[i]) : ai[i]);
-        bj[i] = acc;
-      }
-    } else {
+  const bool lower = (op == Op::NoTrans) == (uplo == Uplo::Lower);
+  const auto opa = Strided<T>::of(a, op);
+  for (index_t j0 = 0; j0 < n; j0 += jb) {
+    const index_t w = std::min(jb, n - j0);
+    V x[W][kRecursionBase] = {};  // lane j of x[.][i]: B(i, j0 + j)
+    for (index_t j = 0; j < w; ++j)
       for (index_t i = 0; i < m; ++i) {
-        const T* ai = a.col(i);
-        T acc = bj[i];
-        for (index_t l = 0; l < i; ++l)
-          acc -= (conj ? conj_if(ai[l]) : ai[l]) * bj[l];
-        if (!unit) acc /= (conj ? conj_if(ai[i]) : ai[i]);
-        bj[i] = acc;
+        const T v = b(i, j0 + j);
+        x[0][i][j] = scalar_traits<T>::real(v);
+        if constexpr (W == 2) x[1][i][j] = v.imag();
       }
+    // Column k of op(A) eliminates x[k] from the rows [lo, hi).
+    const auto eliminate = [&](index_t k, index_t lo, index_t hi) {
+      if (!unit) {
+        const T d = opa.at(k, k);
+        if constexpr (W == 2) {
+          const R den = d.real() * d.real() + d.imag() * d.imag();
+          const V xr = x[0][k], xi = x[1][k];
+          x[0][k] = (xr * d.real() + xi * d.imag()) / den;
+          x[1][k] = (xi * d.real() - xr * d.imag()) / den;
+        } else {
+          x[0][k] /= d;
+        }
+      }
+      for (index_t i = lo; i < hi; ++i) {
+        const T mik = opa.at(i, k);
+        if constexpr (W == 2) {
+          x[0][i] -= mik.real() * x[0][k] - mik.imag() * x[1][k];
+          x[1][i] -= mik.real() * x[1][k] + mik.imag() * x[0][k];
+        } else {
+          x[0][i] -= mik * x[0][k];
+        }
+      }
+    };
+    if (lower) {
+      for (index_t k = 0; k < m; ++k) eliminate(k, k + 1, m);
+    } else {
+      for (index_t k = m - 1; k >= 0; --k) eliminate(k, 0, k);
     }
+    for (index_t j = 0; j < w; ++j)
+      for (index_t i = 0; i < m; ++i) {
+        if constexpr (W == 2) {
+          b(i, j0 + j) = T(x[0][i][j], x[1][i][j]);
+        } else {
+          b(i, j0 + j) = x[0][i][j];
+        }
+      }
   }
 }
 
+/// Substitution on a base block of the right solve.
 template <typename T>
-void trsm_right_unblocked(Uplo uplo, Op op, Diag diag, T alpha,
-                          ConstMatrixView<T> a, MatrixView<T> b) {
+void trsm_right_base(Uplo uplo, Op op, Diag diag, ConstMatrixView<T> a,
+                     MatrixView<T> b) {
   const index_t m = b.rows();
   const index_t n = b.cols();
   const bool unit = (diag == Diag::Unit);
-  if (alpha != T{1}) scal(alpha, b);
 
   // Solve X * M = B with M = op(A). Element access into M:
   auto mat = [&](index_t l, index_t k) -> T {
@@ -130,75 +136,75 @@ void trsm_right_unblocked(Uplo uplo, Op op, Diag diag, T alpha,
   }
 }
 
-/// Blocked left solve: partition op(A) into nb x nb diagonal blocks, solve
-/// each with the substitution loops, and push the block-outer-product update
-/// of the remaining rows of B through gemm (right-looking).
+/// Split point of the TRSM/GETRF/POTRF recursions over n >= 2 rows or
+/// columns: about half, rounded down to the register tile height when that
+/// leaves a tile, so the coupling GEMMs fill whole tiles.
 template <typename T>
-void trsm_left_blocked(Uplo uplo, Op op, Diag diag, ConstMatrixView<T> a,
-                       MatrixView<T> b, index_t nb) {
+index_t recursion_split(index_t n) {
+  const index_t half = n / 2;
+  const index_t rounded = half - half % GemmMicroShape<T>::mr;
+  return rounded > 0 ? rounded : half;
+}
+
+/// Recursive left solve op(A) X = B: split op(A) into [M11 0; M21 M22]
+/// (or its upper mirror), solve one half, push its product with the
+/// off-diagonal block through gemm, solve the other half.
+template <typename T>
+void trsm_left_rec(Uplo uplo, Op op, Diag diag, ConstMatrixView<T> a,
+                   MatrixView<T> b) {
   const index_t m = b.rows();
   const index_t n = b.cols();
-  // M = op(A) is lower-triangular iff the op preserves the stored triangle.
+  if (m <= kRecursionBase) return trsm_left_base(uplo, op, diag, a, b);
+  const index_t m1 = recursion_split<T>(m);
+  const index_t m2 = m - m1;
+  // op(A) is lower-triangular iff the op preserves the stored triangle.
   const bool m_lower = (op == Op::NoTrans) == (uplo == Uplo::Lower);
-  const index_t nblocks = ceil_div(m, nb);
-  for (index_t bi = 0; bi < nblocks; ++bi) {
-    // Lower-triangular M solves forward, upper-triangular backward.
-    const index_t kblk = m_lower ? bi : nblocks - 1 - bi;
-    const index_t k0 = kblk * nb;
-    const index_t kb = std::min(nb, m - k0);
-    trsm_left_unblocked(uplo, op, diag, T{1}, a.block(k0, k0, kb, kb),
-                        b.block(k0, 0, kb, n));
-    // Rows of B still to be solved: below the block for lower M, above it
-    // for upper M. B_rest -= M(rest, k) * X_k in a single gemm.
-    if (m_lower && k0 + kb < m) {
-      const index_t r0 = k0 + kb;
-      const index_t rm = m - r0;
-      ConstMatrixView<T> mk = (op == Op::NoTrans) ? a.block(r0, k0, rm, kb)
-                                                  : a.block(k0, r0, kb, rm);
-      gemm(op, Op::NoTrans, T{-1}, mk,
-           ConstMatrixView<T>(b.block(k0, 0, kb, n)), T{1},
-           b.block(r0, 0, rm, n));
-    } else if (!m_lower && k0 > 0) {
-      ConstMatrixView<T> mk = (op == Op::NoTrans) ? a.block(0, k0, k0, kb)
-                                                  : a.block(k0, 0, kb, k0);
-      gemm(op, Op::NoTrans, T{-1}, mk,
-           ConstMatrixView<T>(b.block(k0, 0, kb, n)), T{1},
-           b.block(0, 0, k0, n));
-    }
+  const auto a11 = a.block(0, 0, m1, m1);
+  const auto a22 = a.block(m1, m1, m2, m2);
+  MatrixView<T> b1 = b.block(0, 0, m1, n);
+  MatrixView<T> b2 = b.block(m1, 0, m2, n);
+  if (m_lower) {  // M21 = op(A)(m1:, :m1)
+    trsm_left_rec(uplo, op, diag, a11, b1);
+    gemm(op, Op::NoTrans, T{-1},
+         op == Op::NoTrans ? a.block(m1, 0, m2, m1) : a.block(0, m1, m1, m2),
+         ConstMatrixView<T>(b1), T{1}, b2);
+    trsm_left_rec(uplo, op, diag, a22, b2);
+  } else {  // M12 = op(A)(:m1, m1:)
+    trsm_left_rec(uplo, op, diag, a22, b2);
+    gemm(op, Op::NoTrans, T{-1},
+         op == Op::NoTrans ? a.block(0, m1, m1, m2) : a.block(m1, 0, m2, m1),
+         ConstMatrixView<T>(b2), T{1}, b1);
+    trsm_left_rec(uplo, op, diag, a11, b1);
   }
 }
 
-/// Blocked right solve: X * op(A) = B, processed by block columns of X with
-/// one gemm update of the not-yet-solved columns per diagonal block.
+/// Recursive right solve X op(A) = B, mirroring trsm_left_rec on the
+/// columns of B.
 template <typename T>
-void trsm_right_blocked(Uplo uplo, Op op, Diag diag, ConstMatrixView<T> a,
-                        MatrixView<T> b, index_t nb) {
+void trsm_right_rec(Uplo uplo, Op op, Diag diag, ConstMatrixView<T> a,
+                    MatrixView<T> b) {
   const index_t m = b.rows();
   const index_t n = b.cols();
+  if (n <= kRecursionBase) return trsm_right_base(uplo, op, diag, a, b);
+  const index_t n1 = recursion_split<T>(n);
+  const index_t n2 = n - n1;
   const bool m_lower = (op == Op::NoTrans) == (uplo == Uplo::Lower);
-  const index_t nblocks = ceil_div(n, nb);
-  for (index_t bi = 0; bi < nblocks; ++bi) {
-    // Lower-triangular M: columns depend on later ones -> right-to-left.
-    const index_t kblk = m_lower ? nblocks - 1 - bi : bi;
-    const index_t k0 = kblk * nb;
-    const index_t kb = std::min(nb, n - k0);
-    trsm_right_unblocked(uplo, op, diag, T{1}, a.block(k0, k0, kb, kb),
-                         b.block(0, k0, m, kb));
-    // Columns of B still to be solved: left of the block for lower M,
-    // right of it for upper M. B_rest -= X_k * M(k, rest).
-    if (m_lower && k0 > 0) {
-      ConstMatrixView<T> mk = (op == Op::NoTrans) ? a.block(k0, 0, kb, k0)
-                                                  : a.block(0, k0, k0, kb);
-      gemm(Op::NoTrans, op, T{-1}, ConstMatrixView<T>(b.block(0, k0, m, kb)),
-           mk, T{1}, b.block(0, 0, m, k0));
-    } else if (!m_lower && k0 + kb < n) {
-      const index_t r0 = k0 + kb;
-      const index_t rn = n - r0;
-      ConstMatrixView<T> mk = (op == Op::NoTrans) ? a.block(k0, r0, kb, rn)
-                                                  : a.block(r0, k0, rn, kb);
-      gemm(Op::NoTrans, op, T{-1}, ConstMatrixView<T>(b.block(0, k0, m, kb)),
-           mk, T{1}, b.block(0, r0, m, rn));
-    }
+  const auto a11 = a.block(0, 0, n1, n1);
+  const auto a22 = a.block(n1, n1, n2, n2);
+  MatrixView<T> b1 = b.block(0, 0, m, n1);
+  MatrixView<T> b2 = b.block(0, n1, m, n2);
+  if (m_lower) {  // X1 M11 + X2 M21 = B1: X2 first
+    trsm_right_rec(uplo, op, diag, a22, b2);
+    gemm(Op::NoTrans, op, T{-1}, ConstMatrixView<T>(b2),
+         op == Op::NoTrans ? a.block(n1, 0, n2, n1) : a.block(0, n1, n1, n2),
+         T{1}, b1);
+    trsm_right_rec(uplo, op, diag, a11, b1);
+  } else {  // X1 M12 + X2 M22 = B2: X1 first
+    trsm_right_rec(uplo, op, diag, a11, b1);
+    gemm(Op::NoTrans, op, T{-1}, ConstMatrixView<T>(b1),
+         op == Op::NoTrans ? a.block(0, n1, n1, n2) : a.block(n1, 0, n2, n1),
+         T{1}, b2);
+    trsm_right_rec(uplo, op, diag, a22, b2);
   }
 }
 
@@ -208,23 +214,12 @@ template <typename T>
 void trsm(Side side, Uplo uplo, Op op, Diag diag, T alpha,
           std::type_identity_t<ConstMatrixView<T>> a, MatrixView<T> b) {
   HCHAM_CHECK(a.rows() == a.cols());
-  constexpr index_t nb = kBlasNb;
+  HCHAM_CHECK(a.rows() == (side == Side::Left ? b.rows() : b.cols()));
+  if (alpha != T{1}) scal(alpha, b);
   if (side == Side::Left) {
-    HCHAM_CHECK(a.rows() == b.rows());
-    if (a.rows() > nb && b.cols() >= 4) {
-      if (alpha != T{1}) scal(alpha, b);
-      detail::trsm_left_blocked(uplo, op, diag, a, b, nb);
-    } else {
-      detail::trsm_left_unblocked(uplo, op, diag, alpha, a, b);
-    }
+    detail::trsm_left_rec(uplo, op, diag, a, b);
   } else {
-    HCHAM_CHECK(a.rows() == b.cols());
-    if (a.rows() > nb && b.rows() >= 4) {
-      if (alpha != T{1}) scal(alpha, b);
-      detail::trsm_right_blocked(uplo, op, diag, a, b, nb);
-    } else {
-      detail::trsm_right_unblocked(uplo, op, diag, alpha, a, b);
-    }
+    detail::trsm_right_rec(uplo, op, diag, a, b);
   }
 }
 

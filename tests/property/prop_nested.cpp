@@ -22,6 +22,7 @@
 #include "prop_utils.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/graph_cache.hpp"
+#include "test_utils.hpp"
 
 namespace hcham {
 namespace {
@@ -36,14 +37,8 @@ using hcham::testing::prop::ProblemConfig;
 using hcham::testing::prop::Sweep;
 using hcham::testing::prop::sweep_name;
 
-/// RAII setenv/unsetenv: the nested gate reads its knobs per sub-epoch.
-struct EnvVar {
-  const char* name;
-  EnvVar(const char* n, const char* value) : name(n) {
-    ::setenv(n, value, 1);
-  }
-  ~EnvVar() { ::unsetenv(name); }
-};
+// The nested gate reads its knobs per sub-epoch.
+using hcham::testing::ScopedEnv;
 
 /// seeds x {ws, lws, prio} x {1, 2, 4, 8} workers. 1 worker runs the
 /// calling thread (sub-epochs gate to inline: no worker context); the
@@ -130,12 +125,12 @@ std::optional<std::string> nested_matches_disabled(const ProblemConfig& c,
   try {
     RunResult ref{la::Matrix<double>(0, 0), la::Matrix<double>(0, 0)};
     {
-      EnvVar disable("HCHAM_NESTED_DISABLE", "1");
+      ScopedEnv disable("HCHAM_NESTED_DISABLE", "1");
       ref = run_once(c, sw, cholesky, /*replay=*/false);
     }
     RunResult got{la::Matrix<double>(0, 0), la::Matrix<double>(0, 0)};
     {
-      EnvVar force("HCHAM_NESTED_FORCE", "1");
+      ScopedEnv force("HCHAM_NESTED_FORCE", "1");
       got = run_once(c, sw, cholesky, replay);
     }
     return compare(got, ref);

@@ -59,6 +59,21 @@ TEST(Potrf, RejectsIndefiniteMatrix) {
   EXPECT_EQ(la::potrf(a.view()), 2);
 }
 
+// A negative diagonal entry at k makes the leading minor k + 1 the first
+// non-positive one; the recursion must report it by its global index, also
+// two or more levels down.
+TEST(Potrf, NonPositivePivotDeepInRecursionKeepsGlobalInfo) {
+  const index_t n = 64;
+  for (index_t k : {index_t{3}, index_t{17}, index_t{40}, index_t{63}}) {
+    auto a = random_spd<double>(n, 70 + static_cast<std::uint64_t>(k));
+    a(k, k) = -1.0;
+    EXPECT_EQ(la::potrf(a.view()), k + 1) << "k=" << k;
+    auto z = random_spd<zdouble>(n, 80 + static_cast<std::uint64_t>(k));
+    z(k, k) = zdouble(-1.0);
+    EXPECT_EQ(la::potrf(z.view()), k + 1) << "complex k=" << k;
+  }
+}
+
 TEST(Potrs, SolvesSpdSystem) {
   auto a = random_spd<double>(90, 3);
   auto x0 = Matrix<double>::random(90, 2, 4);

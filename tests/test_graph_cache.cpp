@@ -18,6 +18,7 @@
 #include "runtime/engine.hpp"
 #include "runtime/graph_cache.hpp"
 #include "serve/solver_service.hpp"
+#include "test_utils.hpp"
 
 namespace hcham {
 namespace {
@@ -27,17 +28,8 @@ using rt::Engine;
 using rt::GraphCache;
 using rt::Handle;
 
-/// RAII environment override (the cache/replay knobs are read per call).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
+// The cache/replay knobs are read per call.
+using hcham::testing::ScopedEnv;
 
 // --- engine capture/replay semantics ---------------------------------------
 

@@ -1,10 +1,11 @@
-// Kernel-oracle suite for the packed register-tiled GEMM engine
-// (la/gemm_blocked.hpp): gemm_blocked is checked entry-by-entry against the
-// straightforward reference kernel across all nine op(A)/op(B) combinations,
-// edge shapes straddling the microkernel tile (1, mr-1, mr, mr+1, ...),
-// alpha/beta in {0, 1, -1, 0.5}, and strided sub-views. Tolerances scale
-// with the reduction length k. Runs under the "la" CTest label so the
-// sanitizer CI jobs pick it up.
+// Kernel-oracle suite for the register-tiled GEMM engine
+// (la/gemm_blocked.hpp): both drivers -- the packed gemm_blocked and the
+// small-shape gemm_small -- are checked entry-by-entry against the
+// straightforward reference kernel across all nine op(A)/op(B)
+// combinations, edge shapes straddling the microkernel tile (1, mr-1, mr,
+// mr+1, ...), alpha/beta in {0, 1, -1, 0.5}, and strided sub-views.
+// Tolerances scale with the reduction length k. Runs under the "la" CTest
+// label so the sanitizer CI jobs pick it up.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -198,9 +199,10 @@ TYPED_TEST(GemmBlockedOracle, StridedSubViews) {
       for (index_t j = 0; j < pc.cols(); ++j)
         for (index_t i = 0; i < pc.rows(); ++i) {
           const bool inside = i >= 11 && i < 11 + m && j >= 1 && j < 1 + n;
-          if (!inside)
+          if (!inside) {
             ASSERT_EQ(pc(i, j), pc2(i, j))
                 << "write outside the C block at (" << i << ", " << j << ")";
+          }
         }
       EXPECT_LT(scaled_error<T>(std::as_const(pc).block(11, 1, m, n),
                                 std::as_const(pc2).block(11, 1, m, n), k),
@@ -209,22 +211,74 @@ TYPED_TEST(GemmBlockedOracle, StridedSubViews) {
     }
 }
 
-/// The public gemm() dispatcher must agree with the reference regardless of
-/// which path it picks, including right at the dispatch threshold.
+/// The small-shape driver on every (m, n) pair of its edge sizes, all 9 op
+/// combinations, k cycling through {1, 7, 8, 10, 64, 129} and alpha/beta
+/// through {0, 1, -1, 0.5}^2. Operands and C are strided views inside
+/// padded parents; with beta = 0 C starts as NaN, which must not survive.
+TYPED_TEST(GemmBlockedOracle, SmallDriverEdgeShapes) {
+  using T = TypeParam;
+  using R = real_t<T>;
+  constexpr index_t mr = GemmMicroShape<T>::mr;
+  const index_t sizes[] = {1,  2,  3,  4,  5,  6,  7,   mr - 1, mr,  mr + 1,
+                           31, 32, 33, 63, 64, 65, 127, 128,    129};
+  const index_t depths[] = {1, 7, 8, 10, 64, 129};
+  const T coefs[] = {T{0}, T{1}, T{-1}, T{0.5}};
+  const R qnan = std::numeric_limits<R>::quiet_NaN();
+  Rng rng(77);
+  int tick = 0;
+  for (Op opa : kOps)
+    for (Op opb : kOps)
+      for (index_t m : sizes)
+        for (index_t n : sizes) {
+          const index_t k = depths[tick % 6];
+          const T alpha = coefs[(tick / 6) % 4];
+          const T beta = coefs[(tick / 24) % 4];
+          ++tick;
+          const auto [am, an] = storage_shape(opa, m, k);
+          const auto [bm, bn] = storage_shape(opb, k, n);
+          Matrix<T> pa(am + 3, an), pb(bm + 2, bn), pc(m + 5, n);
+          fill_random(rng, pa.view());
+          fill_random(rng, pb.view());
+          fill_random(rng, pc.view());
+          MatrixView<T> c = pc.block(5, 0, m, n);
+          if (beta == T{})
+            for (index_t j = 0; j < n; ++j)
+              for (index_t i = 0; i < m; ++i) c(i, j) = T(qnan);
+          Matrix<T> want = Matrix<T>::from_view(std::as_const(pc).block(5, 0, m, n));
+          const ConstMatrixView<T> a = std::as_const(pa).block(3, 0, am, an);
+          const ConstMatrixView<T> b = std::as_const(pb).block(2, 0, bm, bn);
+          if (beta == T{}) want.set_zero();
+          gemm_small<T>(opa, opb, alpha, a, b, beta, c);
+          reference_gemm<T>(opa, opb, alpha, a, b, beta, want.view());
+          const double err = scaled_error<T>(c, want.cview(), k);
+          ASSERT_LT(err, 50.0)
+              << "op(A)=" << op_name(opa) << " op(B)=" << op_name(opb)
+              << " m=" << m << " n=" << n << " k=" << k
+              << " alpha=" << abs_val(alpha) << " beta=" << abs_val(beta);
+          for (index_t j = 0; j < n; ++j)  // rows above C stay untouched
+            for (index_t i = 0; i < 5; ++i)
+              ASSERT_FALSE(std::isnan(static_cast<double>(abs_val(pc(i, j)))));
+        }
+}
+
+/// The public gemm() must agree with the reference on either side of the
+/// driver crossover and on the narrow shapes the small driver keeps.
 TYPED_TEST(GemmBlockedOracle, DispatcherMatchesReference) {
   using T = TypeParam;
   constexpr index_t mr = GemmMicroShape<T>::mr;
   constexpr index_t nr = GemmMicroShape<T>::nr;
+  constexpr index_t s = kGemmSmallMax;
   Rng rng(99);
   struct Shape {
     index_t m, n, k;
   };
-  const Shape shapes[] = {{mr - 1, nr, 64},  // below the shape guard
-                          {mr, nr, 8},       // shape-eligible, tiny flops
-                          {96, 96, 96},      // blocked
-                          {5, 3, 2}};        // tiny: reference
-  for (const Shape& s : shapes) {
-    Matrix<T> a(s.m, s.k), b(s.k, s.n), c(s.m, s.n), c2;
+  const Shape shapes[] = {{mr - 1, 300, 64},  // rank-thin: small driver
+                          {300, nr - 1, 64},  // narrow panel: small driver
+                          {s, s, s},          // small driver at the crossover
+                          {s + 1, s, s},      // packed driver
+                          {5, 3, 2}};
+  for (const Shape& sh : shapes) {
+    Matrix<T> a(sh.m, sh.k), b(sh.k, sh.n), c(sh.m, sh.n), c2;
     fill_random(rng, a.view());
     fill_random(rng, b.view());
     fill_random(rng, c.view());
@@ -233,21 +287,25 @@ TYPED_TEST(GemmBlockedOracle, DispatcherMatchesReference) {
             c.view());
     reference_gemm<T>(Op::NoTrans, Op::NoTrans, T{1}, a.cview(), b.cview(),
                       T{0.5}, c2.view());
-    EXPECT_LT(scaled_error<T>(c.cview(), c2.cview(), s.k), 50.0)
-        << "m=" << s.m << " n=" << s.n << " k=" << s.k;
+    EXPECT_LT(scaled_error<T>(c.cview(), c2.cview(), sh.k), 50.0)
+        << "m=" << sh.m << " n=" << sh.n << " k=" << sh.k;
   }
 }
 
-/// gemm_prefers_blocked: shape guards and the flops threshold.
-TEST(GemmDispatch, ThresholdGuards) {
+/// gemm_prefers_packed: products narrower than a register tile and
+/// products within kGemmSmallMax in every dimension take the small driver.
+TEST(GemmDispatch, CrossoverRule) {
   constexpr index_t mr = GemmMicroShape<double>::mr;
   constexpr index_t nr = GemmMicroShape<double>::nr;
-  EXPECT_FALSE(gemm_prefers_blocked<double>(mr - 1, 1024, 1024));
-  EXPECT_FALSE(gemm_prefers_blocked<double>(1024, nr - 1, 1024));
-  EXPECT_FALSE(gemm_prefers_blocked<double>(1024, 1024, 7));
-  EXPECT_TRUE(gemm_prefers_blocked<double>(256, 256, 256));
-  // Tiny products stay on the reference kernel even with valid shapes.
-  EXPECT_FALSE(gemm_prefers_blocked<double>(mr, nr, 8));
+  constexpr index_t s = kGemmSmallMax;
+  EXPECT_FALSE(gemm_prefers_packed<double>(mr - 1, 1024, 1024));
+  EXPECT_FALSE(gemm_prefers_packed<double>(1024, nr - 1, 1024));
+  EXPECT_FALSE(gemm_prefers_packed<double>(s, s, s));
+  EXPECT_FALSE(gemm_prefers_packed<double>(64, 32, 64));
+  EXPECT_TRUE(gemm_prefers_packed<double>(s + 1, s, s));
+  EXPECT_TRUE(gemm_prefers_packed<double>(s, s, s + 1));
+  EXPECT_TRUE(gemm_prefers_packed<double>(256, 256, 256));
+  EXPECT_TRUE(gemm_prefers_packed<double>(1024, 1024, 7));
 }
 
 }  // namespace

@@ -97,6 +97,45 @@ TEST(Getrf, ReportsExactSingularity) {
   EXPECT_EQ(la::getrf(a.view(), ipiv.data()), 1);
 }
 
+// The recursion must report the first zero pivot by its global 1-based
+// step, also when it lies in a half two or more levels down. An exactly
+// zero column k stays exactly zero through every update before step k.
+TEST(Getrf, ZeroPivotDeepInRecursionKeepsGlobalInfo) {
+  const index_t n = 64;
+  for (index_t k : {index_t{0}, index_t{5}, index_t{40}, index_t{63}}) {
+    auto a = Matrix<double>::random(n, n, 300 + static_cast<std::uint64_t>(k));
+    for (index_t i = 0; i < n; ++i) a(i, k) = 0.0;
+    std::vector<index_t> ipiv(static_cast<std::size_t>(n));
+    EXPECT_EQ(la::getrf(a.view(), ipiv.data()), k + 1) << "k=" << k;
+  }
+}
+
+/// A = L U with small-integer unit-lower L and upper U whose only zero
+/// diagonal entry is U(k, k): elimination without pivoting is exact, so
+/// the pivot at step k is exactly zero.
+Matrix<double> integer_lu_with_zero_pivot(index_t n, index_t k) {
+  Matrix<double> l(n, n), u(n, n), a(n, n);
+  for (index_t j = 0; j < n; ++j) {
+    l(j, j) = 1.0;
+    u(j, j) = j == k ? 0.0 : 1.0;
+    for (index_t i = j + 1; i < n; ++i)
+      l(i, j) = static_cast<double>((7 * i + 3 * j) % 3 - 1);
+    for (index_t i = 0; i < j; ++i)
+      u(i, j) = static_cast<double>((5 * i + 2 * j) % 3 - 1);
+  }
+  la::gemm(Op::NoTrans, Op::NoTrans, 1.0, l.cview(), u.cview(), 0.0,
+           a.view());
+  return a;
+}
+
+TEST(GetrfNopiv, ZeroPivotDeepInRecursionKeepsGlobalInfo) {
+  const index_t n = 64;
+  for (index_t k : {index_t{3}, index_t{17}, index_t{40}, index_t{63}}) {
+    auto a = integer_lu_with_zero_pivot(n, k);
+    EXPECT_EQ(la::getrf_nopiv(a.view()), k + 1) << "k=" << k;
+  }
+}
+
 TEST(GetrfNopiv, ReconstructsDiagonallyDominant) {
   for (index_t n : {1, 8, 64, 100}) {
     auto a = diagonally_dominant<double>(n, 900 + static_cast<std::uint64_t>(n));

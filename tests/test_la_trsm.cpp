@@ -99,46 +99,53 @@ INSTANTIATE_TEST_SUITE_P(
                                          Op::ConjTrans),
                        ::testing::Values(Diag::Unit, Diag::NonUnit)));
 
-// la::trsm switches from the scalar substitution loops to the blocked
-// solve once the triangle exceeds the panel width kBlasNb; sizes on both
-// sides of it, and one spanning two full panels plus a remainder, must
-// agree with the unblocked reference.
-class TrsmPanelBoundary : public ::testing::TestWithParam<index_t> {};
+// la::trsm recurses on halves of the triangle down to substitution on base
+// blocks of at most kRecursionBase rows. Every side/uplo/op/diag
+// combination, at sizes on both sides of the base and of the split points
+// and at the RHS widths the solves issue, must agree with the scalar
+// substitution reference.
+template <typename T>
+void check_against_reference(Side side, Uplo uplo, Op op, Diag diag,
+                             index_t n, index_t width, std::uint64_t seed) {
+  // Off-diagonal entries of order 1/n keep every size well conditioned.
+  auto a = Matrix<T>::random(n, n, seed);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < n; ++i)
+      a(i, j) *= T(static_cast<real_t<T>>(1.0 / static_cast<double>(n)));
+  for (index_t i = 0; i < n; ++i) a(i, i) += T(static_cast<real_t<T>>(2));
+  const index_t rows = side == Side::Left ? n : width;
+  const index_t cols = side == Side::Left ? width : n;
+  auto b = Matrix<T>::random(rows, cols, seed + 1);
+  auto x = Matrix<T>::from_view(b.cview());
+  la::trsm(side, uplo, op, diag, T{2}, a.cview(), x.view());
+  hcham::testing::reference_trsm(side, uplo, op, diag, T{2}, a.cview(),
+                                 b.view());
+  EXPECT_LT(rel_diff<T>(x.cview(), b.cview()), 1e-13)
+      << "n=" << n << " width=" << width;
+}
 
-TEST_P(TrsmPanelBoundary, MatchesUnblockedReference) {
-  const index_t n = GetParam();
-  const index_t nrhs = 7;
-  for (auto uplo : {Uplo::Lower, Uplo::Upper})
-    for (auto op : {Op::NoTrans, Op::ConjTrans}) {
-      auto a = make_triangular<zdouble>(n, uplo, Diag::NonUnit, 4000 + n);
-      auto b = Matrix<zdouble>::random(n, nrhs, 4100 + n);
-      auto x = Matrix<zdouble>::from_view(b.cview());
-      auto x_ref = Matrix<zdouble>::from_view(b.cview());
-      la::trsm(Side::Left, uplo, op, Diag::NonUnit, zdouble(2), a.cview(),
-               x.view());
-      la::detail::trsm_left_unblocked(uplo, op, Diag::NonUnit, zdouble(2),
-                                      a.cview(), x_ref.view());
-      EXPECT_LT(rel_diff<zdouble>(x.cview(), x_ref.cview()), 1e-12)
-          << "left uplo=" << (uplo == Uplo::Lower ? "Lo" : "Up")
-          << " op=" << la::to_string(op);
+class TrsmRecursionBoundary : public ::testing::TestWithParam<TrsmParam> {};
 
-      auto br = Matrix<zdouble>::random(nrhs, n, 4200 + n);
-      auto xr = Matrix<zdouble>::from_view(br.cview());
-      auto xr_ref = Matrix<zdouble>::from_view(br.cview());
-      la::trsm(Side::Right, uplo, op, Diag::NonUnit, zdouble(2), a.cview(),
-               xr.view());
-      la::detail::trsm_right_unblocked(uplo, op, Diag::NonUnit, zdouble(2),
-                                       a.cview(), xr_ref.view());
-      EXPECT_LT(rel_diff<zdouble>(xr.cview(), xr_ref.cview()), 1e-12)
-          << "right uplo=" << (uplo == Uplo::Lower ? "Lo" : "Up")
-          << " op=" << la::to_string(op);
+TEST_P(TrsmRecursionBoundary, MatchesSubstitutionReference) {
+  auto [side, uplo, op, diag] = GetParam();
+  const index_t base = la::kRecursionBase;
+  for (index_t n : {index_t{1}, index_t{7}, index_t{8}, index_t{9}, base - 1,
+                    base, base + 1, index_t{63}, index_t{64}, index_t{65},
+                    index_t{129}, index_t{257}})
+    for (index_t width : {1, 3, 4, 6, 32, 65}) {
+      const auto seed = static_cast<std::uint64_t>(4000 + 7 * n + width);
+      check_against_reference<double>(side, uplo, op, diag, n, width, seed);
+      check_against_reference<zdouble>(side, uplo, op, diag, n, width, seed);
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(AroundKBlasNb, TrsmPanelBoundary,
-                         ::testing::Values(la::kBlasNb - 1, la::kBlasNb,
-                                           la::kBlasNb + 1,
-                                           2 * la::kBlasNb + 1));
+INSTANTIATE_TEST_SUITE_P(
+    AllCombos, TrsmRecursionBoundary,
+    ::testing::Combine(::testing::Values(Side::Left, Side::Right),
+                       ::testing::Values(Uplo::Lower, Uplo::Upper),
+                       ::testing::Values(Op::NoTrans, Op::Trans,
+                                         Op::ConjTrans),
+                       ::testing::Values(Diag::Unit, Diag::NonUnit)));
 
 TEST(Trsm, PaperAlgorithm1Kernels) {
   // The two TRSM flavors used by the tiled LU (Algorithm 1, lines 4 and 7).

@@ -27,6 +27,8 @@
 namespace hcham {
 namespace {
 
+using hcham::testing::ScopedEnv;
+
 using namespace std::chrono_literals;
 using bem::FemBemProblem;
 using core::TileHMatrix;
@@ -298,81 +300,97 @@ TEST(Stats, PlainSnapshotCarriesGraphAndMixedFields) {
 // NOT clamped into range.
 
 TEST(EnvBounded, HostileValuesDegradeToDefaults) {
-  ::setenv("HCHAM_TEST_BOUNDED", "-5", 1);
+  ScopedEnv bounded("HCHAM_TEST_BOUNDED", "-5");
   EXPECT_EQ(env_long_bounded("HCHAM_TEST_BOUNDED", 32, 1, 100), 32);
-  ::setenv("HCHAM_TEST_BOUNDED", "0", 1);
+  bounded.set("0");
   EXPECT_EQ(env_long_bounded("HCHAM_TEST_BOUNDED", 32, 1, 100), 32);
-  ::setenv("HCHAM_TEST_BOUNDED", "1000000000", 1);
+  bounded.set("1000000000");
   EXPECT_EQ(env_long_bounded("HCHAM_TEST_BOUNDED", 32, 1, 100), 32);
-  ::setenv("HCHAM_TEST_BOUNDED", "64", 1);
+  bounded.set("64");
   EXPECT_EQ(env_long_bounded("HCHAM_TEST_BOUNDED", 32, 1, 100), 64);
   // Bounds are inclusive.
-  ::setenv("HCHAM_TEST_BOUNDED", "1", 1);
+  bounded.set("1");
   EXPECT_EQ(env_long_bounded("HCHAM_TEST_BOUNDED", 32, 1, 100), 1);
-  ::setenv("HCHAM_TEST_BOUNDED", "100", 1);
+  bounded.set("100");
   EXPECT_EQ(env_long_bounded("HCHAM_TEST_BOUNDED", 32, 1, 100), 100);
-  ::unsetenv("HCHAM_TEST_BOUNDED");
+  bounded.set(nullptr);
   EXPECT_EQ(env_long_bounded("HCHAM_TEST_BOUNDED", 32, 1, 100), 32);
 
-  ::setenv("HCHAM_TEST_BOUNDED_D", "-0.5", 1);
+  ScopedEnv bounded_d("HCHAM_TEST_BOUNDED_D", "-0.5");
   EXPECT_EQ(env_double_bounded("HCHAM_TEST_BOUNDED_D", 0.25, 0.0, 1.0), 0.25);
-  ::setenv("HCHAM_TEST_BOUNDED_D", "nan", 1);
+  bounded_d.set("nan");
   EXPECT_EQ(env_double_bounded("HCHAM_TEST_BOUNDED_D", 0.25, 0.0, 1.0), 0.25);
-  ::setenv("HCHAM_TEST_BOUNDED_D", "1e99", 1);
+  bounded_d.set("1e99");
   EXPECT_EQ(env_double_bounded("HCHAM_TEST_BOUNDED_D", 0.25, 0.0, 1.0), 0.25);
-  ::setenv("HCHAM_TEST_BOUNDED_D", "0.5", 1);
+  bounded_d.set("0.5");
   EXPECT_EQ(env_double_bounded("HCHAM_TEST_BOUNDED_D", 0.25, 0.0, 1.0), 0.5);
-  ::unsetenv("HCHAM_TEST_BOUNDED_D");
 }
 
 TEST(EnvBounded, FactorOptionsFromEnvParsesAndBounds) {
-  ::setenv("HCHAM_FACTOR_PRECISION", "fp32", 1);
-  ::setenv("HCHAM_FACTOR_EPS", "1e-4", 1);
+  ScopedEnv precision("HCHAM_FACTOR_PRECISION", "fp32");
+  ScopedEnv eps("HCHAM_FACTOR_EPS", "1e-4");
   auto o = core::FactorOptions::from_env();
   EXPECT_TRUE(o.mixed());
   EXPECT_DOUBLE_EQ(o.eps, 1e-4);
-  ::setenv("HCHAM_FACTOR_PRECISION", "native", 1);
-  ::setenv("HCHAM_FACTOR_EPS", "0.9", 1);  // out of (0, 0.5]: fallback 0
+  precision.set("native");
+  eps.set("0.9");  // out of (0, 0.5]: fallback 0
   o = core::FactorOptions::from_env();
   EXPECT_FALSE(o.mixed());
   EXPECT_DOUBLE_EQ(o.eps, 0.0);
-  ::unsetenv("HCHAM_FACTOR_PRECISION");
-  ::unsetenv("HCHAM_FACTOR_EPS");
 }
 
 TEST(EnvBounded, LifecycleConfigFromEnvParsesAndBounds) {
   // Hostile values degrade to the defaults, never a clamp to an extreme.
-  ::setenv("HCHAM_WOODBURY_MAX_RANK", "-4", 1);
-  ::setenv("HCHAM_SESSION_CACHE_BYTES", "12", 1);  // below the 4 KiB floor
-  ::setenv("HCHAM_FACTOR_STORE_DIR", "/tmp/hcham_spill", 1);
+  ScopedEnv max_rank("HCHAM_WOODBURY_MAX_RANK", "-4");
+  ScopedEnv cache_bytes("HCHAM_SESSION_CACHE_BYTES", "12");  // < 4 KiB floor
+  ScopedEnv store_dir("HCHAM_FACTOR_STORE_DIR", "/tmp/hcham_spill");
   auto c = lifecycle::LifecycleConfig::from_env();
   EXPECT_EQ(c.woodbury_max_rank, 32);
   EXPECT_EQ(c.session_cache_bytes, 256ull << 20);
   EXPECT_EQ(c.factor_store_dir, "/tmp/hcham_spill");
 
-  ::setenv("HCHAM_WOODBURY_MAX_RANK", "not_a_number", 1);
-  ::setenv("HCHAM_SESSION_CACHE_BYTES", "99999999999999999999", 1);  // overflow
+  max_rank.set("not_a_number");
+  cache_bytes.set("99999999999999999999");  // overflow
   c = lifecycle::LifecycleConfig::from_env();
   EXPECT_EQ(c.woodbury_max_rank, 32);
   EXPECT_EQ(c.session_cache_bytes, 256ull << 20);
 
   // In-range values are taken verbatim (bounds inclusive).
-  ::setenv("HCHAM_WOODBURY_MAX_RANK", "1", 1);
-  ::setenv("HCHAM_SESSION_CACHE_BYTES", "4096", 1);
+  max_rank.set("1");
+  cache_bytes.set("4096");
   c = lifecycle::LifecycleConfig::from_env();
   EXPECT_EQ(c.woodbury_max_rank, 1);
   EXPECT_EQ(c.session_cache_bytes, 4096u);
-  ::setenv("HCHAM_WOODBURY_MAX_RANK", "4096", 1);
+  max_rank.set("4096");
   c = lifecycle::LifecycleConfig::from_env();
   EXPECT_EQ(c.woodbury_max_rank, 4096);
 
-  ::unsetenv("HCHAM_WOODBURY_MAX_RANK");
-  ::unsetenv("HCHAM_SESSION_CACHE_BYTES");
-  ::unsetenv("HCHAM_FACTOR_STORE_DIR");
+  max_rank.set(nullptr);
+  cache_bytes.set(nullptr);
+  store_dir.set(nullptr);
   c = lifecycle::LifecycleConfig::from_env();
   EXPECT_EQ(c.woodbury_max_rank, 32);
   EXPECT_EQ(c.session_cache_bytes, 256ull << 20);
   EXPECT_TRUE(c.factor_store_dir.empty());
+}
+
+// A value the caller exported (e.g. HCHAM_FACTOR_PRECISION=fp32 for the
+// fp32 CI step) must survive a test that overrides or unsets it.
+TEST(EnvBounded, ScopedEnvRestoresPreviousValueOrAbsence) {
+  ::setenv("HCHAM_TEST_SCOPED", "exported", 1);
+  {
+    ScopedEnv guard("HCHAM_TEST_SCOPED", "override");
+    EXPECT_STREQ(std::getenv("HCHAM_TEST_SCOPED"), "override");
+    guard.set(nullptr);
+    EXPECT_EQ(std::getenv("HCHAM_TEST_SCOPED"), nullptr);
+  }
+  EXPECT_STREQ(std::getenv("HCHAM_TEST_SCOPED"), "exported");
+  ::unsetenv("HCHAM_TEST_SCOPED");
+  {
+    ScopedEnv guard("HCHAM_TEST_SCOPED", "set");
+    EXPECT_STREQ(std::getenv("HCHAM_TEST_SCOPED"), "set");
+  }
+  EXPECT_EQ(std::getenv("HCHAM_TEST_SCOPED"), nullptr);
 }
 
 // demoted_t / convert_scalar sanity.

@@ -18,6 +18,7 @@
 #include "core/tile_h.hpp"
 #include "la/workspace.hpp"
 #include "runtime/engine.hpp"
+#include "test_utils.hpp"
 
 namespace hcham {
 namespace {
@@ -27,14 +28,8 @@ using rt::NestedEpoch;
 using rt::read;
 using rt::readwrite;
 
-/// RAII setenv/unsetenv: the nested gate reads its knobs per construction.
-struct EnvVar {
-  const char* name;
-  EnvVar(const char* n, const char* value) : name(n) {
-    ::setenv(n, value, 1);
-  }
-  ~EnvVar() { ::unsetenv(name); }
-};
+// The nested gate reads its knobs per construction.
+using hcham::testing::ScopedEnv;
 
 /// Spin until `flag` is set or ~5 s elapse; returns whether it was set.
 /// Used to force cross-worker interleavings without risking a hang.
@@ -100,9 +95,9 @@ TEST(NestedGate, CoarseTileHLuOpensTheGateUnforced) {
 }
 
 TEST(NestedGate, DisableEnvWins) {
-  EnvVar disable("HCHAM_NESTED_DISABLE", "1");
+  ScopedEnv disable("HCHAM_NESTED_DISABLE", "1");
   EXPECT_FALSE(gate_decision(4, 1.0e9));
-  EnvVar force("HCHAM_NESTED_FORCE", "1");
+  ScopedEnv force("HCHAM_NESTED_FORCE", "1");
   EXPECT_FALSE(gate_decision(4, 1.0e9));  // disable beats force
 }
 
@@ -177,7 +172,7 @@ TEST(NestedEpochTest, InlineModeRunsImmediatelyInOrder) {
 }
 
 TEST(NestedEpochTest, ParallelModeInfersStfEdges) {
-  EnvVar force("HCHAM_NESTED_FORCE", "1");
+  ScopedEnv force("HCHAM_NESTED_FORCE", "1");
   Engine eng({.num_workers = 2});
   auto h = eng.register_data();
   std::vector<int> order;
@@ -207,7 +202,7 @@ TEST(NestedEpochTest, ParallelModeInfersStfEdges) {
 }
 
 TEST(NestedEpochTest, ErrorPropagatesToParentEpoch) {
-  EnvVar force("HCHAM_NESTED_FORCE", "1");
+  ScopedEnv force("HCHAM_NESTED_FORCE", "1");
   Engine eng({.num_workers = 2});
   auto h = eng.register_data();
   std::atomic<int> ran{0};
@@ -246,7 +241,7 @@ TEST(NestedEpochTest, InlineErrorAlsoRethrownFromWait) {
 }
 
 TEST(NestedEpochTest, FaultInjectionDropsOneNestedEdge) {
-  EnvVar force("HCHAM_NESTED_FORCE", "1");
+  ScopedEnv force("HCHAM_NESTED_FORCE", "1");
   // Drop the first nested edge: the 3-task RW chain keeps the remaining
   // edge, all tasks still run (pending counts stay consistent on a dropped
   // edge), and the edge tally reflects the drop.
@@ -270,7 +265,7 @@ TEST(NestedEpochTest, FaultInjectionDropsOneNestedEdge) {
 }
 
 TEST(NestedEpochTest, ThiefExecutesWithWorkspaceArena) {
-  EnvVar force("HCHAM_NESTED_FORCE", "1");
+  ScopedEnv force("HCHAM_NESTED_FORCE", "1");
   // Deterministic steal: the owner pops nested task A (submitted first,
   // FIFO) and blocks in it until B reports in; only the second pool worker
   // can run B, from its idle-loop steal hook. B also checks it inherited a
@@ -311,7 +306,7 @@ TEST(NestedEpochTest, ThiefExecutesWithWorkspaceArena) {
 }
 
 TEST(NestedEpochTest, NestedInsideNestedStaysInline) {
-  EnvVar force("HCHAM_NESTED_FORCE", "1");
+  ScopedEnv force("HCHAM_NESTED_FORCE", "1");
   Engine eng({.num_workers = 2});
   auto h = eng.register_data();
   bool outer_parallel = false;
@@ -339,7 +334,7 @@ TEST(NestedEpochTest, NestedInsideNestedStaysInline) {
 }
 
 TEST(NestedEpochTest, ManyConcurrentSubEpochs) {
-  EnvVar force("HCHAM_NESTED_FORCE", "1");
+  ScopedEnv force("HCHAM_NESTED_FORCE", "1");
   // Several parent tasks open sub-epochs at once; every nested task runs
   // exactly once despite cross-epoch stealing.
   Engine eng({.num_workers = 4});

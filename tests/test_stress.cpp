@@ -11,6 +11,7 @@
 #include "hmatrix/haxpy.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/simulator.hpp"
+#include "test_utils.hpp"
 
 namespace hcham {
 namespace {
@@ -120,7 +121,7 @@ TEST(SimulatorConsistency, SingleWorkerReplayMatchesMeasuredTotal) {
 /// drain cleanly every time (this is the ASan/UBSan soak for the nested
 /// ownership and steal protocol).
 TEST(NestedStress, MultiEpochDrainWithConcurrentSubEpochs) {
-  ::setenv("HCHAM_NESTED_FORCE", "1", 1);
+  hcham::testing::ScopedEnv force("HCHAM_NESTED_FORCE", "1");
   constexpr int kEpochs = 8;
   constexpr int kParents = 6;
   constexpr int kCells = 4;
@@ -195,7 +196,6 @@ TEST(NestedStress, MultiEpochDrainWithConcurrentSubEpochs) {
       }
     }
   }
-  ::unsetenv("HCHAM_NESTED_FORCE");
 }
 
 TEST(Haxpy, MatchingStructures) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <complex>
+#include <optional>
 #include <string>
 
 #include "la/la.hpp"
@@ -11,6 +13,33 @@
 namespace hcham::testing {
 
 using zdouble = std::complex<double>;
+
+/// RAII environment override for the env-reading code under test: sets
+/// `name` (nullptr value: unsets it) and, on destruction, restores the
+/// value the variable had before -- or its absence -- so a value the
+/// caller exported survives the test.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) previous_ = old;
+    set(value);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+  ~ScopedEnv() { set(previous_ ? previous_->c_str() : nullptr); }
+
+  void set(const char* value) {
+    if (value != nullptr) {
+      ::setenv(name_, value, 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> previous_;
+};
 
 /// Naive O(mnk) reference product: C = alpha * op(A) * op(B) + beta * C.
 template <typename T>
@@ -37,6 +66,40 @@ void reference_gemm(la::Op opa, la::Op opb, T alpha, la::ConstMatrixView<T> a,
       T acc{};
       for (index_t l = 0; l < k; ++l) acc += at(i, l) * bt(l, j);
       c(i, j) = alpha * acc + beta * c(i, j);
+    }
+  }
+}
+
+/// Substitution reference for la::trsm: solves op(A) X = alpha B (Left) or
+/// X op(A) = alpha B (Right) one scalar at a time on the explicit op(A),
+/// overwriting B with X.
+template <typename T>
+void reference_trsm(la::Side side, la::Uplo uplo, la::Op op, la::Diag diag,
+                    T alpha, la::ConstMatrixView<T> a, la::MatrixView<T> b) {
+  const index_t n = a.rows();
+  auto mat = [&](index_t i, index_t j) -> T {
+    switch (op) {
+      case la::Op::NoTrans: return a(i, j);
+      case la::Op::Trans: return a(j, i);
+      default: return conj_if(a(j, i));
+    }
+  };
+  const bool lower = (op == la::Op::NoTrans) == (uplo == la::Uplo::Lower);
+  const bool unit = diag == la::Diag::Unit;
+  // Left: column j of B against op(A). Right: row j of B against op(A)^T,
+  // whose triangle is the mirror one.
+  const bool left = side == la::Side::Left;
+  const bool fwd = left == lower;
+  const index_t count = left ? b.cols() : b.rows();
+  for (index_t j = 0; j < count; ++j) {
+    auto x = [&](index_t i) -> T& { return left ? b(i, j) : b(j, i); };
+    auto m = [&](index_t i, index_t l) { return left ? mat(i, l) : mat(l, i); };
+    for (index_t s = 0; s < n; ++s) {
+      const index_t i = fwd ? s : n - 1 - s;
+      T acc = alpha * x(i);
+      for (index_t l = fwd ? 0 : i + 1; l < (fwd ? i : n); ++l)
+        acc -= m(i, l) * x(l);
+      x(i) = unit ? acc : acc / m(i, i);
     }
   }
 }
