@@ -3,7 +3,9 @@
 // sizes, shapes, op combinations, and scalar types; the leaf shapes the
 // H-matrix solves issue, through la::gemm against both the packed engine
 // and the reference loops; TRSM / GETRF / POTRF / QR / ACA riding on the
-// engine; and the rk::truncate kernel at the H-LU core shapes. Emits
+// engine; the rk::truncate kernel at the H-LU core shapes, and nrm2,
+// qr_pivoted_rank and rk::compact_tail at the factorizations' mean
+// truncation shapes. Emits
 // BENCH_kernels.json (schema: EXPERIMENTS.md) and prints a human-readable
 // table.
 //
@@ -144,6 +146,30 @@ void leaf_gemm(const char* tag, la::Op opa, index_t m, index_t n, index_t k,
   });
 }
 
+/// Per-call median of `calls` runs of `kernel(i)` on inputs `setup()`
+/// rebuilds before each repetition (outside the timed region).
+template <typename Setup, typename Kernel>
+bench::BenchRecord per_call_record(std::string name, index_t size,
+                                   double flops, int reps, int calls,
+                                   Setup&& setup, Kernel&& kernel) {
+  std::vector<double> per_call;
+  for (int rep = 0; rep < reps; ++rep) {
+    setup();
+    Timer t;
+    for (int i = 0; i < calls; ++i) kernel(i);
+    per_call.push_back(t.seconds() / calls);
+  }
+  std::sort(per_call.begin(), per_call.end());
+  bench::BenchRecord rec;
+  rec.name = std::move(name);
+  rec.size = size;
+  rec.reps = reps;
+  rec.median_s = per_call[per_call.size() / 2];
+  rec.min_s = per_call.front();
+  rec.gflops = flops > 0 ? flops / rec.median_s * 1e-9 : 0.0;
+  return rec;
+}
+
 /// Leaf-size TRSM (left, lower, unit: the forward solve), GETRF and POTRF
 /// at n = 64, repeated on fresh copies of one well-conditioned matrix.
 template <typename T>
@@ -160,22 +186,12 @@ void leaf_factor_records(const char* tag, int reps) {
   std::vector<la::Matrix<T>> work(kCalls);
   const auto run = [&](const std::string& name, double flops,
                        const la::Matrix<T>& src, auto&& kernel) {
-    std::vector<double> per_call;
-    for (int rep = 0; rep < reps; ++rep) {
-      for (auto& w : work) w = la::Matrix<T>::from_view(src.cview());
-      Timer t;
-      for (auto& w : work) kernel(w);
-      per_call.push_back(t.seconds() / kCalls);
-    }
-    std::sort(per_call.begin(), per_call.end());
-    bench::BenchRecord rec;
-    rec.name = name;
-    rec.size = n;
-    rec.reps = reps;
-    rec.median_s = per_call[per_call.size() / 2];
-    rec.min_s = per_call.front();
-    rec.gflops = cplx * flops / rec.median_s * 1e-9;
-    report(rec);
+    report(per_call_record(
+        name, n, cplx * flops, reps, kCalls,
+        [&] {
+          for (auto& w : work) w = la::Matrix<T>::from_view(src.cview());
+        },
+        [&](int i) { kernel(work[static_cast<std::size_t>(i)]); }));
   };
   for (const index_t nrhs : {4, 32}) {
     const auto rhs = la::Matrix<T>::random(n, nrhs, 6);
@@ -205,33 +221,94 @@ void truncate_records(const char* tag, int reps) {
   const rk::TruncationParams params{1e-8, -1};
   for (const index_t width : {32, 64, 128}) {
     constexpr int kCalls = 10;
-    std::vector<double> per_call;
+    std::vector<rk::RkMatrix<T>> work;
     const ArithCounterSnapshot before = snapshot_arith_counters();
-    for (int rep = 0; rep < reps; ++rep) {
-      std::vector<rk::RkMatrix<T>> work;
-      for (int c = 0; c < kCalls; ++c) {
-        rk::RkMatrix<T> w(la::Matrix<T>::from_view(u0.cview()),
-                          la::Matrix<T>::from_view(v0.cview()));
-        while (w.rank() < width) w.append_factors(T{1}, u0.cview(), v0.cview());
-        work.push_back(std::move(w));
-      }
-      Timer t;
-      for (auto& w : work) rk::truncate(w, params);
-      per_call.push_back(t.seconds() / kCalls);
-    }
+    bench::BenchRecord rec = per_call_record(
+        std::string("rk_truncate_") + tag, width, 0.0, reps, kCalls,
+        [&] {
+          work.clear();
+          for (int c = 0; c < kCalls; ++c) {
+            rk::RkMatrix<T> w(la::Matrix<T>::from_view(u0.cview()),
+                              la::Matrix<T>::from_view(v0.cview()));
+            while (w.rank() < width)
+              w.append_factors(T{1}, u0.cview(), v0.cview());
+            work.push_back(std::move(w));
+          }
+        },
+        [&](int c) { rk::truncate(work[static_cast<std::size_t>(c)], params); });
     const ArithCounterSnapshot after = snapshot_arith_counters();
-    std::sort(per_call.begin(), per_call.end());
-    bench::BenchRecord rec;
-    rec.name = std::string("rk_truncate_") + tag;
-    rec.size = width;
-    rec.reps = reps;
-    rec.median_s = per_call[per_call.size() / 2];
-    rec.min_s = per_call.front();
     rec.extra.emplace_back(
         "sweeps_per_call",
         static_cast<double>(after.svd_sweeps - before.svd_sweeps) /
             (reps * kCalls));
     report(rec);
+  }
+}
+
+/// The Level-1 and rank-revealing kernels under the truncation at the mean
+/// shapes of the H-LU factorizations: nrm2 at n = 64, qr_pivoted_rank on a
+/// 26 x 26 core of rank 13, and rk::compact_tail on an m x m block whose
+/// kp-column pending tail has rank kp / 2 (m x kp = 72 x 38 real, 56 x 26
+/// complex). Timing only, no gate.
+template <typename T>
+void truncation_kernel_records(const char* tag, index_t m, index_t kp,
+                               int reps) {
+  la::WorkspaceLease lease;
+  const double cplx = is_complex_v<T> ? 4.0 : 1.0;
+  {
+    constexpr index_t n = 64;
+    constexpr int kCalls = 20000;
+    const auto x = la::Matrix<T>::random(n, 1, 21);
+    volatile real_t<T> sink{};
+    report(per_call_record(
+        std::string("nrm2_") + tag, n, cplx * 2.0 * n, reps, kCalls, [] {},
+        [&](int) { sink = sink + la::nrm2(n, x.data()); }));
+  }
+  {
+    constexpr index_t n = 26, r = 13;
+    constexpr int kCalls = 500;
+    la::Matrix<T> core(n, n);
+    la::gemm<T>(la::Op::NoTrans, la::Op::ConjTrans, T{1},
+                la::Matrix<T>::random(n, r, 22).cview(),
+                la::Matrix<T>::random(n, r, 23).cview(), T{}, core.view());
+    la::Matrix<T> q(n, n), rr(n, n);
+    report(per_call_record(
+        std::string("qr_pivoted_rank_") + tag, n,
+        cplx * 4.0 * n * n * r, reps, kCalls, [] {}, [&](int) {
+          if (la::qr_pivoted_rank<T>(core.cview(), q.view(), rr.view(),
+                                     1e-8) != r)
+            std::abort();
+        }));
+  }
+  {
+    constexpr int kCalls = 200;
+    const index_t head = 8, r = kp / 2;
+    const auto mix = la::Matrix<T>::random(r, kp, 24);
+    la::Matrix<T> tu(m, kp), tv(m, kp);
+    la::gemm<T>(la::Op::NoTrans, la::Op::NoTrans, T{1},
+                la::Matrix<T>::random(m, r, 25).cview(), mix.cview(), T{},
+                tu.view());
+    la::gemm<T>(la::Op::NoTrans, la::Op::NoTrans, T{1},
+                la::Matrix<T>::random(m, r, 26).cview(), mix.cview(), T{},
+                tv.view());
+    std::vector<rk::RkMatrix<T>> work;
+    const rk::TruncationParams params{1e-8, -1};
+    report(per_call_record(
+        std::string("rk_compact_tail_") + tag, kp, 0.0, reps, kCalls,
+        [&] {
+          work.clear();
+          for (int c = 0; c < kCalls; ++c) {
+            rk::RkMatrix<T> w(la::Matrix<T>::random(m, head, 27),
+                              la::Matrix<T>::random(m, head, 28));
+            w.append_factors(T{1}, tu.cview(), tv.cview());
+            work.push_back(std::move(w));
+          }
+        },
+        [&](int c) {
+          if (rk::compact_tail(work[static_cast<std::size_t>(c)], head,
+                               params) > head + r)
+            std::abort();
+        }));
   }
 }
 
@@ -359,6 +436,8 @@ int main(int argc, char** argv) {
 
   truncate_records<double>("d", reps);
   truncate_records<std::complex<double>>("z", reps);
+  truncation_kernel_records<double>("d", 72, 38, reps);
+  truncation_kernel_records<std::complex<double>>("z", 56, 26, reps);
 
   if (!g_json.write(out)) {
     std::fprintf(stderr, "error: cannot write %s\n", out.c_str());

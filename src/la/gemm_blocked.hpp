@@ -60,8 +60,11 @@ inline constexpr index_t kGemmNc = 4096;
 /// this size take the small-shape driver, as do products narrower than a
 /// register tile in m or n (which packing would pad).
 inline constexpr index_t kGemmSmallMax = 128;
-/// Panel width of the blocked Householder QR.
+/// Reflectors per compact-WY block of the Householder QR (la::geqrt).
 inline constexpr index_t kQrNb = 32;
+/// Widest panel the recursive Householder QR factors with the unblocked
+/// loop.
+inline constexpr index_t kQrBase = 4;
 
 namespace detail {
 #if defined(__AVX512F__)
@@ -225,6 +228,49 @@ inline void run_tile(const MicroTile<T>& t, index_t n_live, index_t height) {
   (height == GemmMicroShape<T>::mr ? kFull[j] : kHalf[j])(t);
 }
 
+/// Shuffle mask of one butterfly stage of an in-register transpose of
+/// NE x NE elements, W real lanes each: rows i and i + h swap their
+/// off-diagonal h-element blocks. `lo` makes the new row i, else row i + h.
+template <typename I, int NE, int W, int h, bool lo>
+constexpr auto transpose_mask() {
+  constexpr int VL = NE * W;
+  std::array<I, VL> m{};
+  for (int x = 0; x < VL; ++x) {
+    const int e = x / W;
+    const int w = x % W;
+    if constexpr (lo) {
+      m[x] = (e & h) ? VL + (e - h) * W + w : x;
+    } else {
+      m[x] = (e & h) ? VL + x : (e + h) * W + w;
+    }
+  }
+  typedef I M __attribute__((vector_size(VL * sizeof(I))));
+  return [&]<std::size_t... X>(std::index_sequence<X...>) {
+    return M{m[X]...};
+  }(std::make_index_sequence<VL>{});
+}
+
+/// Transpose the NE x NE block of elements held one row per vector in v
+/// (log2(NE) butterfly stages of constant shuffles).
+template <typename T, int NE, int h = NE / 2, typename V>
+inline void transpose_rows(V* v) {
+  if constexpr (h >= 1) {
+    using R = real_t<T>;
+    using I = std::conditional_t<sizeof(R) == 8, long long, int>;
+    constexpr int W = is_complex_v<T> ? 2 : 1;
+    constexpr auto lo = transpose_mask<I, NE, W, h, true>();
+    constexpr auto hi = transpose_mask<I, NE, W, h, false>();
+    for (int i = 0; i < NE; ++i) {
+      if (i & h) continue;
+      const V a = v[i];
+      const V b = v[i + h];
+      v[i] = __builtin_shuffle(a, b, lo);
+      v[i + h] = __builtin_shuffle(a, b, hi);
+    }
+    transpose_rows<T, NE, h / 2>(v);
+  }
+}
+
 /// Copy rows i0 .. i0+rows of op(A)(:, l0 .. l0+kb) into a sliver of
 /// H >= rows rows at dst[l*H + i], zero-padded below the live rows. H is a
 /// constant so the copies vectorize whatever `rows` is.
@@ -239,12 +285,44 @@ void pack_sliver(const Strided<T>& a, index_t i0, index_t rows, index_t l0,
     }
     return;
   }
-  for (index_t i = 0; i < rows; ++i)  // rows of the sliver are contiguous
-    for (index_t l = 0; l < kb; ++l) dst[l * H + i] = a.at(i0 + i, l0 + l);
-  if (rows < H)
-    for (index_t l = 0; l < kb; ++l)
-      for (index_t i = 0; i < H; ++i)
-        if (i >= rows) dst[l * H + i] = T{};
+  // Rows of the sliver run along l. With unit stride along l, NE x NE
+  // blocks (one vector register per row) are loaded row-wise, transposed
+  // in registers and stored as whole column segments of dst.
+  using R = real_t<T>;
+  typedef R V __attribute__((vector_size(kVecBytes)));
+  constexpr int W = is_complex_v<T> ? 2 : 1;
+  constexpr int NE = kVecBytes / static_cast<int>(sizeof(T));
+  index_t l = 0;
+  if constexpr (NE > 1 && H % NE == 0) {
+    if (a.cs == 1) {
+      V sign;  // flips the imaginary lanes of a conjugated operand
+      for (int x = 0; x < NE * W; ++x)
+        sign[x] = a.conj && x % W == 1 ? R{-1} : R{1};
+      for (; l + NE <= kb; l += NE) {
+        for (index_t g = 0; g < H; g += NE) {
+          V v[NE];
+          for (int i = 0; i < NE; ++i) {
+            if (g + i < rows) {
+              __builtin_memcpy(
+                  &v[i],
+                  reinterpret_cast<const R*>(a.p + (i0 + g + i) * a.rs + l0 + l),
+                  sizeof(V));
+              if (a.conj) v[i] *= sign;
+            } else {
+              v[i] = V{};
+            }
+          }
+          transpose_rows<T, NE>(v);
+          for (int e = 0; e < NE; ++e)
+            __builtin_memcpy(reinterpret_cast<R*>(dst + (l + e) * H + g),
+                             &v[e], sizeof(V));
+        }
+      }
+    }
+  }
+  for (; l < kb; ++l)
+    for (index_t i = 0; i < H; ++i)
+      dst[l * H + i] = i < rows ? a.at(i0 + i, l0 + l) : T{};
 }
 
 /// Copy op(B)(l0 .. l0+kb, j0 .. j0+cols) into nr-column panels at

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/scalar.hpp"
@@ -10,16 +11,46 @@
 
 namespace hcham::la {
 
-/// Frobenius norm with overflow-safe scaling.
+/// Independent partial sums behind dotc / norm_fro_sq: a reduction into
+/// kReduceLanes accumulators vectorizes without reassociation flags.
+/// Complex vectors are reduced as interleaved (re, im) real arrays.
+inline constexpr index_t kReduceLanes = 8;
+
+/// Squared Euclidean norm of a raw vector, unscaled: the sum of the squares
+/// of its real lanes on kReduceLanes accumulators. The Jacobi sweeps use it
+/// directly; norm_fro guards it against overflow and underflow.
 template <typename T>
-real_t<T> norm_fro(ConstMatrixView<T> a) {
+real_t<T> norm_fro_sq(index_t n, const T* x) {
+  using R = real_t<T>;
+  const R* xr = reinterpret_cast<const R*>(x);
+  const index_t len = (is_complex_v<T> ? 2 : 1) * n;
+  R acc[kReduceLanes] = {};
+  index_t j = 0;
+  for (; j + kReduceLanes <= len; j += kReduceLanes)
+    for (index_t l = 0; l < kReduceLanes; ++l) acc[l] += xr[j + l] * xr[j + l];
+  R s{};
+  for (index_t l = 0; l < kReduceLanes; ++l) s += acc[l];
+  for (; j < len; ++j) s += xr[j] * xr[j];
+  return s;
+}
+
+namespace detail {
+
+/// Frobenius norm by the overflow-safe scaled loop (LAPACK's classic
+/// xNRM2): one modulus and a division per entry. A NaN entry gives NaN,
+/// otherwise an infinite entry gives +Inf.
+template <typename T>
+real_t<T> norm_fro_scaled(ConstMatrixView<T> a) {
   using R = real_t<T>;
   R scale{};
   R ssq{1};
+  bool inf = false;
   for (index_t j = 0; j < a.cols(); ++j) {
     for (index_t i = 0; i < a.rows(); ++i) {
       const R v = abs_val(a(i, j));
-      if (v == R{}) continue;
+      if (std::isnan(v)) return v;
+      if (std::isinf(v)) inf = true;
+      if (inf || v == R{}) continue;
       if (scale < v) {
         ssq = R{1} + ssq * (scale / v) * (scale / v);
         scale = v;
@@ -28,7 +59,26 @@ real_t<T> norm_fro(ConstMatrixView<T> a) {
       }
     }
   }
-  return scale * std::sqrt(ssq);
+  return inf ? std::numeric_limits<R>::infinity() : scale * std::sqrt(ssq);
+}
+
+}  // namespace detail
+
+/// Frobenius norm, overflow- and underflow-safe. The unscaled sum of
+/// squares (norm_fro_sq, per column) is exact to rounding whenever it is
+/// finite and at least min / eps: then no square overflowed, and the
+/// squares that underflowed weigh below eps of the sum. Otherwise --
+/// entries beyond ~1e154 (double) or ~1e19 (float), all entries tiny, or
+/// an Inf or NaN -- the scaled loop recomputes it.
+template <typename T>
+real_t<T> norm_fro(ConstMatrixView<T> a) {
+  using R = real_t<T>;
+  R s{};
+  for (index_t j = 0; j < a.cols(); ++j) s += norm_fro_sq(a.rows(), a.col(j));
+  constexpr R kSafeMin =
+      std::numeric_limits<R>::min() / std::numeric_limits<R>::epsilon();
+  if (s >= kSafeMin && s <= std::numeric_limits<R>::max()) return std::sqrt(s);
+  return detail::norm_fro_scaled(a);
 }
 
 /// max_{ij} |a_ij|.
@@ -45,11 +95,6 @@ template <typename T>
 real_t<T> nrm2(index_t n, const T* x) {
   return norm_fro(ConstMatrixView<T>(x, n, 1, n > 0 ? n : 1));
 }
-
-/// Independent partial sums behind dotc / norm_fro_sq: a reduction into
-/// kReduceLanes accumulators vectorizes without reassociation flags.
-/// Complex vectors are reduced as interleaved (re, im) real arrays.
-inline constexpr index_t kReduceLanes = 8;
 
 /// Conjugated dot product x^H y.
 template <typename T>
@@ -103,13 +148,6 @@ std::pair<real_t<T>, real_t<T>> diag_abs_range(ConstMatrixView<T> a) {
     hi = std::max(hi, v);
   }
   return {lo, hi};
-}
-
-/// Squared Euclidean norm of a raw vector (no scaling; used in the Jacobi
-/// sweeps).
-template <typename T>
-real_t<T> norm_fro_sq(index_t n, const T* x) {
-  return scalar_traits<T>::real(dotc(n, x, x));
 }
 
 }  // namespace hcham::la

@@ -1,23 +1,21 @@
-// Householder QR (xGEQRF / xORGQR / xORMQR style) used by the low-rank
-// truncation kernels: the thin U/V factors are factored in place, and their
-// Q is applied to the small truncated results by ormqr instead of being
-// formed.
+// Householder QR used by the low-rank truncation kernels: the thin U/V
+// factors are factored in place, and their Q is applied to the small
+// truncated results by gemqrt instead of being formed.
 //
-// Conventions follow LAPACK's zlarfg/zgeqrf: each reflector is
+// Conventions follow LAPACK's zlarfg/zgeqrt: each reflector is
 //   H(i) = I - tau_i * v_i * v_i^H,  v_i = (1; stored below the diagonal),
 // H(i) is unitary, H(i)^H maps the working column to beta * e1 with beta
 // real, the factorization applies H^H so that A <- R, and Q = H(1)...H(k).
-//
-// geqrf is blocked for wide trailing updates: reflectors are accumulated a
-// panel (kQrNb columns) at a time into the compact WY form
-// Q = I - V T V^H (xLARFT), and the trailing matrix is updated with three
-// GEMMs (xLARFB) so the bulk of the flops runs on the packed register-tiled
-// engine.
+// The reflectors of each kQrNb-column block are kept in compact-WY form,
+// H(j)...H(j+nb-1) = I - V T V^H, and geqrt returns the blocks' T factors
+// (tau_i is the diagonal of T), so both the factorization and every later
+// application of Q run as three GEMMs per block (xLARFB). A block itself is
+// factored by the Elmroth-Gustavson recursion, which builds T by GEMM as it
+// goes; only panels of at most kQrBase columns run the unblocked loop.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
-#include <utility>
-#include <vector>
 
 #include "common/scalar.hpp"
 #include "la/gemm.hpp"
@@ -57,13 +55,12 @@ void larfg(index_t n, T& alpha, T* x, T& tau) {
   alpha = T(beta);
 }
 
-/// Apply H^H (conj_tau = true) or H (false) to C from the left, where the
-/// reflector is v = (1; vtail) over all rows of C.
+/// Apply H^H to C from the left, where the reflector is v = (1; vtail)
+/// over all rows of C.
 template <typename T>
-void apply_reflector(const T* vtail, index_t m, T tau, bool conj_tau,
-                     MatrixView<T> c) {
+void apply_reflector_h(const T* vtail, index_t m, T tau, MatrixView<T> c) {
   if (tau == T{}) return;
-  const T t = conj_tau ? conj_if(tau) : tau;
+  const T t = conj_if(tau);
   for (index_t j = 0; j < c.cols(); ++j) {
     T* cj = c.col(j);
     // w = v^H * C(:, j)
@@ -83,144 +80,204 @@ void geqrf_unblocked(MatrixView<T> a, T* tau) {
   for (index_t j = 0; j < k; ++j) {
     larfg(m - j, a(j, j), &a(j + 1 < m ? j + 1 : j, j), tau[j]);
     if (j + 1 < n) {
-      apply_reflector(m - j > 1 ? &a(j + 1, j) : nullptr, m - j, tau[j],
-                      /*conj_tau=*/true, a.block(j, j + 1, m - j, n - j - 1));
+      apply_reflector_h(m - j > 1 ? &a(j + 1, j) : nullptr, m - j, tau[j],
+                        a.block(j, j + 1, m - j, n - j - 1));
     }
   }
 }
 
-/// Build the compact-WY triangular factor T (forward, columnwise storage,
-/// xLARFT): Q = H(1)...H(k) = I - V T V^H. v holds the panel as produced by
-/// geqrf_unblocked (reflector tails below the diagonal; the diagonal/upper
-/// part holds R and is read as the implicit unit diagonal). t is k x k; only
-/// its upper triangle is written, the rest is zeroed.
+/// v (m x k) <- the reflectors stored below the diagonal of a (m x k) as
+/// the explicit unit lower-trapezoidal block the GEMMs read: unit diagonal,
+/// zeros above it.
+template <typename T>
+void reflector_block(ConstMatrixView<T> a, MatrixView<T> v) {
+  for (index_t j = 0; j < a.cols(); ++j) {
+    T* vj = v.col(j);
+    const T* aj = a.col(j);
+    for (index_t i = 0; i < j; ++i) vj[i] = T{};
+    vj[j] = T{1};
+    for (index_t i = j + 1; i < a.rows(); ++i) vj[i] = aj[i];
+  }
+}
+
+/// Unblocked compact-WY factor (xLARFT, forward columnwise) of the explicit
+/// reflector block v (m x k): Q = H(1)...H(k) = I - V T V^H with T (k x k)
+/// upper triangular, zeros below.
 template <typename T>
 void larft(ConstMatrixView<T> v, const T* tau, MatrixView<T> t) {
   const index_t m = v.rows();
   const index_t k = v.cols();
-  for (index_t j = 0; j < k; ++j)
-    for (index_t i = 0; i < k; ++i) t(i, j) = T{};
+  t.set_zero();
   for (index_t i = 0; i < k; ++i) {
-    const T ti = tau[i];
-    if (ti == T{}) continue;  // H(i) = I; the column stays zero.
-    // t(0:i, i) = -tau_i * V(i:m, 0:i)^H * v_i, with v_i = (1; tail).
-    for (index_t j = 0; j < i; ++j) {
-      T acc = conj_if(v(i, j));  // v_i(i) = 1 implicit
-      const T* vj = v.col(j);
-      const T* vi = v.col(i);
-      for (index_t l = i + 1; l < m; ++l) acc += conj_if(vj[l]) * vi[l];
-      t(j, i) = -ti * acc;
-    }
-    // t(0:i, i) = T(0:i, 0:i) * t(0:i, i), an upper-triangular matvec done
-    // in place: row j only reads entries l >= j, so ascending j is safe.
+    // t(0:i, i) = -tau_i T(0:i, 0:i) V(i:m, 0:i)^H v_i, the triangular
+    // product in place: row j reads only t(l, i) for l >= j.
+    for (index_t j = 0; j < i; ++j)
+      t(j, i) = -tau[i] * dotc(m - i, v.col(j) + i, v.col(i) + i);
     for (index_t j = 0; j < i; ++j) {
       T acc{};
       for (index_t l = j; l < i; ++l) acc += t(j, l) * t(l, i);
       t(j, i) = acc;
     }
-    t(i, i) = ti;
+    t(i, i) = tau[i];
   }
 }
 
-/// Apply Q^H = I - V T^H V^H from the left (xLARFB, forward/columnwise):
-/// C <- C - V * (T^H * (V^H * C)) via three GEMMs. v is the m x k unit
-/// lower-trapezoidal reflector block with an explicit unit diagonal and
-/// explicit zeros above it; t is the k x k factor from larft.
+/// Join two compact-WY factors: for V = [V1 V2] with V2 zero in its first
+/// k1 rows, (I - V1 T11 V1^H)(I - V2 T22 V2^H) = I - V T V^H with
+/// T12 = -T11 (V1^H V2) T22. t holds T11 and T22 on entry (zeros below
+/// their diagonals); T12 is written and T21 zeroed.
 template <typename T>
-void larfb_left_ctrans(ConstMatrixView<T> v, ConstMatrixView<T> t,
-                       MatrixView<T> c) {
+void larft_join(ConstMatrixView<T> v, index_t k1, MatrixView<T> t) {
+  const index_t m = v.rows();
+  const index_t k2 = v.cols() - k1;
+  WorkspaceScope ws;
+  MatrixView<T> w = ws.matrix<T>(k1, k2);
+  gemm(Op::ConjTrans, Op::NoTrans, T{1}, v.block(k1, 0, m - k1, k1),
+       v.block(k1, k1, m - k1, k2), T{}, w);
+  MatrixView<T> w2 = ws.matrix<T>(k1, k2);
+  gemm(Op::NoTrans, Op::NoTrans, T{1}, ConstMatrixView<T>(w),
+       ConstMatrixView<T>(t).block(k1, k1, k2, k2), T{}, w2);
+  gemm(Op::NoTrans, Op::NoTrans, T{-1},
+       ConstMatrixView<T>(t).block(0, 0, k1, k1), ConstMatrixView<T>(w2),
+       T{}, t.block(0, k1, k1, k2));
+  t.block(k1, 0, k2, k1).set_zero();
+}
+
+/// Apply Q = I - V T V^H (opt = NoTrans) or Q^H = I - V T^H V^H (opt =
+/// ConjTrans) from the left (xLARFB, forward columnwise): C <- C - V *
+/// (op(T) * (V^H * C)) via three GEMMs. v is the explicit m x k reflector
+/// block of reflector_block, t its k x k factor. With `c_is_identity`, C
+/// is known to be [I_k; 0], so V^H C is the unit upper triangle V(0:k, :)^H
+/// and needs no GEMM.
+template <typename T>
+void larfb_left(Op opt, ConstMatrixView<T> v, ConstMatrixView<T> t,
+                MatrixView<T> c, bool c_is_identity = false) {
   const index_t k = v.cols();
   const index_t n = c.cols();
+  if (n == 0) return;
   WorkspaceScope ws;
   MatrixView<T> w = ws.matrix<T>(k, n);
-  gemm(Op::ConjTrans, Op::NoTrans, T{1}, v, ConstMatrixView<T>(c), T{}, w);
+  if (c_is_identity) {
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < k; ++i) w(i, j) = conj_if(v(j, i));
+  } else {
+    gemm(Op::ConjTrans, Op::NoTrans, T{1}, v, ConstMatrixView<T>(c), T{},
+         w);
+  }
   MatrixView<T> w2 = ws.matrix<T>(k, n);
-  gemm(Op::ConjTrans, Op::NoTrans, T{1}, t, ConstMatrixView<T>(w), T{}, w2);
+  gemm(opt, Op::NoTrans, T{1}, t, ConstMatrixView<T>(w), T{}, w2);
   gemm(Op::NoTrans, Op::NoTrans, T{-1}, v, ConstMatrixView<T>(w2), T{1}, c);
+}
+
+/// Recursive QR of a panel (Elmroth-Gustavson): a (m x n, n <= m) gets R
+/// above and the reflectors below its diagonal, v the explicit reflector
+/// block and t its compact-WY factor. The left half is factored and applied
+/// to the right half, the right half factored, and the two T factors
+/// joined, so every update runs on GEMM.
+template <typename T>
+void geqrt_panel(MatrixView<T> a, MatrixView<T> v, MatrixView<T> t) {
+  const index_t m = a.rows();
+  const index_t n = a.cols();
+  if (n <= kQrBase) {
+    T tau[kQrBase];
+    geqrf_unblocked(a, tau);
+    reflector_block(ConstMatrixView<T>(a), v);
+    larft(ConstMatrixView<T>(v), tau, t);
+    return;
+  }
+  const index_t n1 = n / 2;
+  const index_t n2 = n - n1;
+  geqrt_panel(a.block(0, 0, m, n1), v.block(0, 0, m, n1),
+              t.block(0, 0, n1, n1));
+  larfb_left(Op::ConjTrans, ConstMatrixView<T>(v).block(0, 0, m, n1),
+             ConstMatrixView<T>(t).block(0, 0, n1, n1),
+             a.block(0, n1, m, n2));
+  v.block(0, n1, n1, n2).set_zero();
+  geqrt_panel(a.block(n1, n1, m - n1, n2), v.block(n1, n1, m - n1, n2),
+              t.block(n1, n1, n2, n2));
+  larft_join(ConstMatrixView<T>(v), n1, t);
+}
+
+/// C <- Q C for Q = H(0)...H(k-1) of geqrt's output, a block at a time
+/// from the last. With `identity_lead`, C starts as [I_k; 0]: its columns
+/// left of block j vanish in that block's rows and are skipped, and the
+/// last block meets its columns still equal to the identity.
+template <typename T>
+void gemqrt_blocks(ConstMatrixView<T> a, ConstMatrixView<T> t, index_t k,
+                   MatrixView<T> c, bool identity_lead) {
+  const index_t m = a.rows();
+  HCHAM_CHECK(k <= a.cols() && k <= m && c.rows() == m);
+  if (k == 0) return;
+  const index_t nb = t.rows();
+  WorkspaceScope ws;
+  MatrixView<T> v = ws.matrix<T>(m, nb);
+  for (index_t j = (k - 1) / nb * nb; j >= 0; j -= nb) {
+    // The first jb reflectors of a block have the leading jb x jb of its T.
+    const index_t jb = std::min(nb, k - j);
+    MatrixView<T> vj = v.block(0, 0, m - j, jb);
+    reflector_block(a.block(j, j, m - j, jb), vj);
+    const index_t c0 = identity_lead ? j : 0;
+    larfb_left(Op::NoTrans, ConstMatrixView<T>(vj), t.block(0, j, jb, jb),
+               c.block(j, c0, m - j, c.cols() - c0),
+               identity_lead && j + jb == k);
+  }
 }
 
 }  // namespace detail
 
-/// Householder QR in place: on exit the upper triangle of A holds R and the
-/// reflectors are stored below the diagonal. tau must hold min(m, n) entries.
-/// Wide problems are processed a panel at a time with blocked (compact-WY)
-/// trailing updates; nb defaults to kQrNb.
+/// Rows of geqrt's T for an m x n matrix.
+inline index_t geqrt_nb(index_t m, index_t n) {
+  return std::min(kQrNb, std::min(m, n));
+}
+
+/// Householder QR in place (xGEQRT): on exit the upper triangle of A holds
+/// R and the reflectors are stored below the diagonal. t (geqrt_nb(m, n) x
+/// min(m, n)) receives the compact-WY factor of each
+/// block of nb reflectors, block j's at t(0:jb, j:j+jb); tau_i = t(i % nb,
+/// i). Each block is factored by the recursive panel QR and reaches the
+/// trailing columns through larfb_left.
 template <typename T>
-void geqrf(MatrixView<T> a, T* tau, index_t nb = kQrNb) {
+void geqrt(MatrixView<T> a, MatrixView<T> t) {
   const index_t m = a.rows();
   const index_t n = a.cols();
   const index_t k = m < n ? m : n;
-  if (k <= nb || n <= nb + nb / 2) {
-    detail::geqrf_unblocked(a, tau);
-    return;
-  }
+  if (k == 0) return;
+  const index_t nb = geqrt_nb(m, n);
+  HCHAM_CHECK(t.rows() == nb && t.cols() == k);
   WorkspaceScope ws;
-  MatrixView<T> t = ws.matrix<T>(nb, nb);
-  MatrixView<T> vfull = ws.matrix<T>(m, nb);
+  MatrixView<T> v = ws.matrix<T>(m, nb);
   for (index_t j = 0; j < k; j += nb) {
     const index_t jb = std::min(nb, k - j);
-    MatrixView<T> panel = a.block(j, j, m - j, jb);
-    detail::geqrf_unblocked(panel, tau + j);
-    if (j + jb < n) {
-      detail::larft(ConstMatrixView<T>(panel), tau + j,
-                    t.block(0, 0, jb, jb));
-      // Materialize V with explicit unit diagonal / zero upper triangle so
-      // the update can run as plain GEMMs.
-      MatrixView<T> v = vfull.block(0, 0, m - j, jb);
-      for (index_t jj = 0; jj < jb; ++jj) {
-        T* vj = v.col(jj);
-        for (index_t i = 0; i < jj; ++i) vj[i] = T{};
-        vj[jj] = T{1};
-        const T* pj = panel.col(jj);
-        for (index_t i = jj + 1; i < m - j; ++i) vj[i] = pj[i];
-      }
-      detail::larfb_left_ctrans(ConstMatrixView<T>(v),
-                                ConstMatrixView<T>(t).block(0, 0, jb, jb),
-                                a.block(j, j + jb, m - j, n - j - jb));
-    }
+    MatrixView<T> vj = v.block(0, 0, m - j, jb);
+    MatrixView<T> tj = t.block(0, j, jb, jb);
+    detail::geqrt_panel(a.block(j, j, m - j, jb), vj, tj);
+    if (j + jb < n)
+      detail::larfb_left(Op::ConjTrans, ConstMatrixView<T>(vj),
+                         ConstMatrixView<T>(tj),
+                         a.block(j, j + jb, m - j, n - j - jb));
   }
 }
 
-/// Form the thin Q factor (m x k) from the output of geqrf into `q`
-/// (m x k, fully overwritten). a is the factored matrix (reflectors below
-/// the diagonal), k <= min(m, n).
+/// Apply the Q of geqrt's output from the left without forming it
+/// (xGEMQRT, side L, no transpose): C (m x p) <- Q C, Q = H(0)...H(k-1)
+/// held as the reflectors below the diagonal of a (m rows) and the T
+/// blocks t, k <= min(m, a.cols()). Costs ~4 m k p flops against forming Q
+/// (~4 m k^2) and a GEMM, which is what the truncation kernels save: they
+/// rotate r << k columns back.
 template <typename T>
-void orgqr_into(ConstMatrixView<T> a, const T* tau, index_t k,
+void gemqrt(ConstMatrixView<T> a, ConstMatrixView<T> t, index_t k,
+            MatrixView<T> c) {
+  detail::gemqrt_blocks(a, t, k, c, /*identity_lead=*/false);
+}
+
+/// Form the thin Q factor (m x k) of geqrt's output into `q` (m x k, fully
+/// overwritten), k <= min(m, a.cols()).
+template <typename T>
+void orgqr_into(ConstMatrixView<T> a, ConstMatrixView<T> t, index_t k,
                 MatrixView<T> q) {
-  const index_t m = a.rows();
-  HCHAM_CHECK(k <= a.cols() && k <= m);
-  HCHAM_CHECK(q.rows() == m && q.cols() == k);
+  HCHAM_CHECK(q.rows() == a.rows() && q.cols() == k);
   q.set_identity();
-  for (index_t i = k - 1; i >= 0; --i) {
-    detail::apply_reflector(m - i > 1 ? &a(i + 1, i) : nullptr, m - i, tau[i],
-                            /*conj_tau=*/false,
-                            q.block(i, i, m - i, k - i));
-  }
-}
-
-/// Form the thin Q factor (m x k) from the output of geqrf.
-template <typename T>
-Matrix<T> orgqr(ConstMatrixView<T> a, const T* tau, index_t k) {
-  Matrix<T> q(a.rows(), k);
-  orgqr_into(a, tau, k, q.view());
-  return q;
-}
-
-/// Apply the Q of geqrf's output from the left without forming it (xORMQR,
-/// side L, no transpose): C (m x p) <- Q C, Q = H(0)...H(k-1) held as the
-/// reflectors below the diagonal of a (m rows), k <= min(m, a.cols()).
-/// Costs ~4 m k p flops against orgqr_into's ~4 m k^2 plus a GEMM, which
-/// is what the truncation kernels save: they rotate r << k columns back.
-template <typename T>
-void ormqr(ConstMatrixView<T> a, const T* tau, index_t k, MatrixView<T> c) {
-  const index_t m = a.rows();
-  HCHAM_CHECK(k <= a.cols() && k <= m);
-  HCHAM_CHECK(c.rows() == m);
-  for (index_t i = k - 1; i >= 0; --i) {
-    detail::apply_reflector(m - i > 1 ? &a(i + 1, i) : nullptr, m - i, tau[i],
-                            /*conj_tau=*/false,
-                            c.block(i, 0, m - i, c.cols()));
-  }
+  detail::gemqrt_blocks(a, t, k, q, /*identity_lead=*/true);
 }
 
 /// Greedy column-pivoted truncated QR via modified Gram-Schmidt:
@@ -254,17 +311,19 @@ index_t qr_pivoted_rank(ConstMatrixView<T> a, MatrixView<T> q,
   char* used = ws.alloc<char>(n);
   for (index_t j = 0; j < n; ++j) used[j] = 0;
 
+  // Remaining column norms, exact (recomputed after each projection while
+  // the column is in cache, not downdated).
+  R* norms = ws.alloc<R>(n);
+  for (index_t j = 0; j < n; ++j) norms[j] = nrm2(m, w.col(j));
   R norm0{};
   index_t rank = 0;
   while (rank < kmax) {
-    // Exact remaining norms (no downdating drift); n and m are small here.
     index_t p = -1;
     R best{};
     for (index_t j = 0; j < n; ++j) {
       if (used[j]) continue;
-      const R nj = nrm2(m, w.col(j));
-      if (p < 0 || nj > best) {
-        best = nj;
+      if (p < 0 || norms[j] > best) {
+        best = norms[j];
         p = j;
       }
     }
@@ -274,8 +333,7 @@ index_t qr_pivoted_rank(ConstMatrixView<T> a, MatrixView<T> q,
     // One re-orthogonalization pass keeps MGS honest on graded columns.
     for (index_t l = 0; l < rank; ++l) {
       const T* ql = q.col(l);
-      T cl{};
-      for (index_t i = 0; i < m; ++i) cl += conj_if(ql[i]) * wp[i];
+      const T cl = dotc(m, ql, wp);
       rr(l, p) += cl;
       for (index_t i = 0; i < m; ++i) wp[i] -= ql[i] * cl;
     }
@@ -289,10 +347,10 @@ index_t qr_pivoted_rank(ConstMatrixView<T> a, MatrixView<T> q,
     for (index_t j = 0; j < n; ++j) {
       if (used[j]) continue;
       T* wj = w.col(j);
-      T cj{};
-      for (index_t i = 0; i < m; ++i) cj += conj_if(qk[i]) * wj[i];
+      const T cj = dotc(m, qk, wj);
       rr(rank, j) = cj;
       for (index_t i = 0; i < m; ++i) wj[i] -= qk[i] * cj;
+      norms[j] = nrm2(m, wj);
     }
     ++rank;
   }
@@ -311,9 +369,9 @@ void qr_thin(ConstMatrixView<T> a, Matrix<T>& q, Matrix<T>& r) {
   WorkspaceScope ws;
   MatrixView<T> work = ws.matrix<T>(m, n);
   copy(a, work);
-  T* tau = ws.alloc<T>(k);
-  geqrf(work, tau);
-  orgqr_into(ConstMatrixView<T>(work), tau, k, q.view());
+  MatrixView<T> t = ws.matrix<T>(geqrt_nb(m, n), k);
+  geqrt(work, t);
+  orgqr_into(ConstMatrixView<T>(work), ConstMatrixView<T>(t), k, q.view());
   r.set_zero();
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i <= (j < k - 1 ? j : k - 1); ++i)

@@ -7,7 +7,7 @@
 // every handed-out pointer valid for the lifetime of its scope. Scopes
 // follow strict stack discipline: a WorkspaceScope records the arena mark
 // at construction and releases back to it on destruction, so nested kernel
-// calls (truncate -> qr_thin -> geqrf) stack naturally.
+// calls (truncate -> geqrt -> gemm) stack naturally.
 //
 // Returned memory is UNINITIALIZED (it recycles whatever a previous scope
 // wrote there): every consumer must fully overwrite what it reads. This is

@@ -9,9 +9,10 @@
 // additions without losing accuracy.
 //
 // One rank-revealing kernel does the work, for every caller:
-//   - Qu and Qv are never formed. geqrf leaves their reflectors in arena
-//     copies of the factors and la::ormqr applies them to the r-column
-//     results, so the factor side costs O(m k r) instead of O(m k^2).
+//   - Qu and Qv are never formed. la::geqrt leaves their reflectors and
+//     compact-WY T blocks in arena copies of the factors, and la::gemqrt
+//     applies them to the r-column results with three GEMMs per block, so
+//     the factor side costs O(m k r) instead of O(m k^2).
 //   - Cores built from concatenated updates are rank-deficient at rounding
 //     level, where a plain one-sided Jacobi needs 20-40 sweeps. The core is
 //     first deflated by a column-pivoted QR at tolerance kk * eps of the
@@ -58,12 +59,13 @@ struct TruncationParams {
 namespace detail {
 
 /// Householder QR of an arena copy of a factor f (rows x k): `qr` holds R
-/// above and the reflectors below the diagonal, `r` (min(rows, k) x k) the
-/// upper-trapezoidal R with explicit zeros below.
+/// above and the reflectors below the diagonal, `t` their compact-WY
+/// blocks, `r` (min(rows, k) x k) the upper-trapezoidal R with explicit
+/// zeros below.
 template <typename T>
 struct FactorQr {
   la::MatrixView<T> qr;
-  T* tau;
+  la::MatrixView<T> t;
   la::MatrixView<T> r;
 };
 
@@ -72,9 +74,10 @@ FactorQr<T> factor_qr(la::WorkspaceScope& ws, la::ConstMatrixView<T> f) {
   const index_t m = f.rows();
   const index_t k = f.cols();
   const index_t kq = std::min(m, k);
-  FactorQr<T> out{ws.matrix<T>(m, k), ws.alloc<T>(kq), ws.matrix<T>(kq, k)};
+  FactorQr<T> out{ws.matrix<T>(m, k), ws.matrix<T>(la::geqrt_nb(m, k), kq),
+                  ws.matrix<T>(kq, k)};
   la::copy(f, out.qr);
-  la::geqrf(out.qr, out.tau);
+  la::geqrt(out.qr, out.t);
   for (index_t j = 0; j < k; ++j)
     for (index_t i = 0; i < kq; ++i) out.r(i, j) = i <= j ? out.qr(i, j) : T{};
   return out;
@@ -87,7 +90,8 @@ void apply_q(const FactorQr<T>& f, la::MatrixView<T> out) {
   const index_t kq = f.r.rows();
   for (index_t j = 0; j < out.cols(); ++j)
     for (index_t i = kq; i < out.rows(); ++i) out(i, j) = T{};
-  la::ormqr(la::ConstMatrixView<T>(f.qr), f.tau, kq, out);
+  la::gemqrt(la::ConstMatrixView<T>(f.qr), la::ConstMatrixView<T>(f.t), kq,
+             out);
 }
 
 /// Rank-revealing SVD of a small matrix c (p x q): c ~= (Qc Y) diag(sigma)

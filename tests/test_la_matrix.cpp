@@ -2,6 +2,11 @@
 // pooled scratch arenas (la/workspace.hpp) the dense kernels carve from.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <complex>
+#include <limits>
+#include <vector>
+
 #include "la/la.hpp"
 #include "la/workspace.hpp"
 #include "test_utils.hpp"
@@ -154,6 +159,133 @@ TEST(Norms, DotcConjugatesFirstArgument) {
   const zdouble d = la::dotc<zdouble>(2, x, y);
   EXPECT_DOUBLE_EQ(d.real(), 3.0);
   EXPECT_DOUBLE_EQ(d.imag(), 0.0);
+}
+
+/// The 2-norm of x by summing squares in long double, whose range holds
+/// the square of every finite double: the referee for nrm2 / norm_fro.
+template <typename T>
+long double wide_norm(const std::vector<T>& x) {
+  long double s = 0;
+  for (const T& v : x) {
+    if constexpr (is_complex_v<T>) {
+      s += static_cast<long double>(v.real()) * v.real() +
+           static_cast<long double>(v.imag()) * v.imag();
+    } else {
+      s += static_cast<long double>(v) * v;
+    }
+  }
+  return std::sqrt(s);
+}
+
+/// Entries of magnitude scale * [1, 10), signs and (complex) phases mixed.
+template <typename T>
+std::vector<T> scaled_entries(index_t n, real_t<T> scale, unsigned seed) {
+  using R = real_t<T>;
+  std::vector<T> x(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) {
+    const R mag = scale * static_cast<R>(1 + (seed * 7 + i * 13) % 9);
+    const R sign = (i + seed) % 3 == 0 ? R(-1) : R(1);
+    if constexpr (is_complex_v<T>) {
+      x[static_cast<std::size_t>(i)] = T(sign * mag, mag / R(3));
+    } else {
+      x[static_cast<std::size_t>(i)] = sign * mag;
+    }
+  }
+  return x;
+}
+
+/// nrm2 and norm_fro (on a strided two-column view of the same entries)
+/// agree with the wide referee to a few ulps, and with the scaled loop.
+template <typename T>
+void expect_norm_matches(const std::vector<T>& x, const char* what) {
+  using R = real_t<T>;
+  const index_t n = static_cast<index_t>(x.size());
+  const long double ref = wide_norm(x);
+  // A few ulps, and at least one ulp of a subnormal result.
+  const R tol = R(4) * std::numeric_limits<R>::epsilon();
+  const long double floor = std::numeric_limits<R>::denorm_min();
+  const auto close = [&](R got) {
+    if (ref == 0) return got == R{};
+    return std::abs(static_cast<long double>(got) - ref) <= tol * ref + floor;
+  };
+  const R got = la::nrm2(n, x.data());
+  EXPECT_TRUE(close(got)) << what << " n=" << n << ": " << got << " vs "
+                          << static_cast<double>(ref);
+  const R scaled = la::detail::norm_fro_scaled(
+      ConstMatrixView<T>(x.data(), n, 1, std::max<index_t>(n, 1)));
+  EXPECT_TRUE(close(scaled)) << what << " scaled loop n=" << n;
+  // Two columns of n / 2 rows at ld = n / 2 + 1 skip one entry per column.
+  if (n >= 4) {
+    const index_t rows = n / 2 - 1;
+    std::vector<T> cols;
+    for (index_t j = 0; j < 2; ++j)
+      for (index_t i = 0; i < rows; ++i)
+        cols.push_back(x[static_cast<std::size_t>(j * (rows + 1) + i)]);
+    const R fro = la::norm_fro(ConstMatrixView<T>(x.data(), rows, 2, rows + 1));
+    const long double cref = wide_norm(cols);
+    EXPECT_LE(std::abs(static_cast<long double>(fro) - cref),
+              tol * cref + floor)
+        << what << " strided n=" << n;
+  }
+}
+
+template <typename T>
+void check_norm_edges(const std::vector<real_t<T>>& scales) {
+  for (const index_t n : {1, 7, 8, 9, 31, 64, 65}) {
+    for (const real_t<T> s : scales) {
+      expect_norm_matches(scaled_entries<T>(n, s, 1), "uniform scale");
+      // One huge entry among tiny ones, and the reverse.
+      for (const real_t<T> t : scales) {
+        auto x = scaled_entries<T>(n, s, 2);
+        x[static_cast<std::size_t>(n / 2)] = T(t);
+        expect_norm_matches(x, "mixed scales");
+      }
+    }
+    expect_norm_matches(std::vector<T>(static_cast<std::size_t>(n)), "zeros");
+  }
+}
+
+TEST(Norms, DoubleEdgesMatchWideReferee) {
+  check_norm_edges<double>({1.0, 1e-3, 1e200, 1e-200, 1e154, 1e-160, 4e-310,
+                            std::numeric_limits<double>::max() / 64});
+}
+
+TEST(Norms, FloatEdgesMatchWideReferee) {
+  check_norm_edges<float>({1.0f, 1e25f, 1e-25f, 1e19f, 1e-20f, 1e-40f});
+}
+
+TEST(Norms, ComplexEdgesMatchWideReferee) {
+  check_norm_edges<zdouble>({1.0, 1e200, 1e-200, 1e-170, 4e-310});
+  check_norm_edges<std::complex<float>>({1.0f, 1e25f, 1e-25f});
+}
+
+template <typename T>
+void check_norm_nonfinite() {
+  using R = real_t<T>;
+  const R inf = std::numeric_limits<R>::infinity();
+  const R nan = std::numeric_limits<R>::quiet_NaN();
+  for (const index_t n : {1, 9, 64}) {
+    for (const index_t at : {index_t{0}, n - 1}) {
+      auto x = scaled_entries<T>(n, R(1), 3);
+      x[static_cast<std::size_t>(at)] = T(-inf);
+      EXPECT_EQ(la::nrm2(n, x.data()), inf) << "n=" << n;
+      x[static_cast<std::size_t>(n / 2)] = T(inf);  // two infinities
+      EXPECT_EQ(la::nrm2(n, x.data()), inf) << "n=" << n;
+      x[static_cast<std::size_t>(at)] = T(nan);  // NaN wins over Inf
+      EXPECT_TRUE(std::isnan(la::nrm2(n, x.data()))) << "n=" << n;
+      EXPECT_TRUE(std::isnan(la::norm_fro(ConstMatrixView<T>(x.data(), n, 1, n))));
+    }
+  }
+  if constexpr (is_complex_v<T>) {
+    const T x[2] = {T(1, 0), T(0, -inf)};
+    EXPECT_EQ(la::nrm2(2, x), inf);
+  }
+}
+
+TEST(Norms, InfAndNanPropagate) {
+  check_norm_nonfinite<double>();
+  check_norm_nonfinite<float>();
+  check_norm_nonfinite<zdouble>();
 }
 
 TEST(Workspace, ReleasedLeaseIsReusedByTheNextOne) {
