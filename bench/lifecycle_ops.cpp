@@ -108,7 +108,7 @@ WoodburyResult run_woodbury(const bem::FemBemProblem<double>& problem,
     // Fresh operators per rep: update() accumulates, so reusing one would
     // time ever-growing deltas. The ctor factorization stays untimed.
     lifecycle::UpdatableOperator<double> wop(
-        engine, assembled.convert_to<double>(engine), {.max_rank = 32});
+        engine, assembled.deep_copy(engine), {.max_rank = 32});
     la::Matrix<double> x = la::Matrix<double>::from_view(b.cview());
     {
       Timer t;
@@ -119,7 +119,7 @@ WoodburyResult run_woodbury(const bem::FemBemProblem<double>& problem,
     if (r == 0) x_w = std::move(x);
 
     lifecycle::UpdatableOperator<double> rop(
-        engine, assembled.convert_to<double>(engine), {.max_rank = 32});
+        engine, assembled.deep_copy(engine), {.max_rank = 32});
     rop.update(u.cview(), v.cview());
     la::Matrix<double> y = la::Matrix<double>::from_view(b.cview());
     {

@@ -68,7 +68,7 @@ struct FemBemKernel<std::complex<double>> {
   }
 };
 
-// Single-precision problems (the mixed-precision tests and float-first
+// Single-precision problems (the float refinement tests and float-first
 // property suites): evaluate in double, round once at the end, so the fp32
 // operator is the correctly-rounded image of the fp64 one.
 template <>

@@ -104,7 +104,7 @@ HCHAM_DEFINE_COUNTERS_(RuntimeCounters, runtime_counters,
                        reset_runtime_counters, HCHAM_RUNTIME_COUNTERS_)
 
 /// Process-wide tallies for the operator lifecycle layer (DESIGN.md
-/// section 13): Woodbury update/solve/rebase activity, factor-store
+/// section 12): Woodbury update/solve/rebase activity, factor-store
 /// traffic, and session-cache hit/miss/eviction/spill events.
 #define HCHAM_LIFECYCLE_COUNTERS_(X)                                          \
   X(woodbury_updates)      /* rank-k deltas absorbed */                       \

@@ -57,42 +57,6 @@ inline real_t<T> abs_sq(T x) {
   }
 }
 
-/// The next-lower working precision of T: double -> float (and the complex
-/// analogue); float/complex<float> demote to themselves. This is the factor
-/// type of the mixed-precision path (core/mixed.hpp): operators stay in T,
-/// factors may live in demoted_t<T>, and iterative refinement bridges the
-/// gap.
-template <typename T>
-struct demoted {
-  using type = T;
-};
-template <>
-struct demoted<double> {
-  using type = float;
-};
-template <>
-struct demoted<std::complex<double>> {
-  using type = std::complex<float>;
-};
-
-template <typename T>
-using demoted_t = typename demoted<T>::type;
-
-/// Value conversion between scalar types of matching complexity (both real
-/// or both complex); used by the precision-conversion copies.
-template <typename To, typename From>
-inline To convert_scalar(From x) {
-  if constexpr (is_complex_v<From>) {
-    static_assert(is_complex_v<To>,
-                  "cannot convert a complex scalar to a real type");
-    using R = real_t<To>;
-    return To(static_cast<R>(x.real()), static_cast<R>(x.imag()));
-  } else {
-    static_assert(!is_complex_v<To> || !is_complex_v<From>);
-    return To(x);
-  }
-}
-
 /// Short precision tag used in printed reports: "d" / "z" / "s" / "c".
 template <typename T>
 constexpr const char* precision_tag() {

@@ -3,16 +3,11 @@
 // H-factorizations are accurate only to the compression tolerance eps; a
 // few refinement sweeps with the (more accurate) unfactorized compressed
 // operator recover several digits at the cost of one matvec + one solve
-// per sweep. This is the standard practice for loose-eps direct H-solvers,
-// and it is also what makes the mixed-precision factorization path work:
-// the factors may live in demoted_t<T> (core/mixed.hpp) — each sweep
-// demotes the fp64 residual, solves in fp32, and promotes the correction,
-// recovering fp64-level forward error in a few sweeps.
+// per sweep. This is the standard practice for loose-eps direct H-solvers.
 #pragma once
 
 #include <algorithm>
 #include <limits>
-#include <type_traits>
 #include <vector>
 
 #include "common/scalar.hpp"
@@ -32,11 +27,9 @@ struct RefinementResult {
 
 /// Solve A X = B in place (B <- X) with iterative refinement; B may hold
 /// any number of right-hand-side columns and every sweep refines all of
-/// them in one batched solve. `factored` holds LU or Cholesky factors in
-/// TF, which must be T itself or demoted_t<T> (the mixed-precision factor
-/// path); `op` is an UNfactorized Tile-H matrix of the same problem in the
-/// full precision T, used for residuals. Residuals, corrections, and the
-/// solution accumulate in T regardless of TF.
+/// them in one batched solve. `factored` holds LU or Cholesky factors;
+/// `op` is an UNfactorized Tile-H matrix of the same problem, used for
+/// residuals.
 ///
 /// `target_residual <= 0` selects an automatic target scaled to what the
 /// working precision can actually deliver: roughly
@@ -47,16 +40,14 @@ struct RefinementResult {
 /// The reported residuals are always FRESH: they are recomputed after the
 /// final correction, so result.final_residual / column_residuals describe
 /// the returned X, not the iterate one sweep earlier.
-template <typename TF, typename T>
-RefinementResult solve_refined(TileHMatrix<TF>& factored,
+template <typename T>
+RefinementResult solve_refined(TileHMatrix<T>& factored,
                                const TileHMatrix<T>& op, rt::Engine& engine,
                                la::MatrixView<T> b, int max_iters = 3,
                                double target_residual = 0.0,
                                bool cholesky = false,
                                index_t panel_width = 0,
                                rt::GraphCache* cache = nullptr) {
-  static_assert(std::is_same_v<TF, T> || std::is_same_v<TF, demoted_t<T>>,
-                "factors must be in T or its demoted precision");
   const index_t n = factored.size();
   const index_t nrhs = b.cols();
   HCHAM_CHECK(b.rows() == n && nrhs >= 1);
@@ -69,28 +60,11 @@ RefinementResult solve_refined(TileHMatrix<TF>& factored,
 
   // Every sweep solves the same structure with the same column count, so
   // after the first sweep the refinement loop runs entirely on replays.
-  // In the mixed path the demote/solve/promote round-trip stays in one
-  // scratch matrix; the factored structure signature differs from the
-  // native one (different eps and scalar-independent structure hashing
-  // keyed on the converted options), so cached graphs never collide.
-  la::Matrix<TF> scratch;
   auto solve_inplace = [&](la::MatrixView<T> v) {
-    if constexpr (std::is_same_v<TF, T>) {
-      if (cholesky) {
-        factored.solve_cholesky(engine, v, panel_width, cache);
-      } else {
-        factored.solve(engine, v, panel_width, cache);
-      }
+    if (cholesky) {
+      factored.solve_cholesky(engine, v, panel_width, cache);
     } else {
-      if (scratch.rows() != v.rows() || scratch.cols() != v.cols())
-        scratch.reset(v.rows(), v.cols());
-      la::convert<TF, T>(la::ConstMatrixView<T>(v), scratch.view());
-      if (cholesky) {
-        factored.solve_cholesky(engine, scratch.view(), panel_width, cache);
-      } else {
-        factored.solve(engine, scratch.view(), panel_width, cache);
-      }
-      la::convert<T, TF>(scratch.cview(), v);
+      factored.solve(engine, v, panel_width, cache);
     }
   };
 
@@ -120,9 +94,7 @@ RefinementResult solve_refined(TileHMatrix<TF>& factored,
   compute_residuals();
 
   if (target_residual <= 0.0) {
-    // Auto target in the OPERATOR precision T (not TF — mixed factors are
-    // a preconditioner; the achievable residual is set by the precision
-    // the residual itself is computed in). The ||A||_F * ||x|| / ||b||
+    // Auto target in the working precision T. The ||A||_F * ||x|| / ||b||
     // amplification term accounts for ill-conditioning: for a benign
     // operator it is O(1) and the target is ~64 eps.
     const double eps_T =

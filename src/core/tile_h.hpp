@@ -20,7 +20,6 @@
 #include "cluster/cluster_tree.hpp"
 #include "core/nested.hpp"
 #include "hmatrix/build.hpp"
-#include "hmatrix/convert.hpp"
 #include "hmatrix/matmat.hpp"
 #include "la/norms.hpp"
 #include "runtime/engine.hpp"
@@ -266,36 +265,27 @@ class TileHMatrix {
     return std::sqrt(acc);
   }
 
-  /// Rebuild this matrix with scalars converted to U (same clustering, same
-  /// block structure; Rk factors convert without re-compression), optionally
-  /// under a looser compression tolerance `factor_eps` for the subsequent
-  /// factorization — the mixed-precision factor path (core/mixed.hpp).
-  /// Conversion is task-parallel: one task per tile on `engine`. The eps
-  /// override feeds structure_signature(), so fp32 factor graphs never
-  /// collide with native ones in the graph cache.
-  template <typename U>
-  TileHMatrix<U> convert_to(rt::Engine& engine,
-                            double factor_eps = 0.0) const {
-    TileHOptions opts = opts_;
-    if (factor_eps > 0.0) opts.hmatrix.compression.eps = factor_eps;
-    TileHMatrix<U> out(engine, clustering_, opts);
+  /// Deep copy on `engine` (same clustering, same options, so the same
+  /// structure signature): one task per tile. The refactorization paths
+  /// copy the operator and factorize the copy.
+  TileHMatrix deep_copy(rt::Engine& engine) const {
+    TileHMatrix out(engine, clustering_, opts_);
     const index_t nt = num_tiles();
     for (index_t i = 0; i < nt; ++i) {
       for (index_t j = 0; j < nt; ++j) {
         const tile::Tile<T>* src = &desc_->tile(i, j);
-        tile::Tile<U>* dst = &out.desc_->tile(i, j);
+        tile::Tile<T>* dst = &out.desc_->tile(i, j);
         engine.submit(
             [src, dst] {
               if (src->format == tile::TileFormat::Full) {
                 dst->format = tile::TileFormat::Full;
-                dst->full.reset(src->m, src->n);
-                la::convert<U, T>(src->full.cview(), dst->full.view());
+                dst->full = la::Matrix<T>::from_view(src->full.cview());
                 dst->h.reset();
               } else {
-                hmat::detail::convert_into<U, T>(*src->h, *dst->h);
+                hmat::copy_into(*src->h, *dst->h);
               }
             },
-            {rt::write(out.desc_->handle(i, j))}, 0, "convert");
+            {rt::write(out.desc_->handle(i, j))}, 0, "copy");
       }
     }
     engine.wait_all();
@@ -399,8 +389,8 @@ class TileHMatrix {
     init_tiles(engine);
   }
 
-  /// Skeleton over an already-built clustering (the cross-precision
-  /// conversion path): fresh handles, empty tile payloads.
+  /// Skeleton over an already-built clustering (deep_copy, skeleton()):
+  /// fresh handles, empty tile payloads.
   TileHMatrix(rt::Engine& engine, cluster::TileClustering clustering,
               const TileHOptions& opts)
       : opts_(opts),
@@ -433,9 +423,6 @@ class TileHMatrix {
       }
     }
   }
-
-  template <typename U>
-  friend class TileHMatrix;
 
   TileHOptions opts_;
   index_t n_;

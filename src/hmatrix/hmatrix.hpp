@@ -261,4 +261,29 @@ class HMatrix {
   std::array<std::unique_ptr<HMatrix>, 4> children_;
 };
 
+/// Deep copy of src's payload into dst, which must sit on the same
+/// (row, col) cluster pair of an equivalent tree; dst keeps its own tree.
+/// Rk leaves copy their factors as they are (no re-compression).
+template <typename T>
+void copy_into(const HMatrix<T>& src, HMatrix<T>& dst) {
+  switch (src.kind()) {
+    case HMatrix<T>::Kind::Full:
+      dst.make_full(la::Matrix<T>::from_view(src.full().cview()));
+      return;
+    case HMatrix<T>::Kind::Rk: {
+      rk::RkMatrix<T> r(src.rows(), src.cols());
+      if (!src.rk().is_zero())
+        r.set_factors(la::Matrix<T>::from_view(src.rk().u().cview()),
+                      la::Matrix<T>::from_view(src.rk().v().cview()));
+      dst.make_rk(std::move(r));
+      return;
+    }
+    case HMatrix<T>::Kind::Hierarchical:
+      dst.make_hierarchical();
+      for (int i = 0; i < 2; ++i)
+        for (int j = 0; j < 2; ++j) copy_into(src.child(i, j), dst.child(i, j));
+      return;
+  }
+}
+
 }  // namespace hcham::hmat

@@ -112,16 +112,6 @@ void copy(ConstMatrixView<T> src, MatrixView<T> dst) {
     for (index_t i = 0; i < src.rows(); ++i) dst(i, j) = src(i, j);
 }
 
-/// Precision-converting copy: dst = (To)src, element-wise. The demote /
-/// promote primitive of the mixed-precision factorization path.
-template <typename To, typename From>
-void convert(ConstMatrixView<From> src, MatrixView<To> dst) {
-  HCHAM_CHECK(src.rows() == dst.rows() && src.cols() == dst.cols());
-  for (index_t j = 0; j < src.cols(); ++j)
-    for (index_t i = 0; i < src.rows(); ++i)
-      dst(i, j) = convert_scalar<To>(src(i, j));
-}
-
 // Single-column movement between views (leading dimension >= rows, so
 // columns of different views never interleave) and contiguous buffers.
 // Shared by the iterative-refinement sweeps and the serve-layer panel

@@ -1,4 +1,4 @@
-// Operator-lifecycle knobs (DESIGN.md section 13), read from the
+// Operator-lifecycle knobs (DESIGN.md section 12), read from the
 // environment with the same hardening contract as the rest of the knob
 // surface: a hostile value (negative rank budget, absurd byte budget,
 // unparsable number) degrades to the default exactly as if the variable

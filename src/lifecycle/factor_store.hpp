@@ -1,13 +1,13 @@
 // Factor persistence: a versioned binary format for factorized TileHMatrix
 // instances plus an mmap-backed loader, so a serve::Session cold-starts
-// from disk in milliseconds instead of refactorizing (DESIGN.md section 13).
+// from disk in milliseconds instead of refactorizing (DESIGN.md section 12).
 //
 // File layout (all integers little-endian on the writing host; the header
 // endianness word detects a mismatched reader):
 //
 //   [header]   fixed 160 bytes: magic/version/endianness, scalar tag,
 //              factor kind, structure + cluster-tree signatures, payload
-//              extent + FNV-1a checksum, and every TileHOptions field that
+//              extent + checksum, and every TileHOptions field that
 //              feeds structure_signature()
 //   [tree]     points, permutation, nodes (offset/size/children only:
 //              parents and bounding boxes are recomputed on load), tile
@@ -47,14 +47,14 @@ enum class FactorKind : std::uint32_t { Lu = 0, Cholesky = 1 };
 namespace detail {
 
 inline constexpr std::uint32_t kMagic = 0x46484348u;  // "HCHF"
-inline constexpr std::uint32_t kVersion = 1;
+inline constexpr std::uint32_t kVersion = 2;  // 2: four-lane checksum
 inline constexpr std::uint32_t kEndianness = 0x01020304u;
 
 // Fixed header offsets (bytes). Tests poke these to simulate targeted
-// corruption; bump kVersion if the layout ever changes.
+// corruption; bump kVersion if the layout or the checksum ever changes.
 inline constexpr std::size_t kStructureSigOffset = 24;
 inline constexpr std::size_t kPayloadBytesOffset = 40;
-inline constexpr std::size_t kPayloadFnvOffset = 48;
+inline constexpr std::size_t kPayloadSumOffset = 48;
 inline constexpr std::size_t kHeaderBytes = 160;
 
 template <typename T>
@@ -66,12 +66,28 @@ constexpr std::uint32_t scalar_tag() {
   return 0;
 }
 
-inline std::uint64_t fnv1a(const unsigned char* p, std::size_t n) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
+/// Payload checksum: four independent FNV-1a-style lanes, each folding in
+/// every fourth 64-bit word (one multiply per 8 bytes per lane, and the
+/// lanes' multiply chains overlap), then a byte-wise tail, then the lanes
+/// folded into one value. Every step is a bijection of the lane state, so
+/// any change confined to one word or one tail byte always changes the
+/// result. Words are read in host byte order; the header's endianness word
+/// rejects a mismatched reader before this runs.
+inline std::uint64_t payload_checksum(const unsigned char* p, std::size_t n) {
+  constexpr std::uint64_t kBasis = 14695981039346656037ull;
+  constexpr std::uint64_t kPrime = 1099511628211ull;
+  std::uint64_t lane[4] = {kBasis, kBasis ^ 1, kBasis ^ 2, kBasis ^ 3};
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    for (int k = 0; k < 4; ++k) {
+      std::uint64_t w;
+      std::memcpy(&w, p + i + 8 * k, sizeof w);
+      lane[k] = (lane[k] ^ w) * kPrime;
+    }
   }
+  for (; i < n; ++i) lane[0] = (lane[0] ^ p[i]) * kPrime;
+  std::uint64_t h = kBasis;
+  for (const std::uint64_t l : lane) h = (h ^ l) * kPrime;
   return h;
 }
 
@@ -227,7 +243,7 @@ void save_factors(const core::TileHMatrix<T>& m, FactorKind kind,
   sink.put_u64(m.structure_signature());
   sink.put_u64(tree.structure_signature());
   sink.put_u64(0);  // payload_bytes, patched below
-  sink.put_u64(0);  // payload_fnv, patched below
+  sink.put_u64(0);  // payload checksum, patched below
   sink.put_i64(m.size());
   sink.put_i64(m.tile_size());
   sink.put_i64(m.num_tiles());
@@ -279,9 +295,9 @@ void save_factors(const core::TileHMatrix<T>& m, FactorKind kind,
   }
   sink.patch_u64(detail::kPayloadBytesOffset,
                  static_cast<std::uint64_t>(sink.size() - payload_start));
-  sink.patch_u64(detail::kPayloadFnvOffset,
-                 detail::fnv1a(sink.bytes().data() + payload_start,
-                               sink.size() - payload_start));
+  sink.patch_u64(detail::kPayloadSumOffset,
+                 detail::payload_checksum(sink.bytes().data() + payload_start,
+                                          sink.size() - payload_start));
   detail::write_file_atomic(path, sink.bytes());
   lifecycle_counters().bump(lifecycle_counters().factor_saves);
 }
@@ -309,7 +325,7 @@ LoadedFactors<T> load_factors(rt::Engine& engine, const std::string& path) {
   const std::uint64_t structure_sig = cur.u64();
   const std::uint64_t tree_sig = cur.u64();
   const std::uint64_t payload_bytes = cur.u64();
-  const std::uint64_t payload_fnv = cur.u64();
+  const std::uint64_t payload_sum = cur.u64();
   const index_t n = cur.i64();
   const index_t tile_size = cur.i64();
   const index_t num_tiles = cur.i64();
@@ -401,7 +417,8 @@ LoadedFactors<T> load_factors(rt::Engine& engine, const std::string& path) {
   if (payload_start > map.size() ||
       map.size() - payload_start != payload_bytes)
     throw Error("factor store: truncated file");
-  if (detail::fnv1a(map.data() + payload_start, payload_bytes) != payload_fnv)
+  if (detail::payload_checksum(map.data() + payload_start, payload_bytes) !=
+      payload_sum)
     throw Error("factor store: payload checksum mismatch in " + path);
   // The reconstructed skeleton must hash to the recorded signature before
   // any payload is trusted; this pins every option the task graphs and the

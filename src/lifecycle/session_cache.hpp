@@ -1,4 +1,4 @@
-// Bounded multi-tenant session cache (DESIGN.md section 13): an LRU map
+// Bounded multi-tenant session cache (DESIGN.md section 12): an LRU map
 // from operator id to a live serve::Session, under one global memory
 // budget with per-session byte accounting (Session::memory_bytes). Misses
 // run the caller's builder; sessions evicted under pressure can spill
@@ -254,10 +254,9 @@ class SessionCache {
   }
 
   /// Detach unpinned LRU-tail entries until the budget holds (or
-  /// everything left is pinned). Persistable sessions come back with a
-  /// spill path when a spill dir is configured (mixed-precision sessions
-  /// have no restorable native factors and are discarded outright); the
-  /// spill IO itself runs in spill_victims, after mu_ is released.
+  /// everything left is pinned). Victims come back with a spill path when
+  /// a spill dir is configured; the spill IO itself runs in spill_victims,
+  /// after mu_ is released.
   std::vector<Victim> detach_victims_locked() {
     std::vector<Victim> victims;
     auto it = entries_.end();
@@ -267,8 +266,7 @@ class SessionCache {
       if (e.pins > 0) continue;
       Victim v;
       v.entry = *it;
-      if (!opts_.spill_dir.empty() && e.session->persistable() &&
-          !e.session->mixed_precision())
+      if (!opts_.spill_dir.empty())
         v.path = opts_.spill_dir + "/" + sanitize(e.id) + ".hfac";
       ++stats_.evictions;
       lifecycle_counters().bump(lifecycle_counters().cache_evictions);

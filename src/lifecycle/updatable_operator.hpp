@@ -1,4 +1,4 @@
-// Woodbury rank-k operator updates (DESIGN.md section 13): wrap a factored
+// Woodbury rank-k operator updates (DESIGN.md section 12): wrap a factored
 // TileHMatrix A together with a pending low-rank delta U V^H and serve
 // solves of (A + U V^H) x = b WITHOUT refactorizing, via the
 // Sherman-Morrison-Woodbury identity
@@ -172,10 +172,10 @@ class UpdatableOperator {
           rt::Engine bg({.num_workers = workers, .policy = engine_.policy()});
           // Reads of op_ race only with other reads (matvec, sync rebase is
           // excluded by rebase_running_): safe without the lock.
-          core::TileHMatrix<T> next_op = op_.template convert_to<T>(bg);
+          core::TileHMatrix<T> next_op = op_.deep_copy(bg);
           fold_into(next_op, su.cview(), sv.cview());
           // No graph cache on the throwaway background engine.
-          core::TileHMatrix<T> next_f = next_op.template convert_to<T>(bg);
+          core::TileHMatrix<T> next_f = next_op.deep_copy(bg);
           if (opts_.cholesky) {
             next_f.factorize_cholesky(bg, nullptr);
           } else {
@@ -235,7 +235,7 @@ class UpdatableOperator {
   std::unique_ptr<core::TileHMatrix<T>> refactor(rt::Engine& engine,
                                                  const core::TileHMatrix<T>& op) {
     auto f = std::make_unique<core::TileHMatrix<T>>(
-        op.template convert_to<T>(engine));
+        op.deep_copy(engine));
     if (opts_.cholesky) {
       f->factorize_cholesky(engine, cache());
     } else {

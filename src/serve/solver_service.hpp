@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/mixed.hpp"
 #include "core/refinement.hpp"
 #include "core/tile_h.hpp"
 #include "lifecycle/factor_store.hpp"
@@ -77,14 +76,6 @@ struct SessionOptions {
   /// sweeps every solve).
   double target_residual = 0.0;
   index_t panel_width = 0;    ///< 0: auto from worker count
-  /// Mixed-precision factorization (core/mixed.hpp): defaults from
-  /// HCHAM_FACTOR_PRECISION / HCHAM_FACTOR_EPS. With precision = Single
-  /// the session assembles the operator once in T, demotes a copy to
-  /// demoted_t<T> (under factor.eps if set), factorizes THAT, and serves
-  /// every solve through iterative refinement against the T operator
-  /// (refine_iters is raised to at least 3). A no-op when T is already
-  /// single precision.
-  core::FactorOptions factor = core::FactorOptions::from_env();
   /// Capture/replay the factorization and solve task graphs through the
   /// structure-keyed graph cache (DESIGN.md section 10). Repeated solves
   /// against the same structure skip STF dependency inference entirely.
@@ -92,11 +83,9 @@ struct SessionOptions {
   /// Cache override for tests; null means GraphCache::global(). Ignored
   /// when use_graph_cache is false.
   rt::GraphCache* graph_cache = nullptr;
-  /// When non-empty, build() persists the freshly computed native factors
-  /// here (lifecycle/factor_store.hpp) so later processes can
-  /// Session::restore() instead of refactorizing. Not supported on the
-  /// mixed-precision path (the demoted factors are a preconditioner, not a
-  /// restorable operator) — build() throws if both are requested.
+  /// When non-empty, build() persists the freshly computed factors here
+  /// (lifecycle/factor_store.hpp) so later processes can Session::restore()
+  /// instead of refactorizing.
   std::string save_factors_to;
 };
 
@@ -113,30 +102,6 @@ class Session {
                        const core::TileHOptions& hopts,
                        const SessionOptions& opts) {
     Session s(opts);
-    if constexpr (!std::is_same_v<T, demoted_t<T>>) {
-      if (opts.factor.mixed()) {
-        HCHAM_CHECK_MSG(opts.save_factors_to.empty(),
-                        "save_factors_to is not supported with "
-                        "mixed-precision factorization");
-        // Mixed path: assemble ONCE in T (it doubles as the refinement
-        // operator), demote a structural copy, factorize the demoted one.
-        // Refinement is mandatory — the fp32 factors are a preconditioner,
-        // not an answer.
-        s.opts_.refine_iters = std::max(opts.refine_iters, 3);
-        s.op_ = std::make_unique<core::TileHMatrix<T>>(
-            core::TileHMatrix<T>::build(*s.engine_, std::move(points), gen,
-                                        hopts));
-        s.factored_lo_ = std::make_unique<core::TileHMatrix<demoted_t<T>>>(
-            s.op_->template convert_to<demoted_t<T>>(*s.engine_,
-                                                     opts.factor.eps));
-        if (opts.cholesky) {
-          s.factored_lo_->factorize_cholesky(*s.engine_, s.cache());
-        } else {
-          s.factored_lo_->factorize(*s.engine_, s.cache());
-        }
-        return s;
-      }
-    }
     s.factored_ = std::make_unique<core::TileHMatrix<T>>(
         core::TileHMatrix<T>::build(*s.engine_, points, gen, hopts));
     if (opts.refine_iters > 0) {
@@ -161,7 +126,6 @@ class Session {
   /// failure, leaving no partially-constructed session behind.
   static Session restore(const std::string& path, SessionOptions opts) {
     opts.refine_iters = 0;
-    opts.factor = core::FactorOptions{};  // the stored factors are native T
     Session s(opts);
     lifecycle::LoadedFactors<T> lf =
         lifecycle::load_factors<T>(*s.engine_, path);
@@ -171,44 +135,27 @@ class Session {
     return s;
   }
 
-  /// Persist the native factors for a later restore(). Requires a
-  /// non-mixed session that finished build().
+  /// Persist the factors for a later restore().
   void save_factors(const std::string& path) const {
-    HCHAM_CHECK_MSG(factored_ != nullptr,
-                    "save_factors: session has no native factors");
     lifecycle::save_factors(*factored_,
                             opts_.cholesky ? lifecycle::FactorKind::Cholesky
                                            : lifecycle::FactorKind::Lu,
                             path);
   }
 
-  /// True when save_factors() / cache spill can persist this session.
-  bool persistable() const { return factored_ != nullptr; }
-
   /// Resident payload bytes across the held operators (factored + optional
-  /// refinement operator + demoted factors) — the SessionCache accounting
-  /// unit. Engine and queue overheads are deliberately excluded: they do
+  /// refinement operator) — the SessionCache accounting unit. Engine and queue overheads are deliberately excluded: they do
   /// not scale with the operator.
   std::uint64_t memory_bytes() const {
-    std::uint64_t b = 0;
-    if (factored_)
-      b += sizeof(T) * static_cast<std::uint64_t>(factored_->stored_elements());
+    std::uint64_t b =
+        sizeof(T) * static_cast<std::uint64_t>(factored_->stored_elements());
     if (op_) b += sizeof(T) * static_cast<std::uint64_t>(op_->stored_elements());
-    if (factored_lo_)
-      b += sizeof(demoted_t<T>) *
-           static_cast<std::uint64_t>(factored_lo_->stored_elements());
     return b;
   }
 
   /// Solve A X = B in place on the session engine; refines when the
-  /// session was built with refine_iters > 0 or factors in demoted
-  /// precision.
+  /// session was built with refine_iters > 0.
   core::RefinementResult solve_now(la::MatrixView<T> b) {
-    if (factored_lo_) {
-      return core::solve_refined(*factored_lo_, *op_, *engine_, b,
-                                 opts_.refine_iters, opts_.target_residual,
-                                 opts_.cholesky, opts_.panel_width, cache());
-    }
     if (op_) {
       return core::solve_refined(*factored_, *op_, *engine_, b,
                                  opts_.refine_iters, opts_.target_residual,
@@ -222,11 +169,7 @@ class Session {
     return core::RefinementResult{};
   }
 
-  index_t size() const {
-    return factored_ ? factored_->size() : op_->size();
-  }
-  /// True when this session serves through demoted-precision factors.
-  bool mixed_precision() const { return factored_lo_ != nullptr; }
+  index_t size() const { return factored_->size(); }
   rt::Engine& engine() { return *engine_; }
   const SessionOptions& options() const { return opts_; }
 
@@ -247,8 +190,6 @@ class Session {
   std::unique_ptr<rt::Engine> engine_;
   std::unique_ptr<core::TileHMatrix<T>> factored_;
   std::unique_ptr<core::TileHMatrix<T>> op_;  ///< unfactorized, for refinement
-  /// Demoted-precision factors (mixed path); factored_ stays null then.
-  std::unique_ptr<core::TileHMatrix<demoted_t<T>>> factored_lo_;
 };
 
 struct ServiceOptions {
@@ -325,7 +266,6 @@ class SolverService {
     // this accessor (they used to be patched on here only).
     const rt::Engine::ReplayStats rs = session_.engine().replay_stats();
     stats_.record_graph(rs.captured, rs.replayed);
-    stats_.set_mixed_precision(session_.mixed_precision());
     return stats_.snapshot();
   }
   std::string stats_json() const { return to_json(stats()); }

@@ -70,15 +70,12 @@ struct StatsSnapshot {
   std::uint64_t solved_columns = 0; ///< total RHS columns across batches
   index_t queue_depth = 0;          ///< gauge: depth at the last sample point
   index_t queue_peak = 0;           ///< max depth over ALL sample points
-  /// True when the serving session factors in demoted precision
-  /// (core::FactorPrecision::Single) and recovers digits via refinement.
-  bool mixed_precision = false;
   /// Graph-cache activity on the session engine (epochs captured into /
   /// replayed from the structure-keyed cache; see DESIGN.md section 10).
   std::uint64_t graph_captured = 0;
   std::uint64_t graph_replayed = 0;
   /// Session-cache activity when the service fronts a lifecycle
-  /// SessionCache (DESIGN.md section 13); all zero otherwise.
+  /// SessionCache (DESIGN.md section 12); all zero otherwise.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
@@ -140,10 +137,6 @@ class ServiceStats {
     graph_captured_ = captured;
     graph_replayed_ = replayed;
   }
-  void set_mixed_precision(bool mixed) {
-    std::lock_guard<std::mutex> lk(mu_);
-    mixed_ = mixed;
-  }
   /// Fold session-cache tallies in (same pattern as record_graph: the
   /// owner re-records the current totals before snapshotting).
   void record_cache(std::uint64_t hits, std::uint64_t misses,
@@ -173,7 +166,6 @@ class ServiceStats {
     s.cache_misses = cache_misses_;
     s.cache_evictions = cache_evictions_;
     s.cache_spills = cache_spills_;
-    s.mixed_precision = mixed_;
     s.p50_s = hist_.quantile(0.50);
     s.p95_s = hist_.quantile(0.95);
     s.p99_s = hist_.quantile(0.99);
@@ -197,7 +189,6 @@ class ServiceStats {
   std::uint64_t cache_misses_ = 0;
   std::uint64_t cache_evictions_ = 0;
   std::uint64_t cache_spills_ = 0;
-  bool mixed_ = false;
   LatencyHistogram hist_;
 };
 
@@ -217,7 +208,6 @@ inline std::string to_json(const StatsSnapshot& s) {
      << ",\"misses\":" << s.cache_misses
      << ",\"evictions\":" << s.cache_evictions
      << ",\"spills\":" << s.cache_spills << "}"
-     << ",\"mixed_precision\":" << (s.mixed_precision ? "true" : "false")
      << ",\"latency_s\":{\"p50\":" << s.p50_s << ",\"p95\":" << s.p95_s
      << ",\"p99\":" << s.p99_s << "}}";
   return os.str();

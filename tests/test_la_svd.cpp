@@ -1,6 +1,9 @@
 // One-sided Jacobi SVD tests: reconstruction, orthogonality, known spectra,
-// rank detection, complex inputs, and degenerate shapes.
+// rank detection, complex inputs, degenerate shapes, and the sweep count
+// of the carried-norm update on graded inputs.
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "la/la.hpp"
 #include "test_utils.hpp"
@@ -124,6 +127,36 @@ TEST(Svd, OrthonormalInputGivesUnitSigmas) {
   la::qr_thin<double>(Matrix<double>::random(30, 8, 11).cview(), q, r0);
   auto r = la::svd<double>(q.cview());
   for (double s : r.sigma) EXPECT_NEAR(s, 1.0, 1e-12);
+}
+
+// Jacobi carries each column's squared norm through the rotations
+// (app - t*|apq|, aqq + t*|apq|) instead of recomputing it per pair. A
+// wrong carried norm still converges, since the norms are recomputed at
+// every sweep start and sigma comes from the final columns, but it steers
+// the rotation angles off and costs extra sweeps. The sweep count on fixed
+// graded inputs (column j scaled by 10^(-8 j / (n - 1))) pins the update:
+// these converge in 4 sweeps; a flipped sign in the update needs 6.
+template <typename T>
+void check_graded_sweeps(index_t m, index_t n) {
+  auto a = Matrix<T>::random(m, n, static_cast<std::uint64_t>(40 + m));
+  for (index_t j = 0; j < n; ++j) {
+    const double s = std::pow(10.0, -8.0 * static_cast<double>(j) /
+                                        static_cast<double>(n - 1));
+    for (index_t i = 0; i < m; ++i) a(i, j) *= static_cast<real_t<T>>(s);
+  }
+  const ArithCounterSnapshot before = snapshot_arith_counters();
+  check_svd(a);
+  const ArithCounterSnapshot after = snapshot_arith_counters();
+  EXPECT_LE(after.svd_sweeps - before.svd_sweeps, 4u)
+      << precision_tag<T>() << " " << m << "x" << n;
+  EXPECT_EQ(after.svd_unconverged, before.svd_unconverged);
+}
+
+TEST(Svd, CarriedNormsKeepGradedSweepCount) {
+  check_graded_sweeps<double>(40, 20);
+  check_graded_sweeps<double>(60, 30);
+  check_graded_sweeps<zdouble>(40, 20);
+  check_graded_sweeps<zdouble>(60, 30);
 }
 
 }  // namespace

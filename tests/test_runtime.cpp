@@ -1,10 +1,12 @@
 // Task-runtime tests: dependency inference (sequential task flow), parallel
-// execution correctness under all schedulers, DAG export, and tracing.
+// execution correctness under all schedulers, DAG export, tracing, and the
+// bounded env parsing behind the runtime's knobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -12,8 +14,10 @@
 #include <vector>
 
 #include "common/counters.hpp"
+#include "common/env.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/trace_json.hpp"
+#include "test_utils.hpp"
 
 namespace hcham {
 namespace {
@@ -25,6 +29,7 @@ using rt::read;
 using rt::readwrite;
 using rt::SchedulerPolicy;
 using rt::write;
+using hcham::testing::ScopedEnv;
 
 TEST(Runtime, TasksWithoutDepsAllRun) {
   Engine eng;
@@ -590,6 +595,56 @@ TEST(Runtime, EngineUsableAfterTaskFailure) {
   eng.submit([&x] { x = 7; }, {readwrite(h)});
   eng.wait_all();
   EXPECT_EQ(x, 7);
+}
+
+// ---------------------------------------------------------------------------
+// Bounded env parsing: hostile values degrade to the fallback, they are
+// NOT clamped into range.
+
+TEST(EnvBounded, HostileValuesDegradeToDefaults) {
+  ScopedEnv bounded("HCHAM_TEST_BOUNDED", "-5");
+  EXPECT_EQ(env_long_bounded("HCHAM_TEST_BOUNDED", 32, 1, 100), 32);
+  bounded.set("0");
+  EXPECT_EQ(env_long_bounded("HCHAM_TEST_BOUNDED", 32, 1, 100), 32);
+  bounded.set("1000000000");
+  EXPECT_EQ(env_long_bounded("HCHAM_TEST_BOUNDED", 32, 1, 100), 32);
+  bounded.set("64");
+  EXPECT_EQ(env_long_bounded("HCHAM_TEST_BOUNDED", 32, 1, 100), 64);
+  // Bounds are inclusive.
+  bounded.set("1");
+  EXPECT_EQ(env_long_bounded("HCHAM_TEST_BOUNDED", 32, 1, 100), 1);
+  bounded.set("100");
+  EXPECT_EQ(env_long_bounded("HCHAM_TEST_BOUNDED", 32, 1, 100), 100);
+  bounded.set(nullptr);
+  EXPECT_EQ(env_long_bounded("HCHAM_TEST_BOUNDED", 32, 1, 100), 32);
+
+  ScopedEnv bounded_d("HCHAM_TEST_BOUNDED_D", "-0.5");
+  EXPECT_EQ(env_double_bounded("HCHAM_TEST_BOUNDED_D", 0.25, 0.0, 1.0), 0.25);
+  bounded_d.set("nan");
+  EXPECT_EQ(env_double_bounded("HCHAM_TEST_BOUNDED_D", 0.25, 0.0, 1.0), 0.25);
+  bounded_d.set("1e99");
+  EXPECT_EQ(env_double_bounded("HCHAM_TEST_BOUNDED_D", 0.25, 0.0, 1.0), 0.25);
+  bounded_d.set("0.5");
+  EXPECT_EQ(env_double_bounded("HCHAM_TEST_BOUNDED_D", 0.25, 0.0, 1.0), 0.5);
+}
+
+// A value the caller exported (e.g. HCHAM_SESSION_CACHE_BYTES for the
+// tiny-cache CI step) must survive a test that overrides or unsets it.
+TEST(EnvBounded, ScopedEnvRestoresPreviousValueOrAbsence) {
+  ::setenv("HCHAM_TEST_SCOPED", "exported", 1);
+  {
+    ScopedEnv guard("HCHAM_TEST_SCOPED", "override");
+    EXPECT_STREQ(std::getenv("HCHAM_TEST_SCOPED"), "override");
+    guard.set(nullptr);
+    EXPECT_EQ(std::getenv("HCHAM_TEST_SCOPED"), nullptr);
+  }
+  EXPECT_STREQ(std::getenv("HCHAM_TEST_SCOPED"), "exported");
+  ::unsetenv("HCHAM_TEST_SCOPED");
+  {
+    ScopedEnv guard("HCHAM_TEST_SCOPED", "set");
+    EXPECT_STREQ(std::getenv("HCHAM_TEST_SCOPED"), "set");
+  }
+  EXPECT_EQ(std::getenv("HCHAM_TEST_SCOPED"), nullptr);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // policies, matvec, and forward error at the paper's accuracy.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "bem/testcase.hpp"
 #include "core/hchameleon.hpp"
 #include "test_utils.hpp"
@@ -103,6 +105,31 @@ TEST(TileH, MatvecMatchesDense) {
     ref += y_ref[i] * y_ref[i];
   }
   EXPECT_LT(std::sqrt(err / ref), 1e-6);
+}
+
+// deep_copy feeds the refactorization paths (UpdatableOperator): the copy
+// must carry the same structure and bit-identical values, and factorizing
+// it must leave the source untouched. norm_fro (the refinement auto
+// target's ||A||_F) must match the dense norm of the compressed tiles.
+TEST(TileH, DeepCopyPreservesStructureValuesAndNorm) {
+  TileHSetup<double> s(384, 2);
+  auto m = s.build(128, 1e-8);
+  const Matrix<double> before = m.to_dense_original();
+  auto copy = m.deep_copy(s.engine);
+  EXPECT_EQ(copy.structure_signature(), m.structure_signature());
+  EXPECT_EQ(copy.stored_elements(), m.stored_elements());
+  const Matrix<double> copied = copy.to_dense_original();
+  EXPECT_EQ(std::memcmp(copied.data(), before.data(),
+                        sizeof(double) * static_cast<std::size_t>(384 * 384)),
+            0);
+  const double fro = la::norm_fro(before.cview());
+  EXPECT_NEAR(static_cast<double>(m.norm_fro()), fro, 1e-10 * fro);
+
+  copy.factorize(s.engine);
+  const Matrix<double> after = m.to_dense_original();
+  EXPECT_EQ(std::memcmp(after.data(), before.data(),
+                        sizeof(double) * static_cast<std::size_t>(384 * 384)),
+            0);
 }
 
 TEST(TileH, ComplexMatvecMatchesDense) {
