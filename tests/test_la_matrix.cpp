@@ -1,10 +1,12 @@
-// Unit tests for the dense Matrix container and views, and for the
-// pooled scratch arenas (la/workspace.hpp) the dense kernels carve from.
+// Unit tests for the scalar traits, the dense Matrix container and views,
+// and the pooled scratch arenas (la/workspace.hpp) the dense kernels
+// carve from.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "la/la.hpp"
@@ -96,6 +98,28 @@ TEST(MatrixView, NestedBlocks) {
   auto outer = m.block(2, 2, 5, 5);
   auto inner = outer.block(1, 1, 2, 2);
   EXPECT_EQ(inner(0, 0), m(3, 3));
+}
+
+// Scalar traits: the real type, conjugation and squared modulus that the
+// kernels rely on, and the report tags of the four admitted precisions.
+TEST(Scalar, TraitsAndPrecisionTags) {
+  static_assert(std::is_same_v<real_t<double>, double>);
+  static_assert(std::is_same_v<real_t<float>, float>);
+  static_assert(std::is_same_v<real_t<zdouble>, double>);
+  static_assert(std::is_same_v<real_t<std::complex<float>>, float>);
+  static_assert(!is_complex_v<double> && is_complex_v<zdouble>);
+  EXPECT_STREQ(precision_tag<double>(), "d");
+  EXPECT_STREQ(precision_tag<float>(), "s");
+  EXPECT_STREQ(precision_tag<zdouble>(), "z");
+  EXPECT_STREQ(precision_tag<std::complex<float>>(), "c");
+
+  const zdouble z{3.0, -4.0};
+  EXPECT_EQ(conj_if(z), zdouble(3.0, 4.0));
+  EXPECT_DOUBLE_EQ(abs_sq(z), 25.0);
+  EXPECT_DOUBLE_EQ(abs_val(z), 5.0);
+  EXPECT_DOUBLE_EQ(conj_if(-2.5), -2.5);
+  EXPECT_DOUBLE_EQ(abs_sq(-2.5), 6.25);
+  EXPECT_FLOAT_EQ(abs_val(-1.5f), 1.5f);
 }
 
 TEST(MatrixView, CopyBetweenStrides) {
