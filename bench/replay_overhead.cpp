@@ -14,7 +14,7 @@
 //   --out=PATH result file (default BENCH_replay.json)
 //
 // Emits BENCH_replay.json (base schema in EXPERIMENTS.md) with extra
-// fields "workers", "tasks", "edges", "fused_pairs", "ratio" and, for the
+// fields "workers", "tasks", "edges", "ratio" and, for the
 // real-solve records, "submit_phase_s". Exit status is nonzero when the
 // median live/replay overhead ratio of either synthetic DAG falls below
 // the 1.3x gate.
@@ -56,8 +56,8 @@ void submit_lu_dag(rt::Engine& eng,
   }
 }
 
-/// Forward+backward tiled-solve-shaped DAG: per-panel TRSM followed by the
-/// lone downstream GEMM chain (the shape the fusion pass targets).
+/// Forward+backward tiled-solve-shaped DAG: per-panel TRSM followed by its
+/// downstream GEMM updates.
 void submit_solve_dag(rt::Engine& eng,
                       const std::vector<std::vector<rt::Handle>>& tiles,
                       const std::vector<rt::Handle>& rhs) {
@@ -85,7 +85,6 @@ struct OverheadResult {
   double replay_s = 0.0;
   index_t tasks = 0;
   index_t edges = 0;
-  index_t fused_pairs = 0;
   double ratio() const { return replay_s > 0.0 ? live_s / replay_s : 0.0; }
 };
 
@@ -103,7 +102,6 @@ OverheadResult measure_overhead(int reps, SubmitFn&& submit_fn) {
   OverheadResult out;
   out.tasks = g->count;
   out.edges = g->num_edges();
-  out.fused_pairs = g->fused_pairs;
 
   std::vector<double> live, replay;
   for (int r = 0; r < reps; ++r) {
@@ -145,14 +143,12 @@ void report_pair(const char* name, index_t size, int reps,
   rep.extra = {{"workers", kWorkers},
                {"tasks", static_cast<double>(r.tasks)},
                {"edges", static_cast<double>(r.edges)},
-               {"fused_pairs", static_cast<double>(r.fused_pairs)},
                {"ratio", r.ratio()}};
   g_json.add(rep);
-  std::printf("%-18s tasks=%-5ld edges=%-6ld fused=%-4ld live %.3f ms  "
+  std::printf("%-18s tasks=%-5ld edges=%-6ld live %.3f ms  "
               "replay %.3f ms  ratio %.2fx\n",
               name, static_cast<long>(r.tasks), static_cast<long>(r.edges),
-              static_cast<long>(r.fused_pairs), 1e3 * r.live_s,
-              1e3 * r.replay_s, r.ratio());
+              1e3 * r.live_s, 1e3 * r.replay_s, r.ratio());
 }
 
 /// Ungated sanity record: a REAL Tile-H factorization+solve through the

@@ -81,7 +81,6 @@ HCHAM_DEFINE_COUNTERS_(ArithCounters, arith_counters, ArithCounterSnapshot,
   X(graph_cache_hits)                                                         \
   X(graph_cache_misses)                                                       \
   X(graph_cache_evictions)                                                    \
-  X(graph_fused_pairs)     /* chain-fusion output */                          \
   X(submit_live_ns)        /* STF inference phases */                         \
   X(submit_replay_ns)      /* closure re-bind phases */                       \
   /* Nested sub-epochs (section 11): parallel-mode openings, epochs the */    \

@@ -45,17 +45,27 @@ struct HandleState {
 /// over either's handle table (entries with `last_writer` and
 /// `readers_since_write`): a reader follows the handle's last writer; a
 /// writer (Write or ReadWrite) follows the last writer and every reader
-/// since. `add_edge(from)` records from -> id and drops self-edges and
-/// duplicates; `unknown` is the error for a handle outside the table.
+/// since. Tasks below `live_from` have drained, so a handle forgets them
+/// on its first access of a later epoch: a drained last writer counts as
+/// absent and a reader list ending in a drained task is cleared (its
+/// entries ascend, so all of them drained). A factor tile read by every
+/// solve thus keeps one epoch's readers, not every solve's. `add_edge(from)`
+/// records from -> id and drops self-edges and duplicates; `unknown` is the
+/// error for a handle outside the table.
 template <typename HandleTable, typename AddEdge>
 inline void infer_edges(HandleTable& handles,
                         const std::vector<Access>& accesses, TaskId id,
-                        const char* unknown, AddEdge&& add_edge) {
+                        TaskId live_from, const char* unknown,
+                        AddEdge&& add_edge) {
   for (const Access& a : accesses) {
     HCHAM_CHECK_MSG(a.handle.valid() &&
                         a.handle.id < static_cast<index_t>(handles.size()),
                     unknown);
     auto& hs = handles[static_cast<std::size_t>(a.handle.id)];
+    if (hs.last_writer >= 0 && hs.last_writer < live_from) hs.last_writer = -1;
+    if (!hs.readers_since_write.empty() &&
+        hs.readers_since_write.back() < live_from)
+      hs.readers_since_write.clear();
     if (hs.last_writer >= 0) add_edge(hs.last_writer);
     if (a.mode == AccessMode::Read) {
       // Dedupe: a task that lists the same handle twice (or writes then
@@ -73,8 +83,8 @@ inline void infer_edges(HandleTable& handles,
 }
 
 /// Heap order over epoch slots: higher key first, then the older (lower)
-/// slot. The keys are a live epoch's submit-time priorities, a replay's
-/// critical-path ranks, or a fuzzed epoch's seeded random keys.
+/// slot. The keys are the submit-time priorities (live or captured) or a
+/// fuzzed epoch's seeded random keys.
 struct SlotPrioLess {
   const int* key;
   bool operator()(TaskId a, TaskId b) const {
@@ -168,7 +178,11 @@ struct NestedEpochImpl {
 
 struct Engine::Impl {
   Options opts;
+  /// Task records of one epoch: the open live epoch, or the last drained
+  /// one until the next live epoch's first submit() drops it. Ids are
+  /// engine-wide; `tasks[i]` is task `first + i`.
   std::vector<Task> tasks;
+  TaskId first = 0;
   std::vector<HandleState> handles;
   std::vector<TraceEvent> trace;
   std::atomic<bool> executing{false};  ///< set for the span of wait_all()
@@ -179,12 +193,9 @@ struct Engine::Impl {
   /// slot order. Moved in at submit, released when the epoch drains.
   std::vector<std::function<void()>> fns;
 
-  /// Tasks below this index belong to fully-drained earlier epochs: their
-  /// closures and access lists have been released and no edge is ever
-  /// added from them again. A long-lived engine (a serve session runs
-  /// thousands of solve epochs against one factorization) would otherwise
-  /// re-scan the entire task history and hold every closure alive forever.
-  index_t retired = 0;
+  /// Tasks below this id have drained: no edge is ever added from them
+  /// again, and handle states forget them (infer_edges).
+  TaskId retired = 0;
 
   // --- the dispatcher (DESIGN.md section 7) ----------------------------------
   //
@@ -221,10 +232,9 @@ struct Engine::Impl {
   TaskId trace_base = 0;  ///< slot + trace_base = reported id (task id live)
   int width = 1;          ///< workers of this epoch: 1 when fuzzing
   SchedulerPolicy policy = SchedulerPolicy::Priority;  ///< prio when fuzzing
-  const int* key = nullptr;            ///< heap keys per slot
-  std::vector<int> fuzz_key;           ///< seeded random keys (fuzzing)
-  const TaskId* fused_next = nullptr;  ///< chain fusion; null = none
-  std::vector<double> dur;             ///< measured duration per slot
+  const int* key = nullptr;   ///< heap keys per slot
+  std::vector<int> fuzz_key;  ///< seeded random keys (fuzzing)
+  std::vector<double> dur;    ///< measured duration per slot
   std::unique_ptr<std::atomic<index_t>[]> pending;  ///< unresolved deps
   std::atomic<index_t> remaining{0};
   int seed_rr = 0;  ///< round-robin seed target for initially-ready slots
@@ -279,9 +289,11 @@ struct Engine::Impl {
     parked = std::make_unique<std::atomic<std::uint64_t>[]>(parked_words);
   }
 
-  bool all_drained() const {
-    return retired == static_cast<index_t>(tasks.size());
+  TaskId next_id() const {
+    return first + static_cast<TaskId>(tasks.size());
   }
+
+  bool all_drained() const { return retired == next_id(); }
 
   /// Whether submit() collapses access lists into the task records: the
   /// checker and a capture read them from the epoch CSR.
@@ -313,23 +325,24 @@ struct Engine::Impl {
   void add_edge(TaskId from, TaskId to) {
     if (from == to) return;  // a task never depends on itself (a self-edge
                              // would leave pending > 0 forever: deadlock)
-    if (from < retired) return;  // satisfied by an earlier epoch
-    Task& src = tasks[static_cast<std::size_t>(from)];
+    HCHAM_DCHECK(from >= retired);  // infer_edges forgets drained tasks
+    Task& src = tasks[static_cast<std::size_t>(from - first)];
     if (src.last_edge_to == to) return;  // dedupe within this submit
     src.last_edge_to = to;
     if (edge_counter++ == opts.fault_drop_edge) return;  // fault injection
     src.successors.push_back(to);
-    ++tasks[static_cast<std::size_t>(to)].num_deps;
+    ++tasks[static_cast<std::size_t>(to - first)].num_deps;
   }
 
   // --- the epoch CSR ---------------------------------------------------------
 
-  /// Freeze the live epoch [retired, tasks.size()) into CSR form, slot =
+  /// Freeze the live epoch [retired, next_id()) into CSR form, slot =
   /// task id - retired: successor lists, in-degrees and submit-time
   /// priorities always; labels only for a capture or the checker; the
-  /// collapsed access lists only while they are tracked.
+  /// collapsed access lists only while they are tracked. Empty when no
+  /// task was submitted since the last drain.
   std::shared_ptr<CapturedGraph> build_epoch_graph() const {
-    const auto base = static_cast<std::size_t>(retired);
+    const auto base = static_cast<std::size_t>(retired - first);
     const std::size_t n = tasks.size() - base;
     auto g = std::make_shared<CapturedGraph>();
     g->count = static_cast<index_t>(n);
@@ -346,7 +359,7 @@ struct Engine::Impl {
     g->succ.reserve(static_cast<std::size_t>(g->succ_off[n]));
     for (std::size_t i = 0; i < n; ++i)
       for (const TaskId s : tasks[base + i].successors) {
-        // Edges from retired tasks are never added and successors always
+        // Edges from drained tasks are never added and successors always
         // come later, so every edge stays inside the epoch.
         HCHAM_DCHECK(s >= retired);
         g->succ.push_back(s - retired);
@@ -373,36 +386,16 @@ struct Engine::Impl {
     return g;
   }
 
-  /// Keep a live epoch's CSR as the captured graph: the measured durations
-  /// feed the offline critical-path pass, then fusion runs once for every
-  /// later replay. A failed or conflicted epoch is discarded: callers see
+  /// Keep a live epoch's CSR, submit-time priorities included, as the
+  /// captured graph. A failed or conflicted epoch is discarded: callers see
   /// the exception and must not cache it.
   void finish_capture(std::shared_ptr<CapturedGraph> g) {
     capture_armed = false;
     captured.reset();
     if (first_error || !conflict_log.empty()) return;
-    g->duration_s = dur;
-    assign_critical_path_priorities(*g);
-    fuse_linear_chains(*g);
     epochs_captured.fetch_add(1, std::memory_order_relaxed);
     runtime_counters().graph_captures.fetch_add(1, std::memory_order_relaxed);
-    runtime_counters().graph_fused_pairs.fetch_add(
-        static_cast<std::uint64_t>(g->fused_pairs), std::memory_order_relaxed);
     captured = std::move(g);
-  }
-
-  /// Called after every live epoch: its tasks have drained (even on task
-  /// failure the graph runs to completion), so their access lists can be
-  /// released and the live range advanced. Graph metadata (labels,
-  /// durations, edges) is kept — graph() / to_dot() still see the full
-  /// history.
-  void retire_epoch() {
-    for (std::size_t i = static_cast<std::size_t>(retired); i < tasks.size();
-         ++i) {
-      tasks[i].accesses.clear();
-      tasks[i].accesses.shrink_to_fit();
-    }
-    retired = static_cast<index_t>(tasks.size());
   }
 
   // --- access-conflict checker (DESIGN.md section 6; all under mu) -----------
@@ -759,9 +752,8 @@ struct Engine::Impl {
     seed_rr = (seed_rr + 1) % width;
   }
 
-  /// Run `slot` on worker `w` and release its successors; returns the
-  /// fused tail to run next, or -1 for none.
-  TaskId execute(int w, TaskId slot) {
+  /// Run `slot` on worker `w` and release its successors.
+  void execute(int w, TaskId slot) {
     const CapturedGraph& g = *eg;
     WorkerState& me = *workers[static_cast<std::size_t>(w)];
     const auto s = static_cast<std::size_t>(slot);
@@ -790,32 +782,23 @@ struct Engine::Impl {
     dur[s] = d;
     // Batched successor release: resolve all dependency counters first,
     // publish the newly-ready set with one lock, then hand the surplus
-    // (everything this worker won't immediately run itself) to parked
-    // workers with targeted wakeups. A fused tail has in-degree 1, so this
-    // worker owns it outright and runs it next, skipping the queue
-    // round-trip (the offline fusion pass, graph_cache.hpp); with one,
-    // every released slot is surplus.
-    const TaskId fused = fused_next != nullptr ? fused_next[s] : -1;
+    // (everything but the one slot this worker pops next itself) to parked
+    // workers with targeted wakeups.
     me.batch.clear();
     for (index_t e = g.succ_off[s]; e < g.succ_off[s + 1]; ++e) {
       const TaskId succ = g.succ[static_cast<std::size_t>(e)];
-      if (succ == fused) continue;  // runs inline next, never queued
       if (pending[static_cast<std::size_t>(succ)].fetch_sub(1) == 1)
         me.batch.push_back(succ);
     }
     if (!me.batch.empty()) {
       push_batch(w, me.batch.data(), me.batch.size());
-      const auto surplus =
-          static_cast<index_t>(me.batch.size()) - (fused >= 0 ? 0 : 1);
-      if (surplus > 0) wake(surplus);
+      if (me.batch.size() > 1)
+        wake(static_cast<index_t>(me.batch.size()) - 1);
     }
     if (opts.record_trace)
       me.local_trace.push_back(
           TraceEvent{trace_base + slot, w, start, start + d});
-    // A fused tail still pending keeps `remaining` above 1, so reaching 0
-    // here means the chain (and the epoch) is done.
     if (remaining.fetch_sub(1) == 1) wake_all();
-    return fused;
   }
 
   void worker_loop(int w) {
@@ -843,7 +826,7 @@ struct Engine::Impl {
         continue;
       }
       idle_rounds = 0;
-      while (id >= 0) id = execute(w, id);
+      execute(w, id);
     }
   }
 
@@ -895,9 +878,8 @@ struct Engine::Impl {
   /// whereas fresh threads are placed on idle CPUs at each epoch.)
   /// Fuzzing is a 1-worker epoch whose prio heap is keyed by seeded random
   /// per-slot keys: keys descending along any topological order make the
-  /// heap pop exactly that order, so every legal schedule is reachable
-  /// (fusion is bypassed for the same reason), and a seed reproduces its
-  /// order. `base` + slot is the id reported in the trace
+  /// heap pop exactly that order, so every legal schedule is reachable,
+  /// and a seed reproduces its order. `base` + slot is the id reported in the trace
   /// and in conflict diagnostics: the task id of a live epoch, the slot
   /// itself under replay.
   void run_epoch(const CapturedGraph& g, TaskId base) {
@@ -913,10 +895,8 @@ struct Engine::Impl {
       fuzz_key.resize(n);
       for (int& k : fuzz_key) k = static_cast<int>(rng.next_u64() >> 33);
       key = fuzz_key.data();
-      fused_next = nullptr;
     } else {
       key = g.priority.data();
-      fused_next = g.fused_next.empty() ? nullptr : g.fused_next.data();
     }
     dur.assign(n, 0.0);
     pending = std::make_unique<std::atomic<index_t>[]>(n);
@@ -939,7 +919,6 @@ struct Engine::Impl {
     merge_trace();
     eg = nullptr;
     key = nullptr;
-    fused_next = nullptr;
   }
 };
 
@@ -948,10 +927,6 @@ Engine::Engine(Options opts) : impl_(std::make_unique<Impl>(opts)) {}
 Engine::~Engine() = default;
 
 Handle Engine::register_data(std::string name) {
-  // During replay no accesses are interpreted, so per-epoch scratch data
-  // (e.g. the solver's RHS panels) gets a placeholder handle instead of
-  // growing the engine's handle table on every replayed epoch.
-  if (impl_->replay != nullptr) return Handle{-1};
   impl_->handles.push_back(HandleState{std::move(name), -1, {}});
   return Handle{static_cast<index_t>(impl_->handles.size()) - 1};
 }
@@ -971,7 +946,12 @@ TaskId Engine::submit(std::function<void()> fn, std::vector<Access> accesses,
     im.fns.push_back(std::move(fn));
     return static_cast<TaskId>(im.fns.size()) - 1;
   }
-  const TaskId id = static_cast<TaskId>(im.tasks.size());
+  if (im.all_drained()) {
+    // First task of a new live epoch: the drained epoch's records go.
+    im.tasks.clear();
+    im.first = im.retired;
+  }
+  const TaskId id = im.next_id();
   Task t;
   t.label = std::move(label);
   t.priority = priority;
@@ -993,7 +973,7 @@ TaskId Engine::submit(std::function<void()> fn, std::vector<Access> accesses,
   }
   im.tasks.push_back(std::move(t));
   im.fns.push_back(std::move(fn));
-  infer_edges(im.handles, accesses, id, "unknown data handle",
+  infer_edges(im.handles, accesses, id, im.retired, "unknown data handle",
               [&im, id](TaskId from) { im.add_edge(from, id); });
   return id;
 }
@@ -1009,8 +989,8 @@ void Engine::wait_all() {
   Impl& im = *impl_;
   im.close_submit_clock(im.replay != nullptr);
   if (im.replay != nullptr) {
-    // Replay dispatch: the captured CSR runs as-is; the engine's own
-    // task/handle history is untouched, so there is nothing to retire.
+    // Replay dispatch: the captured CSR runs as-is; the engine's task
+    // records and handle states are untouched, so there is nothing to drain.
     // The armed state is always cleared — also when dispatch throws on a
     // slot-count mismatch — so the engine stays usable.
     struct ReplayGuard {
@@ -1030,15 +1010,16 @@ void Engine::wait_all() {
   } else {
     // Live dispatch: freeze the submitted tasks into the epoch CSR, run
     // it, write the measured durations back for graph(), and keep the CSR
-    // when capture is armed.
+    // when capture is armed. Every task has drained by now (even on task
+    // failure the graph runs to completion).
     const std::shared_ptr<CapturedGraph> g = im.build_epoch_graph();
     im.run_epoch(*g, im.retired);
     im.fns.clear();
     for (std::size_t i = 0; i < im.dur.size(); ++i)
-      im.tasks[static_cast<std::size_t>(im.retired) + i].duration_s =
-          im.dur[i];
+      im.tasks[static_cast<std::size_t>(im.retired - im.first) + i]
+          .duration_s = im.dur[i];
     if (im.capture_armed) im.finish_capture(g);
-    im.retire_epoch();
+    im.retired = im.next_id();
   }
   // A conflict means the engine itself scheduled two overlapping accesses:
   // more fundamental than any task failure, so it is surfaced first.
@@ -1060,9 +1041,7 @@ void Engine::wait_all() {
   }
 }
 
-index_t Engine::num_tasks() const {
-  return static_cast<index_t>(impl_->tasks.size());
-}
+index_t Engine::num_tasks() const { return impl_->next_id(); }
 
 index_t Engine::num_edges() const {
   index_t e = 0;
@@ -1142,6 +1121,7 @@ bool Engine::on_worker_thread() const {
 
 TaskGraph Engine::graph() const {
   TaskGraph g;
+  g.first = impl_->first;
   g.nodes.reserve(impl_->tasks.size());
   for (const Task& t : impl_->tasks) {
     TaskGraph::Node n;
@@ -1149,6 +1129,7 @@ TaskGraph Engine::graph() const {
     n.priority = t.priority;
     n.duration_s = t.duration_s;
     n.successors = t.successors;
+    for (TaskId& s : n.successors) s -= g.first;
     n.num_dependencies = t.num_deps;
     g.nodes.push_back(std::move(n));
   }
@@ -1163,15 +1144,19 @@ const std::vector<std::string>& Engine::conflicts() const {
 
 std::string Engine::to_dot() const {
   const std::vector<Task>& tasks = impl_->tasks;
+  const TaskId first = impl_->first;
   std::ostringstream out;
   out << "digraph tasks {\n";
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    out << "  t" << i << " [label=\""
-        << (tasks[i].label.empty() ? std::to_string(i) : tasks[i].label)
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const TaskId id = first + static_cast<TaskId>(i);
+    out << "  t" << id << " [label=\""
+        << (tasks[i].label.empty() ? std::to_string(id) : tasks[i].label)
         << "\"];\n";
+  }
   for (std::size_t i = 0; i < tasks.size(); ++i)
     for (const TaskId s : tasks[i].successors)
-      out << "  t" << i << " -> t" << s << ";\n";
+      out << "  t" << first + static_cast<TaskId>(i) << " -> t" << s
+          << ";\n";
   out << "}\n";
   return out.str();
 }
@@ -1266,7 +1251,7 @@ TaskId NestedEpoch::submit(std::function<void()> fn,
     ++im.edges;
     ++pending;
   };
-  infer_edges(im.handles, accesses, id, "unknown nested data handle",
+  infer_edges(im.handles, accesses, id, 0, "unknown nested data handle",
               add_edge);
   t.pending.store(pending, std::memory_order_relaxed);
   return id;
@@ -1342,15 +1327,17 @@ index_t NestedEpoch::num_edges() const { return impl_->edges; }
 
 index_t NestedEpoch::stolen() const { return impl_->stolen.load(); }
 
-TaskGraph TaskGraph::tail_from(index_t first) const {
-  HCHAM_CHECK(first >= 0 && first <= num_tasks());
+TaskGraph TaskGraph::tail_from(TaskId id) const {
+  HCHAM_CHECK(id >= first && id <= first + num_tasks());
+  const index_t off = id - first;
   TaskGraph g;
-  g.nodes.reserve(static_cast<std::size_t>(num_tasks() - first));
-  for (index_t i = first; i < num_tasks(); ++i) {
+  g.first = id;
+  g.nodes.reserve(static_cast<std::size_t>(num_tasks() - off));
+  for (index_t i = off; i < num_tasks(); ++i) {
     Node n = nodes[static_cast<std::size_t>(i)];
     for (TaskId& s : n.successors) {
-      HCHAM_CHECK_MSG(s >= first, "edge crosses the sub-graph boundary");
-      s -= first;
+      HCHAM_CHECK_MSG(s >= off, "edge crosses the sub-graph boundary");
+      s -= off;
     }
     g.nodes.push_back(std::move(n));
   }

@@ -70,11 +70,15 @@ class Engine {
                 int priority = 0, std::string label = "");
 
   /// Execute all pending tasks; returns when the graph has drained.
-  /// Re-submission after wait_all() is allowed (the engine keeps handle
-  /// states, so later tasks still depend on earlier epochs' tasks).
+  /// Re-submission after wait_all() is allowed. Between epochs an engine
+  /// keeps its handle table and the last epoch's task records, nothing
+  /// older: drained tasks are already satisfied, so handle states forget
+  /// them and the next live epoch's first submit() drops their records.
   void wait_all();
 
+  /// Tasks ever submitted live: the id the next task gets.
   index_t num_tasks() const;
+  /// Edges of the open or last drained live epoch.
   index_t num_edges() const;
   int num_workers() const;
   SchedulerPolicy policy() const;
@@ -85,7 +89,8 @@ class Engine {
   /// can assert engine/simulator seed agreement.
   int seed_cursor() const;
 
-  /// Snapshot of the graph; durations are valid after wait_all().
+  /// Snapshot of the open or last drained live epoch (TaskGraph::first is
+  /// its first task id); durations are valid after wait_all().
   TaskGraph graph() const;
 
   /// Execution trace (empty unless Options::record_trace).
@@ -99,10 +104,10 @@ class Engine {
   //
   // begin_capture() arms recording for the NEXT epoch: every live epoch is
   // frozen into a CSR at wait_all() entry — closure slots in submission
-  // order, collapsed access lists, and the inferred edges — and a capture
-  // keeps that CSR as an immutable CapturedGraph once the epoch has run
-  // (so the measured durations feed the offline critical-path pass),
-  // fetched with end_capture(). begin_replay(g) arms the opposite mode:
+  // order, submit-time priorities, collapsed access lists, and the
+  // inferred edges — and a capture keeps that CSR as an immutable
+  // CapturedGraph once the epoch has run without error, fetched with
+  // end_capture(). begin_replay(g) arms the opposite mode:
   // subsequent submit() calls only re-bind their closures to the recorded
   // slots in order (accesses, priority, and label are ignored — the graph
   // is the contract) and the following wait_all() dispatches the captured
@@ -110,8 +115,9 @@ class Engine {
   //
   // Both modes require the engine to be drained (every prior task done):
   // a captured epoch must not have live cross-epoch edges, or a replay
-  // could not reproduce them. Replay leaves the engine's own task/handle
-  // history untouched, so live and replayed epochs interleave freely.
+  // could not reproduce them. Replay leaves the engine's task records and
+  // handle states untouched (num_tasks() and graph() too), so live and
+  // replayed epochs interleave freely.
 
   /// Arm capture for the next epoch. Returns false (and stays live) if
   /// capture/replay is already armed or undrained tasks exist.
@@ -158,7 +164,8 @@ class Engine {
   /// to run in parallel (stealable) mode.
   bool on_worker_thread() const;
 
-  /// Graphviz rendering of the dependency DAG (paper Fig. 1).
+  /// Graphviz rendering of the open or last drained live epoch's DAG
+  /// (paper Fig. 1); nodes are named by task id.
   std::string to_dot() const;
 
  private:

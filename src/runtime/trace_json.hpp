@@ -13,7 +13,7 @@
 namespace hcham::rt {
 
 /// Write `trace` to `out`. Labels come from the matching task graph when
-/// provided (pass {} to use task ids).
+/// provided, mapped through its `first` id (pass {} to use task ids).
 inline void trace_to_json(const std::vector<TraceEvent>& trace,
                           const TaskGraph& graph, std::ostream& out) {
   out << "[\n";
@@ -22,9 +22,10 @@ inline void trace_to_json(const std::vector<TraceEvent>& trace,
     if (!first) out << ",\n";
     first = false;
     std::string name = "task" + std::to_string(ev.task);
-    if (ev.task >= 0 && ev.task < graph.num_tasks() &&
-        !graph.nodes[static_cast<std::size_t>(ev.task)].label.empty()) {
-      name = graph.nodes[static_cast<std::size_t>(ev.task)].label;
+    const TaskId node = ev.task - graph.first;
+    if (node >= 0 && node < graph.num_tasks() &&
+        !graph.nodes[static_cast<std::size_t>(node)].label.empty()) {
+      name = graph.nodes[static_cast<std::size_t>(node)].label;
     }
     out << "  {\"name\": \"" << json_escape(name)
         << "\", \"ph\": \"X\", \"pid\": 0, "

@@ -54,6 +54,7 @@ constexpr const char* to_string(SchedulerPolicy p) {
 
 /// Immutable snapshot of an executed task graph: structure, priorities, and
 /// measured durations. Input to the DOT exporter and the scaling simulator.
+/// Node i is task `first + i`; successors are node indices.
 struct TaskGraph {
   struct Node {
     std::string label;
@@ -63,6 +64,7 @@ struct TaskGraph {
     index_t num_dependencies = 0;      ///< in-degree
   };
   std::vector<Node> nodes;
+  TaskId first = 0;  ///< task id of nodes[0]
 
   index_t num_tasks() const { return static_cast<index_t>(nodes.size()); }
   index_t num_edges() const {
@@ -79,11 +81,12 @@ struct TaskGraph {
   /// Longest path through the DAG (the parallel-time lower bound).
   double critical_path_s() const;
 
-  /// Sub-graph of the tasks submitted from index `first` on. Valid when no
-  /// edges cross the boundary (i.e. the earlier tasks were executed by a
-  /// wait_all() before the later ones were submitted, as the engine then
-  /// drops the already-satisfied dependencies). Successor ids are rebased.
-  TaskGraph tail_from(index_t first) const;
+  /// Sub-graph of the tasks from id `id` (in [first, first + num_tasks()])
+  /// on. Valid when no edges cross the boundary (i.e. the earlier tasks
+  /// were executed by a wait_all() before the later ones were submitted, as
+  /// the engine then drops the already-satisfied dependencies). Successors
+  /// are rebased; the result's `first` is `id`.
+  TaskGraph tail_from(TaskId id) const;
 };
 
 /// Per-task execution record (worker, start, end relative to wait_all).

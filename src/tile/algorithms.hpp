@@ -110,26 +110,27 @@ namespace detail {
 /// RHS is tiled into nt x npanels blocks, one data handle per block, so
 /// the forward/backward substitution chains of distinct panels are fully
 /// independent and trailing updates of different panels run concurrently
-/// (the solve-phase analogue of the paper's coarse regular tiling).
+/// (the solve-phase analogue of the paper's coarse regular tiling). The
+/// handles come from the descriptor's pool, so repeated solves register
+/// no new ones.
 template <typename T>
 struct RhsPanels {
   la::MatrixView<T> b;
   index_t width = 0;    ///< columns per panel (last may be narrower)
   index_t npanels = 0;
-  std::vector<rt::Handle> handles;  ///< nt x npanels, row-major
+  const rt::Handle* handles = nullptr;  ///< nt x npanels, row-major
 
   RhsPanels(rt::Engine& engine, const TileDesc<T>& a, la::MatrixView<T> rhs,
             index_t panel_width)
       : b(rhs) {
+    HCHAM_CHECK_MSG(&engine == &a.engine(),
+                    "solve submitted to an engine other than the "
+                    "descriptor's");
     const index_t nrhs = b.cols();
     HCHAM_CHECK(nrhs >= 1);
     width = panel_width > 0 ? std::min(panel_width, nrhs) : nrhs;
     npanels = ceil_div(nrhs, width);
-    handles.resize(static_cast<std::size_t>(a.nt() * npanels));
-    for (index_t k = 0; k < a.nt(); ++k)
-      for (index_t p = 0; p < npanels; ++p)
-        handles[static_cast<std::size_t>(k * npanels + p)] =
-            engine.register_data("rhs");
+    handles = a.rhs_handles(a.nt() * npanels);
   }
 
   rt::Handle handle(index_t k, index_t p) const {

@@ -43,9 +43,11 @@ template <typename T>
 class TileDesc {
  public:
   /// Create an empty m x n descriptor with tile size nb; registers one
-  /// runtime handle per tile in `engine`.
+  /// runtime handle per tile in `engine`, which every task on these tiles
+  /// must be submitted to.
   TileDesc(rt::Engine& engine, index_t m, index_t n, index_t nb)
-      : m_(m), n_(n), nb_(nb), mt_(ceil_div(m, nb)), nt_(ceil_div(n, nb)) {
+      : engine_(&engine), m_(m), n_(n), nb_(nb), mt_(ceil_div(m, nb)),
+        nt_(ceil_div(n, nb)) {
     HCHAM_CHECK(m >= 0 && n >= 0 && nb >= 1);
     tiles_.resize(static_cast<std::size_t>(mt_ * nt_));
     handles_.reserve(tiles_.size());
@@ -88,6 +90,20 @@ class TileDesc {
   rt::Handle handle(index_t i, index_t j) const {
     HCHAM_DCHECK(i >= 0 && i < mt_ && j >= 0 && j < nt_);
     return handles_[static_cast<std::size_t>(i * nt_ + j)];
+  }
+
+  /// The engine the tile handles are registered on.
+  rt::Engine& engine() const { return *engine_; }
+
+  /// `count` handles for the solves' RHS-panel blocks, from a pool that
+  /// registers each on the descriptor's engine the first time it is needed
+  /// and hands it to every later solve. The pool lives here, not per
+  /// engine, because a handle means something only on the engine that
+  /// registered it. Submission-phase only (one thread per engine).
+  const rt::Handle* rhs_handles(index_t count) const {
+    while (static_cast<index_t>(rhs_pool_.size()) < count)
+      rhs_pool_.push_back(engine_->register_data("rhs"));
+    return rhs_pool_.data();
   }
 
   /// Total scalars stored across tiles (compression metric).
@@ -133,6 +149,7 @@ class TileDesc {
   }
 
  private:
+  rt::Engine* engine_;
   index_t m_;
   index_t n_;
   index_t nb_;
@@ -140,6 +157,7 @@ class TileDesc {
   index_t nt_;
   std::vector<Tile<T>> tiles_;
   std::vector<rt::Handle> handles_;
+  mutable std::vector<rt::Handle> rhs_pool_;
 };
 
 }  // namespace hcham::tile

@@ -422,6 +422,51 @@ TEST(Runtime, DotExportContainsNodesAndEdges) {
   EXPECT_NE(dot.find("t0 -> t1"), std::string::npos);
 }
 
+TEST(Runtime, GraphDescribesTheLastLiveEpochOnly) {
+  // Between epochs the engine keeps one epoch of task records: graph() is
+  // the second epoch alone, tail_from(first) takes it whole and rebased,
+  // and the trace's task ids map onto its labels through TaskGraph::first.
+  Engine eng({.num_workers = 2, .record_trace = true});
+  auto h = eng.register_data();
+  auto k = eng.register_data();
+  eng.submit([] {}, {write(h)}, 0, "a0");
+  eng.submit([] {}, {read(h)}, 0, "a1");
+  eng.wait_all();
+  const rt::TaskId first = eng.num_tasks();
+  ASSERT_EQ(first, 2);
+  eng.submit([] {}, {readwrite(h)}, 5, "b0");
+  eng.submit([] {}, {read(h), write(k)}, 4, "b1");
+  eng.submit([] {}, {read(k)}, 3, "b2");
+  eng.wait_all();
+  EXPECT_EQ(eng.num_tasks(), 5);
+  EXPECT_EQ(eng.num_edges(), 2);  // b0 -> b1 -> b2; epoch a is satisfied
+
+  const rt::TaskGraph g = eng.graph();
+  EXPECT_EQ(g.first, first);
+  const rt::TaskGraph tail = g.tail_from(first);
+  EXPECT_EQ(tail.first, first);
+  ASSERT_EQ(tail.num_tasks(), 3);
+  EXPECT_EQ(tail.num_edges(), 2);
+  EXPECT_EQ(tail.nodes[0].label, "b0");
+  EXPECT_EQ(tail.nodes[0].priority, 5);
+  EXPECT_EQ(tail.nodes[0].successors, std::vector<rt::TaskId>{1});
+  EXPECT_EQ(tail.nodes[1].successors, std::vector<rt::TaskId>{2});
+  EXPECT_EQ(tail.nodes[2].num_dependencies, 1);
+  EXPECT_EQ(g.tail_from(first + 1).num_tasks(), 2);
+  EXPECT_THROW(g.tail_from(first - 1), Error);  // before the epoch
+  EXPECT_NE(eng.to_dot().find("t3 -> t4"), std::string::npos);
+
+  // Every event of the second epoch is named after its own task; the
+  // first epoch's events fall outside the graph and keep their ids.
+  std::ostringstream out;
+  trace_to_json(eng.trace(), g, out);
+  const std::string json = out.str();
+  for (const char* name : {"\"b0\"", "\"b1\"", "\"b2\"", "\"task0\"",
+                           "\"task1\""})
+    EXPECT_NE(json.find(name), std::string::npos) << name;
+  EXPECT_EQ(json.find("\"a0\""), std::string::npos);
+}
+
 TEST(Runtime, TraceRecordsAllTasks) {
   Engine eng({.num_workers = 2, .record_trace = true});
   auto h = eng.register_data();
