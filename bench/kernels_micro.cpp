@@ -3,7 +3,8 @@
 // sizes, shapes, op combinations, and scalar types; the leaf shapes the
 // H-matrix solves issue, through la::gemm against both the packed engine
 // and the reference loops; TRSM / GETRF / POTRF / QR / ACA riding on the
-// engine; the rk::truncate kernel at the H-LU core shapes, and nrm2,
+// engine; the rk::truncate kernel at the H-LU core shapes and on an
+// accumulated core below the tolerance, and nrm2,
 // qr_pivoted_rank and rk::compact_tail at the factorizations' mean
 // truncation shapes. Emits
 // BENCH_kernels.json (schema: EXPERIMENTS.md) and prints a human-readable
@@ -17,6 +18,7 @@
 // Exit status is nonzero if the blocked double GEMM is slower than the
 // reference kernel at n = 512 — the regression gate CI runs on every push.
 #include <algorithm>
+#include <cmath>
 #include <complex>
 #include <cstring>
 #include <string>
@@ -35,9 +37,12 @@ namespace {
 bench::BenchJson g_json;
 
 void report(const bench::BenchRecord& r) {
-  std::printf("%-24s n=%-6ld reps=%d  median %.3e s  min %.3e s  %8.2f GF/s\n",
+  std::printf("%-24s n=%-6ld reps=%d  median %.3e s  min %.3e s  %8.2f GF/s",
               r.name.c_str(), static_cast<long>(r.size), r.reps, r.median_s,
               r.min_s, r.gflops);
+  for (const auto& [key, value] : r.extra)
+    std::printf("  %s %.4g", key.c_str(), value);
+  std::printf("\n");
   g_json.add(r);
 }
 
@@ -207,42 +212,107 @@ void leaf_factor_records(const char* tag, int reps) {
       [](la::Matrix<T>& x) { la::potrf(x.view()); });
 }
 
+/// One rk::truncate record: `make` builds a fresh Rk block per call, timed
+/// only in truncate, with the Jacobi sweeps, the columns handed to Jacobi
+/// and the truncated rank per call. A leased arena stands in for the engine
+/// worker the kernel runs on.
+template <typename T, typename Make>
+void truncate_record(std::string name, index_t size, int reps,
+                     const rk::TruncationParams& params, Make&& make) {
+  la::WorkspaceLease lease;
+  constexpr int kCalls = 10;
+  std::vector<rk::RkMatrix<T>> work;
+  double ranks = 0;
+  const ArithCounterSnapshot before = snapshot_arith_counters();
+  bench::BenchRecord rec = per_call_record(
+      std::move(name), size, 0.0, reps, kCalls,
+      [&] {
+        work.clear();
+        for (int c = 0; c < kCalls; ++c) work.push_back(make());
+      },
+      [&](int c) {
+        ranks += static_cast<double>(
+            rk::truncate(work[static_cast<std::size_t>(c)], params));
+      });
+  const ArithCounterSnapshot after = snapshot_arith_counters();
+  const double calls = static_cast<double>(reps) * kCalls;
+  rec.extra.emplace_back(
+      "sweeps_per_call",
+      static_cast<double>(after.svd_sweeps - before.svd_sweeps) / calls);
+  rec.extra.emplace_back(
+      "jacobi_cols_per_call",
+      static_cast<double>(after.svd_columns - before.svd_columns) / calls);
+  rec.extra.emplace_back("rank_per_call", ranks / calls);
+  report(rec);
+}
+
 /// rk::truncate at the fine-grain H-LU core shapes: a rank-16 256 x 256
 /// block accumulated with copies of itself to `width` factor columns (32 =
 /// the block plus itself), truncated back to rank 16. One record per width,
-/// sized by the width, with the Jacobi sweeps per call; timing only, no
-/// gate. A leased arena stands in for the engine worker the kernel runs on.
+/// sized by the width; timing only, no gate. These cores are exactly rank
+/// deficient, so the deflation tolerance does not change what Jacobi sees.
 template <typename T>
 void truncate_records(const char* tag, int reps) {
-  la::WorkspaceLease lease;
   const index_t m = 256, r = 16;
   const auto u0 = la::Matrix<T>::random(m, r, 11);
   const auto v0 = la::Matrix<T>::random(m, r, 12);
-  const rk::TruncationParams params{1e-8, -1};
   for (const index_t width : {32, 64, 128}) {
-    constexpr int kCalls = 10;
-    std::vector<rk::RkMatrix<T>> work;
-    const ArithCounterSnapshot before = snapshot_arith_counters();
-    bench::BenchRecord rec = per_call_record(
-        std::string("rk_truncate_") + tag, width, 0.0, reps, kCalls,
-        [&] {
-          work.clear();
-          for (int c = 0; c < kCalls; ++c) {
-            rk::RkMatrix<T> w(la::Matrix<T>::from_view(u0.cview()),
-                              la::Matrix<T>::from_view(v0.cview()));
-            while (w.rank() < width)
-              w.append_factors(T{1}, u0.cview(), v0.cview());
-            work.push_back(std::move(w));
-          }
-        },
-        [&](int c) { rk::truncate(work[static_cast<std::size_t>(c)], params); });
-    const ArithCounterSnapshot after = snapshot_arith_counters();
-    rec.extra.emplace_back(
-        "sweeps_per_call",
-        static_cast<double>(after.svd_sweeps - before.svd_sweeps) /
-            (reps * kCalls));
-    report(rec);
+    truncate_record<T>(std::string("rk_truncate_") + tag, width, reps,
+                       rk::TruncationParams{1e-8, -1}, [&] {
+                         rk::RkMatrix<T> w(la::Matrix<T>::from_view(u0.cview()),
+                                           la::Matrix<T>::from_view(v0.cview()));
+                         while (w.rank() < width)
+                           w.append_factors(T{1}, u0.cview(), v0.cview());
+                         return w;
+                       });
   }
+}
+
+/// m x k with orthonormal columns scaled by sigma (k entries).
+template <typename T>
+la::Matrix<T> graded_factor(index_t m, const std::vector<double>& sigma,
+                            std::uint64_t seed) {
+  const auto k = static_cast<index_t>(sigma.size());
+  la::Matrix<T> q, r;
+  la::qr_thin<T>(la::Matrix<T>::random(m, k, seed).cview(), q, r);
+  for (index_t j = 0; j < k; ++j)
+    for (index_t i = 0; i < m; ++i)
+      q(i, j) *= T(static_cast<real_t<T>>(sigma[static_cast<std::size_t>(j)]));
+  return q;
+}
+
+/// rk::truncate on an accumulated 50 x 50 core, the shape the Tile-H
+/// flushes see: a rank-9 head (sigma_i = 10^-i) plus three independent
+/// rank-10 updates whose singular values fall 10 per decade from 1e-9 to
+/// 1e-12, truncated at 10^-7.5. Unlike the exactly deficient cores above,
+/// its 39 columns are numerically independent at kk * eps, so this record
+/// shows how many of them the deflation hands to Jacobi.
+template <typename T>
+void truncate_acc_record(const char* tag, int reps) {
+  const index_t m = 50;
+  std::vector<double> head;
+  for (int i = 0; i < 9; ++i) head.push_back(std::pow(10.0, -i));
+  la::Matrix<T> u = graded_factor<T>(m, head, 41);
+  la::Matrix<T> v = graded_factor<T>(m, std::vector<double>(9, 1.0), 42);
+  for (int c = 0; c < 3; ++c) {
+    std::vector<double> sigma;
+    for (int j = 0; j < 10; ++j)
+      sigma.push_back(std::pow(10.0, -9 - c - j / 10.0));
+    const auto seed = static_cast<std::uint64_t>(43 + 2 * c);
+    const auto append = [m](la::Matrix<T>& f, const la::Matrix<T>& g) {
+      la::Matrix<T> fg(m, f.cols() + g.cols());
+      la::copy(f.cview(), fg.view().block(0, 0, m, f.cols()));
+      la::copy(g.cview(), fg.view().block(0, f.cols(), m, g.cols()));
+      f = std::move(fg);
+    };
+    append(u, graded_factor<T>(m, sigma, seed));
+    append(v, graded_factor<T>(m, std::vector<double>(10, 1.0), seed + 1));
+  }
+  truncate_record<T>(std::string("rk_truncate_acc_") + tag, u.cols(), reps,
+                     rk::TruncationParams{std::pow(10.0, -7.5), -1}, [&] {
+                       return rk::RkMatrix<T>(la::Matrix<T>::from_view(u.cview()),
+                                              la::Matrix<T>::from_view(v.cview()));
+                     });
 }
 
 /// The Level-1 and rank-revealing kernels under the truncation at the mean
@@ -436,6 +506,7 @@ int main(int argc, char** argv) {
 
   truncate_records<double>("d", reps);
   truncate_records<std::complex<double>>("z", reps);
+  truncate_acc_record<std::complex<double>>("z", reps);
   truncation_kernel_records<double>("d", 72, 38, reps);
   truncation_kernel_records<std::complex<double>>("z", 56, 26, reps);
 

@@ -55,12 +55,11 @@ void report(const char* series, rt::SchedulerPolicy pol, index_t n,
               p.time_s > 0.0 ? time_1w / p.time_s : 0.0, p.busy_fraction);
 }
 
-/// Busy time of the last wait_all() epoch, from the engine trace.
-double epoch_busy_s(const rt::Engine& engine, std::size_t trace_before) {
+/// Busy time of the last wait_all() epoch, from the engine trace (which
+/// holds that epoch alone).
+double epoch_busy_s(const rt::Engine& engine) {
   double busy = 0.0;
-  const auto& tr = engine.trace();
-  for (std::size_t i = trace_before; i < tr.size(); ++i)
-    busy += tr[i].end_s - tr[i].start_s;
+  for (const rt::TraceEvent& ev : engine.trace()) busy += ev.end_s - ev.start_s;
   return busy;
 }
 
@@ -74,7 +73,6 @@ Point run_tileh(index_t n, index_t nb, double eps, int workers,
       {.num_workers = workers, .policy = pol, .record_trace = true});
   auto a = core::TileHMatrix<double>::build(engine, problem.points(), gen,
                                             bench::tileh_options(nb, eps));
-  const std::size_t trace_before = engine.trace().size();
   const index_t first = engine.num_tasks();
   a.factorize_submit(engine);
   Timer t;
@@ -83,7 +81,7 @@ Point run_tileh(index_t n, index_t nb, double eps, int workers,
   p.time_s = t.seconds();
   p.tasks = engine.num_tasks() - first;
   p.busy_fraction = p.time_s > 0.0
-                        ? epoch_busy_s(engine, trace_before) /
+                        ? epoch_busy_s(engine) /
                               (p.time_s * static_cast<double>(workers))
                         : 0.0;
   return p;
@@ -110,7 +108,7 @@ Point run_hmat(index_t n, double eps, int workers, rt::SchedulerPolicy pol) {
   p.time_s = t.seconds();
   p.busy_fraction =
       p.time_s > 0.0
-          ? epoch_busy_s(engine, 0) / (p.time_s * static_cast<double>(workers))
+          ? epoch_busy_s(engine) / (p.time_s * static_cast<double>(workers))
           : 0.0;
   return p;
 }

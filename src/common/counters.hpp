@@ -64,7 +64,9 @@ namespace hcham {
   X(ws_hits)               /* arena requests served in place */               \
   X(ws_misses)             /* arena requests that malloc'd */                 \
   X(svd_sweeps)            /* one-sided Jacobi sweeps, all calls */           \
-  X(svd_unconverged)       /* Jacobi calls that hit the sweep cap */
+  X(svd_columns)           /* columns handed to Jacobi, all calls */          \
+  X(svd_unconverged)       /* Jacobi calls that hit the sweep cap */          \
+  X(qr_norm_recomputes)    /* pivoted-QR column norms recomputed */
 
 HCHAM_DEFINE_COUNTERS_(ArithCounters, arith_counters, ArithCounterSnapshot,
                        snapshot_arith_counters, reset_arith_counters,

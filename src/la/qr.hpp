@@ -12,11 +12,21 @@
 // application of Q run as three GEMMs per block (xLARFB). A block itself is
 // factored by the Elmroth-Gustavson recursion, which builds T by GEMM as it
 // goes; only panels of at most kQrBase columns run the unblocked loop.
+//
+// qr_pivoted_rank is the rank-revealing variant (xGEQP3): the same
+// reflectors, one column at a time with column pivoting, stopped as soon as
+// the remaining block is below a tolerance. The truncation kernels run it
+// on their small cores, at a tenth of the truncation tolerance before the
+// SVD and at the tolerance itself for compaction.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
 
+#include "common/counters.hpp"
 #include "common/scalar.hpp"
 #include "la/gemm.hpp"
 #include "la/matrix.hpp"
@@ -280,15 +290,21 @@ void orgqr_into(ConstMatrixView<T> a, ConstMatrixView<T> t, index_t k,
   detail::gemqrt_blocks(a, t, k, q, /*identity_lead=*/true);
 }
 
-/// Greedy column-pivoted truncated QR via modified Gram-Schmidt:
+/// Truncated Householder QR with column pivoting (LAPACK's xGEQP3/xLAQP2):
 /// a (m x n) ~= q(:, 0:r) * rr(0:r, :) with rr's columns kept in ORIGINAL
-/// order (no permutation to undo). The factorization stops as soon as the
-/// largest remaining column norm falls below rtol times the first pivot
-/// norm (or at max_rank >= 0 columns), so the cost is O(m n r) -- linear
-/// in the revealed rank r rather than cubic in n. The dropped residual is
-/// column-wise below rtol * |first pivot|, which makes this the right tool
-/// for rank CONTROL of intermediate accumulations; final accuracy-bearing
-/// truncations should keep using the SVD path.
+/// order (no permutation to undo) and a real, non-negative diagonal in pivot
+/// order. Each step pivots the column of largest remaining norm and
+/// annihilates it below the diagonal with one reflector. The remaining
+/// column norms are downdated, not recomputed; a downdate that would keep
+/// less than sqrt(eps) of a norm's last exact value has cancelled and is
+/// recomputed (Drmac-Bujanovic, ACM TOMS 35(2), 2008).
+///
+/// The factorization stops before step r once the Frobenius mass of the
+/// remaining block, the sum of the carried squared norms, is at most
+/// (rtol * first pivot norm)^2, or at max_rank >= 0 columns. With A P =
+/// Q [R11 R12; 0 R22], the dropped residual is then ||R22||_F <= rtol *
+/// max_j ||a_j|| <= rtol * ||A||_2, and the cost O(m n r) is linear in the
+/// revealed rank r.
 ///
 /// q must be at least m x min(m, n) (first r columns written, orthonormal),
 /// rr at least min(m, n) x n (fully zeroed, first r rows filled). Returns r.
@@ -308,51 +324,77 @@ index_t qr_pivoted_rank(ConstMatrixView<T> a, MatrixView<T> q,
   WorkspaceScope ws;
   MatrixView<T> w = ws.matrix<T>(m, n);
   copy(a, w);
-  char* used = ws.alloc<char>(n);
-  for (index_t j = 0; j < n; ++j) used[j] = 0;
-
-  // Remaining column norms, exact (recomputed after each projection while
-  // the column is in cache, not downdated).
-  R* norms = ws.alloc<R>(n);
-  for (index_t j = 0; j < n; ++j) norms[j] = nrm2(m, w.col(j));
+  index_t* perm = ws.alloc<index_t>(n);
+  T* tau = ws.alloc<T>(kmax > 0 ? kmax : 1);
+  // vn1: the carried remaining norms; vn2: each one's last exact value.
+  R* vn1 = ws.alloc<R>(n);
+  R* vn2 = ws.alloc<R>(n);
   R norm0{};
+  for (index_t j = 0; j < n; ++j) {
+    perm[j] = j;
+    vn1[j] = vn2[j] = nrm2(m, w.col(j));
+    norm0 = std::max(norm0, vn1[j]);
+  }
+  const R tol3z = std::sqrt(std::numeric_limits<R>::epsilon());
+  const R inv0 = norm0 > R{} ? R(1) / norm0 : R{};
+  std::uint64_t recomputes = 0;
   index_t rank = 0;
-  while (rank < kmax) {
-    index_t p = -1;
-    R best{};
-    for (index_t j = 0; j < n; ++j) {
-      if (used[j]) continue;
-      if (p < 0 || norms[j] > best) {
-        best = norms[j];
-        p = j;
+  for (; rank < kmax; ++rank) {
+    // Stop on the remaining Frobenius mass, relative to the first pivot.
+    R mass{};
+    index_t p = rank;
+    for (index_t j = rank; j < n; ++j) {
+      const R s = vn1[j] * inv0;
+      mass += s * s;
+      if (vn1[j] > vn1[p]) p = j;
+    }
+    if (!(mass > R(rtol) * R(rtol))) break;
+    if (p != rank) {
+      std::swap_ranges(w.col(p), w.col(p) + m, w.col(rank));
+      std::swap(perm[p], perm[rank]);
+      vn1[p] = vn1[rank];
+      vn2[p] = vn2[rank];
+    }
+    T* wk = w.col(rank) + rank;
+    const index_t len = m - rank;
+    detail::larfg(len, wk[0], len > 1 ? wk + 1 : wk, tau[rank]);
+    if (rank + 1 == n) continue;
+    detail::apply_reflector_h(len > 1 ? wk + 1 : nullptr, len, tau[rank],
+                              w.block(rank, rank + 1, len, n - rank - 1));
+    for (index_t j = rank + 1; j < n; ++j) {
+      if (vn1[j] == R{}) continue;
+      const R ratio = abs_val(w(rank, j)) / vn1[j];
+      const R temp = std::max(R{}, (R(1) - ratio) * (R(1) + ratio));
+      const R grow = vn1[j] / vn2[j];
+      if (temp * grow * grow > tol3z) {
+        vn1[j] *= std::sqrt(temp);
+      } else {
+        vn1[j] = vn2[j] = len > 1 ? nrm2(len - 1, w.col(j) + rank + 1) : R{};
+        ++recomputes;
       }
     }
-    if (rank == 0) norm0 = best;
-    if (p < 0 || !(best > R(rtol) * norm0)) break;
-    T* wp = w.col(p);
-    // One re-orthogonalization pass keeps MGS honest on graded columns.
-    for (index_t l = 0; l < rank; ++l) {
-      const T* ql = q.col(l);
-      const T cl = dotc(m, ql, wp);
-      rr(l, p) += cl;
-      for (index_t i = 0; i < m; ++i) wp[i] -= ql[i] * cl;
-    }
-    const R pn = nrm2(m, wp);
-    used[p] = 1;
-    if (!(pn > R(rtol) * norm0)) continue;  // collapsed under re-orth
-    T* qk = q.col(rank);
-    const R inv = R(1) / pn;
-    for (index_t i = 0; i < m; ++i) qk[i] = wp[i] * T(inv);
-    rr(rank, p) = T(pn);
-    for (index_t j = 0; j < n; ++j) {
-      if (used[j]) continue;
-      T* wj = w.col(j);
-      const T cj = dotc(m, qk, wj);
-      rr(rank, j) = cj;
-      for (index_t i = 0; i < m; ++i) wj[i] -= qk[i] * cj;
-      norms[j] = nrm2(m, wj);
-    }
-    ++rank;
+  }
+  if (recomputes > 0)
+    arith_counters().bump(arith_counters().qr_norm_recomputes, recomputes);
+
+  // rr(0:r, perm) <- the upper trapezoid, q(:, 0:r) <- H(0)...H(r-1)
+  // [I_r; 0]; a negative beta flips its row of R and column of Q, which
+  // keeps the diagonal non-negative.
+  for (index_t k = 0; k < n; ++k) {
+    T* rk = &rr(0, perm[k]);
+    const index_t top = std::min(k + 1, rank);
+    for (index_t i = 0; i < top; ++i) rk[i] = w(i, k);
+  }
+  MatrixView<T> qr = q.block(0, 0, m, rank);
+  qr.set_zero();
+  for (index_t i = 0; i < rank; ++i) qr(i, i) = T{1};
+  for (index_t i = rank - 1; i >= 0; --i)
+    detail::apply_reflector_h(m - i > 1 ? &w(i + 1, i) : nullptr, m - i,
+                              conj_if(tau[i]), qr.block(i, i, m - i, rank - i));
+  for (index_t i = 0; i < rank; ++i) {
+    if (!(scalar_traits<T>::real(w(i, i)) < R{})) continue;
+    for (index_t k = 0; k < n; ++k) rr(i, k) = -rr(i, k);
+    for (index_t l = 0; l < m; ++l) qr(l, i) = -qr(l, i);
   }
   return rank;
 }

@@ -6,13 +6,16 @@
 // values, the normalized columns form U, and the accumulated rotations form
 // V, i.e. A = U * diag(sigma) * V^H. Jacobi is simple, robust and highly
 // accurate, but its sweep count depends on the input: on the rank-deficient
-// cores of concatenated low-rank updates it needs 20-40 sweeps. The
-// truncation kernel (rk/truncation.hpp) therefore never hands it a raw
-// core: it first deflates the core with a pivoted QR and runs Jacobi on the
-// transposed triangular factor (Drmac-Veselic preconditioning), where it
-// converges in a handful of sweeps. svd_into itself is the plain full SVD,
-// used as the test referee. Every call adds its sweeps to the `svd_sweeps`
-// counter, and a call that stops at the sweep cap bumps `svd_unconverged`.
+// cores of concatenated low-rank updates it needs 20-40 sweeps, and each
+// sweep costs O(n^2) column pairs. The truncation kernel (rk/truncation.hpp)
+// therefore never hands it a raw core: it first deflates the core with a
+// column-pivoted QR stopped at a tenth of the truncation tolerance and runs
+// Jacobi on the transposed triangular factor (Drmac-Veselic
+// preconditioning), which has about rank-many columns and converges in a
+// handful of sweeps. svd_into itself is the plain full SVD, used as the
+// test referee. Every call adds its sweeps to the `svd_sweeps` counter and
+// its column count to `svd_columns`, and a call that stops at the sweep cap
+// bumps `svd_unconverged`.
 #pragma once
 
 #include <algorithm>
@@ -115,6 +118,7 @@ void jacobi_sweeps(MatrixView<T> work, MatrixView<T> v) {
   }
   ArithCounters& ctr = arith_counters();
   ctr.bump(ctr.svd_sweeps, static_cast<std::uint64_t>(sweeps));
+  ctr.bump(ctr.svd_columns, static_cast<std::uint64_t>(n));
   if (rotated) ctr.bump(ctr.svd_unconverged);
 }
 

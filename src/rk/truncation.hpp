@@ -13,13 +13,16 @@
 //     compact-WY T blocks in arena copies of the factors, and la::gemqrt
 //     applies them to the r-column results with three GEMMs per block, so
 //     the factor side costs O(m k r) instead of O(m k^2).
-//   - Cores built from concatenated updates are rank-deficient at rounding
-//     level, where a plain one-sided Jacobi needs 20-40 sweeps. The core is
-//     first deflated by a column-pivoted QR at tolerance kk * eps of the
-//     scalar type, core ~= Qc Rc, and Jacobi runs on Rc^H, whose columns
-//     the pivoting has graded (Drmac-Veselic preconditioned Jacobi, SIAM J.
-//     Matrix Anal. Appl. 29, 2008): a handful of sweeps. The deflation only
-//     drops rounding noise; select_rank still cuts genuine singular values.
+//   - Cores built from concatenated updates are rank-deficient, where a
+//     plain one-sided Jacobi needs 20-40 sweeps. The core is first deflated
+//     by the Householder column-pivoted QR (la::qr_pivoted_rank), core ~=
+//     Qc Rc, stopped once the dropped block weighs ||R22||_F <= eps / 10 *
+//     (first pivot norm), and Jacobi runs on Rc^H, whose columns the
+//     pivoting has graded (Drmac-Veselic preconditioned Jacobi, SIAM J.
+//     Matrix Anal. Appl. 29, 2008): a handful of sweeps on about rank-many
+//     columns. The first pivot norm is at most sigma_max, so the deflation
+//     moves singular values by at most a tenth of the tolerance and
+//     select_rank still makes the final cut at eps * sigma_0.
 // All intermediate factors come from the thread's workspace arena
 // (workspace.hpp), so steady-state truncations allocate only for the final
 // factors.
@@ -95,9 +98,13 @@ void apply_q(const FactorQr<T>& f, la::MatrixView<T> out) {
 }
 
 /// Rank-revealing SVD of a small matrix c (p x q): c ~= (Qc Y) diag(sigma)
-/// X^H with rank columns. c is deflated to its rank at rounding level by
-/// the pivoted QR c ~= Qc Rc (Qc: p x rank, rows of Rc in pivot order), and
-/// the one-sided Jacobi runs on Rc^H = X diag(sigma) Y^H (q x rank).
+/// X^H with rank columns. c is deflated by the pivoted QR c ~= Qc Rc (Qc:
+/// p x rank, rows of Rc in pivot order), stopped once the dropped block
+/// has ||R22||_F <= tol * (first pivot norm) <= tol * sigma_max(c), and the
+/// one-sided Jacobi runs on Rc^H = X diag(sigma) Y^H (q x rank). tol is a
+/// tenth of the truncation tolerance, floored at kk * eps of the scalar
+/// type: the deflation moves select_rank's cut at params.eps * sigma_0 by
+/// at most a tenth of it, and Jacobi sees about rank-many columns.
 template <typename T>
 struct CoreSvd {
   index_t rank;
@@ -108,15 +115,17 @@ struct CoreSvd {
 };
 
 template <typename T>
-CoreSvd<T> core_svd(la::WorkspaceScope& ws, la::ConstMatrixView<T> c) {
+CoreSvd<T> core_svd(la::WorkspaceScope& ws, la::ConstMatrixView<T> c,
+                    const TruncationParams& params) {
   using R = real_t<T>;
   const index_t p = c.rows();
   const index_t q = c.cols();
   const index_t kk = std::min(p, q);
   la::MatrixView<T> qc = ws.matrix<T>(p, kk);
   la::MatrixView<T> rc = ws.matrix<T>(kk, q);
-  const double rtol =
-      static_cast<double>(kk) * std::numeric_limits<R>::epsilon();
+  const double rtol = std::max(
+      static_cast<double>(kk) * std::numeric_limits<R>::epsilon(),
+      params.eps / 10);
   const index_t rank = la::qr_pivoted_rank<T>(c, qc, rc, rtol);
   la::MatrixView<T> rch = ws.matrix<T>(q, rank);
   for (index_t j = 0; j < rank; ++j)
@@ -161,7 +170,7 @@ index_t truncate(RkMatrix<T>& a, const TruncationParams& params) {
            la::ConstMatrixView<T>(fu.r), la::ConstMatrixView<T>(fv.r), T{},
            core);
   const detail::CoreSvd<T> s =
-      detail::core_svd(ws, la::ConstMatrixView<T>(core));
+      detail::core_svd(ws, la::ConstMatrixView<T>(core), params);
   const index_t r = params.select_rank(s.sigma, s.rank);
   if (r == 0) {
     a.set_zero();
@@ -181,14 +190,14 @@ index_t truncate(RkMatrix<T>& a, const TruncationParams& params) {
 
 /// Compress only the factor columns [from, rank) of `c` in place -- the
 /// pending tail of an accumulator target -- leaving the leading columns
-/// untouched. Rank revelation on the small core uses the greedy pivoted QR
-/// at the truncation tolerance instead of an SVD: a compaction only needs
-/// rank CONTROL, and the eventual flush still runs the SVD truncation for
-/// the accuracy contract. The dropped mass is below ~eps * sigma_max(tail),
-/// so a compaction is no less accurate than the rounded addition of the
-/// same contributions would have been. The block stays pending (the
-/// watermark does not rise): head and tail are jointly recompressed by the
-/// eventual flush.
+/// untouched. Rank revelation on the small core is the column-pivoted QR
+/// alone, stopped at the truncation tolerance itself instead of a tenth of
+/// it, with no SVD: a compaction only needs rank CONTROL, and the eventual
+/// flush still runs the SVD truncation for the accuracy contract. The
+/// dropped block has ||R22||_F <= eps * sigma_max(tail), so a compaction is
+/// no less accurate than the rounded addition of the same contributions
+/// would have been. The block stays pending (the watermark does not rise):
+/// head and tail are jointly recompressed by the eventual flush.
 template <typename T>
 index_t compact_tail(RkMatrix<T>& c, index_t from,
                      const TruncationParams& params) {
@@ -306,7 +315,7 @@ RkMatrix<T> compress_svd(la::ConstMatrixView<T> a,
   RkMatrix<T> result(a.rows(), a.cols());
   if (a.empty()) return result;
   la::WorkspaceScope ws;
-  const detail::CoreSvd<T> s = detail::core_svd(ws, a);
+  const detail::CoreSvd<T> s = detail::core_svd(ws, a, params);
   const index_t r = params.select_rank(s.sigma, s.rank);
   if (r == 0) return result;
   la::Matrix<T> u(a.rows(), r);

@@ -796,8 +796,8 @@ struct Engine::Impl {
         wake(static_cast<index_t>(me.batch.size()) - 1);
     }
     if (opts.record_trace)
-      me.local_trace.push_back(
-          TraceEvent{trace_base + slot, w, start, start + d});
+      me.local_trace.push_back(TraceEvent{trace_base + slot, w, start,
+                                          start + d, replay != nullptr});
     if (remaining.fetch_sub(1) == 1) wake_all();
   }
 
@@ -854,16 +854,17 @@ struct Engine::Impl {
     for (std::size_t i = 0; i < parked_words; ++i) parked[i].store(0);
   }
 
-  /// Merge the per-worker trace buffers in start order; only this epoch's
-  /// slice is sorted (timestamps are relative to each epoch's start).
+  /// Replace the trace by this epoch's per-worker buffers, merged in start
+  /// order (timestamps are relative to the epoch's start, and ids are task
+  /// ids live or slots under replay, so epochs do not share one trace).
   void merge_trace() {
     if (!opts.record_trace) return;
-    const auto epoch_begin = static_cast<std::ptrdiff_t>(trace.size());
+    trace.clear();
     for (int w = 0; w < width; ++w) {
       const auto& lt = workers[static_cast<std::size_t>(w)]->local_trace;
       trace.insert(trace.end(), lt.begin(), lt.end());
     }
-    std::stable_sort(trace.begin() + epoch_begin, trace.end(),
+    std::stable_sort(trace.begin(), trace.end(),
                      [](const TraceEvent& a, const TraceEvent& b) {
                        return a.start_s < b.start_s;
                      });

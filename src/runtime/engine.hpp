@@ -93,7 +93,9 @@ class Engine {
   /// its first task id); durations are valid after wait_all().
   TaskGraph graph() const;
 
-  /// Execution trace (empty unless Options::record_trace).
+  /// Execution trace of the last wait_all() epoch, live or replayed, the
+  /// way graph() holds one epoch (empty unless Options::record_trace).
+  /// Replayed events carry their slot and `replayed`, live ones task ids.
   const std::vector<TraceEvent>& trace() const;
 
   /// Conflicts recorded by the access-conflict checker during the last

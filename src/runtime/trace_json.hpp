@@ -12,8 +12,10 @@
 
 namespace hcham::rt {
 
-/// Write `trace` to `out`. Labels come from the matching task graph when
-/// provided, mapped through its `first` id (pass {} to use task ids).
+/// Write `trace` to `out`. A live event's label comes from the matching
+/// task graph when provided, mapped through its `first` id (pass {} to use
+/// task ids); a replayed event is named by its slot, since the graph
+/// describes a live epoch and slots are not task ids.
 inline void trace_to_json(const std::vector<TraceEvent>& trace,
                           const TaskGraph& graph, std::ostream& out) {
   out << "[\n";
@@ -21,9 +23,10 @@ inline void trace_to_json(const std::vector<TraceEvent>& trace,
   for (const TraceEvent& ev : trace) {
     if (!first) out << ",\n";
     first = false;
-    std::string name = "task" + std::to_string(ev.task);
+    std::string name =
+        (ev.replayed ? "replay slot " : "task") + std::to_string(ev.task);
     const TaskId node = ev.task - graph.first;
-    if (node >= 0 && node < graph.num_tasks() &&
+    if (!ev.replayed && node >= 0 && node < graph.num_tasks() &&
         !graph.nodes[static_cast<std::size_t>(node)].label.empty()) {
       name = graph.nodes[static_cast<std::size_t>(node)].label;
     }

@@ -90,11 +90,15 @@ struct TaskGraph {
 };
 
 /// Per-task execution record (worker, start, end relative to wait_all).
+/// `task` is the task id of a live epoch's task, or the slot of a replayed
+/// epoch's task (`replayed` set): replay slots count from 0 and are not
+/// task ids.
 struct TraceEvent {
   TaskId task = -1;
   int worker = -1;
   double start_s = 0.0;
   double end_s = 0.0;
+  bool replayed = false;
 };
 
 }  // namespace hcham::rt

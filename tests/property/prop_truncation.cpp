@@ -10,6 +10,11 @@
 //   3. Convergence: the deflated Jacobi converges on every core, and on a
 //      width-128 core of rank 16 within 10 sweeps (a raw Jacobi on the same
 //      core takes 16-17 sweeps, and in float does not converge in 42).
+//   4. Deflation at the tolerance: on a 50 x 50 core accumulated from a
+//      rank-9 head and independent rank-10 updates below the tolerance,
+//      the pivoted QR stops at eps / 10, so Jacobi sees at most 12 of the
+//      39 columns (deflating at kk * eps handed it all 39 in double and
+//      complex), while the rank and the accuracy still match the referee.
 //
 // Each property runs for float, double and complex<double>.
 #include <gtest/gtest.h>
@@ -72,8 +77,9 @@ struct Case {
 };
 
 /// Truncate `a` and check rank and accuracy against the dense referee.
+/// Returns the columns the truncation handed to Jacobi.
 template <typename T>
-void check_against_referee(const std::string& what, rk::RkMatrix<T> a,
+std::uint64_t check_against_referee(const std::string& what, rk::RkMatrix<T> a,
                            double eps) {
   const la::Matrix<T> dense = a.dense();
   const la::SvdResult<T> ref = la::svd<T>(dense.cview());
@@ -91,6 +97,7 @@ void check_against_referee(const std::string& what, rk::RkMatrix<T> a,
   la::axpy(T{-1}, dense.cview(), diff.view());
   EXPECT_LE(la::norm_fro(diff.cview()), 10.0 * eps * norm) << what;
   EXPECT_EQ(after.svd_unconverged, before.svd_unconverged) << what;
+  return after.svd_columns - before.svd_columns;
 }
 
 template <typename T>
@@ -173,6 +180,34 @@ void check_sweep_guard() {
   EXPECT_LE(after.svd_sweeps - before.svd_sweeps, 10u);
 }
 
+/// A rank-9 head with sigma_i = 10^-i plus three independent rank-10
+/// updates whose singular values fall 10 per decade from 1e-9 to 1e-12 (the
+/// contributions an accumulator appends below the tolerance): 39 columns,
+/// numerically full rank at kk * eps, rank 8 (double) or 4 (float) at the
+/// truncation tolerance.
+template <typename T>
+void check_deflation_at_tolerance(std::uint64_t seed) {
+  Rng rng(seed);
+  const index_t m = 50, n = 50;
+  std::vector<double> head;
+  for (int i = 0; i < 9; ++i) head.push_back(std::pow(10.0, -i));
+  la::Matrix<T> u = graded_factor<T>(rng, m, head);
+  la::Matrix<T> v = graded_factor<T>(rng, n, std::vector<double>(9, 1.0));
+  for (int c = 0; c < 3; ++c) {
+    std::vector<double> sigma;
+    for (int j = 0; j < 10; ++j) sigma.push_back(std::pow(10.0, -9 - c - j / 10.0));
+    u = concat(u, graded_factor<T>(rng, m, sigma));
+    v = concat(v, graded_factor<T>(rng, n, std::vector<double>(10, 1.0)));
+  }
+  rk::RkMatrix<T> a(std::move(u), std::move(v));
+  ASSERT_EQ(a.rank(), 39);
+  const std::string what = "deflation (seed " + std::to_string(seed) + ")";
+  const std::uint64_t cols =
+      check_against_referee<T>(what, std::move(a), test_eps<T>());
+  EXPECT_GT(cols, 0u) << what;
+  EXPECT_LE(cols, 12u) << what;
+}
+
 template <typename T>
 class TruncationProp : public ::testing::Test {};
 
@@ -182,6 +217,11 @@ TYPED_TEST_SUITE(TruncationProp, Scalars);
 TYPED_TEST(TruncationProp, RankAndAccuracyMatchDenseReferee) {
   for (const std::uint64_t seed : {5u, 17u, 29u})
     check_accumulated_cores<TypeParam>(seed);
+}
+
+TYPED_TEST(TruncationProp, DeflatesAtTheToleranceBeforeJacobi) {
+  for (const std::uint64_t seed : {3u, 11u, 23u})
+    check_deflation_at_tolerance<TypeParam>(seed);
 }
 
 TYPED_TEST(TruncationProp, Width128Rank16CoreConvergesInTenSweeps) {

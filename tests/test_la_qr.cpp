@@ -6,6 +6,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "la/la.hpp"
 #include "test_utils.hpp"
 
@@ -245,6 +246,36 @@ void check_qrp_ranks() {
 TEST(QrPivotedRank, RanksAndReconstructionFloat) { check_qrp_ranks<float>(); }
 TEST(QrPivotedRank, RanksAndReconstructionDouble) { check_qrp_ranks<double>(); }
 TEST(QrPivotedRank, RanksAndReconstructionComplex) { check_qrp_ranks<zdouble>(); }
+
+template <typename T>
+void check_recompute_on_cancellation() {
+  // Columns 0 and 1 agree up to 1e-10 of their norm: once the first
+  // reflector has taken one, the other keeps ~1e-10 of its norm, which a
+  // downdate cannot see through the cancellation (it would carry ~0 and
+  // stop a rank early with the 1e-10 column dropped). The recompute must
+  // fire and reveal all four directions at rtol = 1e-12, and only three at
+  // rtol = 1e-8, where the 1e-10 column is below the stop rule.
+  Matrix<T> basis, r;
+  la::qr_thin<T>(Matrix<T>::random(12, 4, 31).cview(), basis, r);
+  const auto e = [&basis](index_t j) { return basis.cview().col(j); };
+  Matrix<T> a(12, 4);
+  for (index_t i = 0; i < 12; ++i) {
+    a(i, 0) = e(0)[i];
+    a(i, 1) = e(0)[i] + T(1e-10) * e(1)[i];
+    a(i, 2) = T(1e-6) * e(2)[i];
+    a(i, 3) = T(0.5) * e(0)[i] + T(0.3) * e(3)[i];
+  }
+  const ArithCounterSnapshot before = snapshot_arith_counters();
+  EXPECT_EQ(checked_qrp(a, 1e-12), 4);
+  const ArithCounterSnapshot after = snapshot_arith_counters();
+  EXPECT_GE(after.qr_norm_recomputes, before.qr_norm_recomputes + 1);
+  EXPECT_EQ(checked_qrp(a, 1e-8), 3);
+}
+
+TEST(QrPivotedRank, DowndatedNormsRecomputeOnCancellation) {
+  check_recompute_on_cancellation<double>();
+  check_recompute_on_cancellation<zdouble>();
+}
 
 TEST(QrPivotedRank, KeepsColumnsInOriginalOrder) {
   // Column 3 has the largest norm and is pivoted first, yet rr stays in

@@ -264,8 +264,10 @@ TEST_P(RuntimePolicies, SeventyTwoWorkersMatchOneWorker) {
         << rt::to_string(GetParam()) << " check=" << check;
     EXPECT_TRUE(eng.conflicts().empty());
     EXPECT_EQ(eng.parked_workers(), 0);
-    EXPECT_EQ(eng.trace().size(), 600u);
+    // The trace holds the last epoch alone: the 200-slot replay.
+    EXPECT_EQ(eng.trace().size(), 200u);
     for (const auto& ev : eng.trace()) {
+      EXPECT_TRUE(ev.replayed);
       EXPECT_GE(ev.worker, 0);
       EXPECT_LT(ev.worker, 72);
     }
@@ -425,7 +427,8 @@ TEST(Runtime, DotExportContainsNodesAndEdges) {
 TEST(Runtime, GraphDescribesTheLastLiveEpochOnly) {
   // Between epochs the engine keeps one epoch of task records: graph() is
   // the second epoch alone, tail_from(first) takes it whole and rebased,
-  // and the trace's task ids map onto its labels through TaskGraph::first.
+  // and the trace (also the second epoch alone) maps its task ids onto
+  // the labels through TaskGraph::first.
   Engine eng({.num_workers = 2, .record_trace = true});
   auto h = eng.register_data();
   auto k = eng.register_data();
@@ -456,15 +459,78 @@ TEST(Runtime, GraphDescribesTheLastLiveEpochOnly) {
   EXPECT_THROW(g.tail_from(first - 1), Error);  // before the epoch
   EXPECT_NE(eng.to_dot().find("t3 -> t4"), std::string::npos);
 
-  // Every event of the second epoch is named after its own task; the
-  // first epoch's events fall outside the graph and keep their ids.
+  // Every event is the second epoch's, named after its own task.
+  ASSERT_EQ(eng.trace().size(), 3u);
+  for (const auto& ev : eng.trace()) {
+    EXPECT_GE(ev.task, first);
+    EXPECT_FALSE(ev.replayed);
+  }
   std::ostringstream out;
   trace_to_json(eng.trace(), g, out);
   const std::string json = out.str();
-  for (const char* name : {"\"b0\"", "\"b1\"", "\"b2\"", "\"task0\"",
-                           "\"task1\""})
+  for (const char* name : {"\"b0\"", "\"b1\"", "\"b2\""})
     EXPECT_NE(json.find(name), std::string::npos) << name;
-  EXPECT_EQ(json.find("\"a0\""), std::string::npos);
+  for (const char* name : {"\"a0\"", "\"task0\"", "\"task1\""})
+    EXPECT_EQ(json.find(name), std::string::npos) << name;
+}
+
+TEST(Runtime, TraceHoldsExactlyTheLastEpochLiveCapturedOrReplayed) {
+  // One engine runs a live, a captured and a replayed epoch. After each
+  // wait_all() the trace is that epoch's events alone: live and captured
+  // events carry the epoch's task ids, replayed ones their slots, and the
+  // JSON names a replayed event by its slot, never by a live task's label.
+  Engine eng({.num_workers = 2, .record_trace = true});
+  auto h = eng.register_data();
+  auto k = eng.register_data();
+  const auto submit_epoch = [&](const char* tag) {
+    eng.submit([] {}, {write(h)}, 0, std::string(tag) + "0");
+    eng.submit([] {}, {read(h), write(k)}, 0, std::string(tag) + "1");
+    eng.submit([] {}, {read(k)}, 0, std::string(tag) + "2");
+  };
+  const auto ids = [&eng] {
+    std::vector<rt::TaskId> out;
+    for (const auto& ev : eng.trace()) out.push_back(ev.task);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto all_replayed = [&eng](bool want) {
+    return std::all_of(eng.trace().begin(), eng.trace().end(),
+                       [want](const auto& ev) { return ev.replayed == want; });
+  };
+
+  submit_epoch("live");
+  eng.wait_all();
+  EXPECT_EQ(ids(), (std::vector<rt::TaskId>{0, 1, 2}));
+  EXPECT_TRUE(all_replayed(false));
+
+  ASSERT_TRUE(eng.begin_capture());
+  submit_epoch("cap");
+  eng.wait_all();
+  const auto g = eng.end_capture();
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(ids(), (std::vector<rt::TaskId>{3, 4, 5}));
+  EXPECT_TRUE(all_replayed(false));
+
+  eng.begin_replay(g);
+  for (int i = 0; i < 3; ++i) eng.submit([] {}, {});
+  eng.wait_all();
+  EXPECT_EQ(ids(), (std::vector<rt::TaskId>{0, 1, 2}));
+  EXPECT_TRUE(all_replayed(true));
+  for (const auto& ev : eng.trace()) EXPECT_LE(ev.start_s, ev.end_s);
+  std::ostringstream out;
+  trace_to_json(eng.trace(), eng.graph(), out);
+  const std::string json = out.str();
+  for (const char* name :
+       {"\"replay slot 0\"", "\"replay slot 1\"", "\"replay slot 2\""})
+    EXPECT_NE(json.find(name), std::string::npos) << name;
+  for (const char* name : {"\"live", "\"cap", "\"task"})
+    EXPECT_EQ(json.find(name), std::string::npos) << name;
+
+  // A live epoch after the replay replaces it again.
+  submit_epoch("again");
+  eng.wait_all();
+  EXPECT_EQ(ids(), (std::vector<rt::TaskId>{6, 7, 8}));
+  EXPECT_TRUE(all_replayed(false));
 }
 
 TEST(Runtime, TraceRecordsAllTasks) {

@@ -197,7 +197,10 @@ TEST(Fuzzer, ReplayedEpochIsFuzzedDeterministicallyPerSeed) {
       eng.submit([&ran, i] { ran.push_back(i); }, {});
     eng.wait_all();
     std::vector<rt::TaskId> order;
-    for (const auto& ev : eng.trace()) order.push_back(ev.task);
+    for (const auto& ev : eng.trace()) {
+      EXPECT_TRUE(ev.replayed);  // slots, not task ids
+      order.push_back(ev.task);
+    }
     EXPECT_EQ(order, std::vector<rt::TaskId>(ran.begin(), ran.end()));
     return order;
   };
