@@ -342,11 +342,17 @@ void truncation_kernel_records(const char* tag, index_t m, index_t kp,
                 la::Matrix<T>::random(n, r, 22).cview(),
                 la::Matrix<T>::random(n, r, 23).cview(), T{}, core.view());
     la::Matrix<T> q(n, n), rr(n, n);
+    // Factored in place: every call gets a fresh copy of the core.
+    std::vector<la::Matrix<T>> work(kCalls);
     report(per_call_record(
         std::string("qr_pivoted_rank_") + tag, n,
-        cplx * 4.0 * n * n * r, reps, kCalls, [] {}, [&](int) {
-          if (la::qr_pivoted_rank<T>(core.cview(), q.view(), rr.view(),
-                                     1e-8) != r)
+        cplx * 4.0 * n * n * r, reps, kCalls,
+        [&] {
+          for (auto& w : work) w = la::Matrix<T>::from_view(core.cview());
+        },
+        [&](int i) {
+          if (la::qr_pivoted_rank<T>(work[static_cast<std::size_t>(i)].view(),
+                                     q.view(), rr.view(), 1e-8) != r)
             std::abort();
         }));
   }
@@ -486,7 +492,7 @@ int main(int argc, char** argv) {
     }));
   }
 
-  // Leaf shapes of the H-matrix solves (leaf 64, panels of 4, 6 and 32
+  // Leaf shapes of the H-matrix solves (leaf 64, RHS blocks of 4, 6 and 32
   // columns, ranks 4-16) and the leaf factorizations.
   for (const index_t n : {4, 6, 32}) {
     leaf_gemm<double>("d", la::Op::NoTrans, 64, n, 64, reps);

@@ -173,14 +173,14 @@ void real_solve_records(bool smoke) {
   {
     la::Matrix<double> x = la::Matrix<double>::from_view(b.view());
     Timer t;
-    a.solve(eng, x.view(), 0, &cache);  // capture pass
+    a.solve(eng, x.view(), &cache);  // capture pass
     first.push_back(t.seconds());
     submit_live.push_back(eng.last_submit_phase_s());
   }
   for (int r = 0; r < reps; ++r) {
     la::Matrix<double> x = la::Matrix<double>::from_view(b.view());
     Timer t;
-    a.solve(eng, x.view(), 0, &cache);  // replay
+    a.solve(eng, x.view(), &cache);  // replay
     steady.push_back(t.seconds());
     submit_replay.push_back(eng.last_submit_phase_s());
   }

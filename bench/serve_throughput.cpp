@@ -1,11 +1,12 @@
 // Solver-service throughput: the repo's first end-to-end "production
 // traffic" workload. Two parts:
 //
-// A. Acceptance gate — batched multi-RHS solve vs sequential per-vector
-//    solves at nrhs=32 against one cached factorization, measured with a
-//    4-worker engine. Exit status is nonzero when the batched speedup
-//    falls below 2.0x. Hosts with fewer than 4 hardware threads skip
-//    this part: the gate reports skipped.
+// A. Acceptance gate — one batched solve of nrhs=32 columns (a single
+//    task graph whose RHS row segments carry every column) vs sequential
+//    per-vector solves against one factorization, measured with a 4-worker
+//    engine. Exit status is nonzero when the batched speedup falls below
+//    2.0x. Hosts with fewer than 4 hardware threads skip this part: the
+//    gate reports skipped.
 //
 // B. Closed-loop service sweep — `clients` threads each keep one request
 //    in flight against a SolverService, sweeping client counts x batching
@@ -52,7 +53,7 @@ GateResult gate_measured(index_t n, index_t nb, double eps) {
   {
     auto work = la::Matrix<double>::from_view(b.cview());
     Timer t;
-    a.solve(engine, work.view(), /*panel_width=*/4);
+    a.solve(engine, work.view());
     g.batched_s = t.seconds();
   }
   {

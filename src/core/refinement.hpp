@@ -46,7 +46,6 @@ RefinementResult solve_refined(TileHMatrix<T>& factored,
                                la::MatrixView<T> b, int max_iters = 3,
                                double target_residual = 0.0,
                                bool cholesky = false,
-                               index_t panel_width = 0,
                                rt::GraphCache* cache = nullptr) {
   const index_t n = factored.size();
   const index_t nrhs = b.cols();
@@ -58,13 +57,13 @@ RefinementResult solve_refined(TileHMatrix<T>& factored,
   for (index_t c = 0; c < nrhs; ++c)
     bnorm[static_cast<std::size_t>(c)] = la::nrm2(n, rhs.data() + c * n);
 
-  // Every sweep solves the same structure with the same column count, so
-  // after the first sweep the refinement loop runs entirely on replays.
+  // Every sweep solves the same structure, so after the first sweep the
+  // refinement loop runs entirely on replays.
   auto solve_inplace = [&](la::MatrixView<T> v) {
     if (cholesky) {
-      factored.solve_cholesky(engine, v, panel_width, cache);
+      factored.solve_cholesky(engine, v, cache);
     } else {
-      factored.solve(engine, v, panel_width, cache);
+      factored.solve(engine, v, cache);
     }
   };
 

@@ -198,22 +198,19 @@ class TileHMatrix {
   }
 
   /// Solve A X = B in the ORIGINAL index ordering, in place, using the
-  /// tiled factors. B may hold any number of right-hand-side columns;
-  /// they are split into panels of `panel_width` columns so independent
-  /// panels run concurrently (0 = pick a width from the engine's worker
-  /// count). Executes the solve task graph on `engine`; with a cache the
-  /// graph is captured once per (structure, nrhs, panel width) and
-  /// replayed on subsequent solves.
-  void solve(rt::Engine& engine, la::MatrixView<T> b, index_t panel_width = 0,
+  /// tiled factors. B may hold any number of right-hand-side columns, all
+  /// solved in one task graph. Executes the solve task graph on `engine`;
+  /// with a cache the graph is captured once per structure and replayed on
+  /// subsequent solves of any column count.
+  void solve(rt::Engine& engine, la::MatrixView<T> b,
              rt::GraphCache* cache = nullptr) {
-    solve_impl(engine, b, /*cholesky=*/false, panel_width, cache);
+    solve_impl(engine, b, /*cholesky=*/false, cache);
   }
 
   /// Solve after factorize_cholesky().
   void solve_cholesky(rt::Engine& engine, la::MatrixView<T> b,
-                      index_t panel_width = 0,
                       rt::GraphCache* cache = nullptr) {
-    solve_impl(engine, b, /*cholesky=*/true, panel_width, cache);
+    solve_impl(engine, b, /*cholesky=*/true, cache);
   }
 
   /// y = alpha A x + beta y in the ORIGINAL index ordering (sequential;
@@ -347,32 +344,22 @@ class TileHMatrix {
   static constexpr std::uint64_t kEpochSolve = 0x736f6c76;
 
   void solve_impl(rt::Engine& engine, la::MatrixView<T> b, bool cholesky,
-                  index_t panel_width, rt::GraphCache* cache = nullptr) {
+                  rt::GraphCache* cache) {
     HCHAM_CHECK(b.rows() == n_ && b.cols() >= 1);
     const index_t nrhs = b.cols();
-    if (panel_width <= 0) {
-      // Auto width: about two panels per worker keeps every worker busy
-      // without shredding the panel GEMMs into single columns.
-      const index_t target =
-          std::max<index_t>(1, 2 * static_cast<index_t>(engine.num_workers()));
-      panel_width = std::max<index_t>(1, ceil_div(nrhs, target));
-    }
     la::Matrix<T> bp(n_, nrhs);
     for (index_t c = 0; c < nrhs; ++c)
       for (index_t i = 0; i < n_; ++i)
         bp(i, c) = b(clustering_.tree.perm(i), c);
-    // The solve graph is a function of the tile structure AND the RHS
-    // panelization, so both feed the key (panel_width is resolved above,
-    // covering the worker-count-dependent auto width).
+    // The solve graph is a function of the tile structure alone: the
+    // closures capture the RHS view, so a replay rebinds any column count.
     std::uint64_t key = hash_mix(structure_signature(), kEpochSolve);
     key = hash_mix(key, cholesky ? kEpochCholesky : kEpochLu);
-    key = hash_mix(key, static_cast<std::uint64_t>(nrhs));
-    key = hash_mix(key, static_cast<std::uint64_t>(panel_width));
     rt::run_epoch_cached(engine, cache, key, [&] {
       if (cholesky) {
-        tile::tiled_potrs(engine, *desc_, bp.view(), panel_width);
+        tile::tiled_potrs(engine, *desc_, bp.view());
       } else {
-        tile::tiled_getrs(engine, *desc_, bp.view(), panel_width);
+        tile::tiled_getrs(engine, *desc_, bp.view());
       }
     });
     for (index_t c = 0; c < nrhs; ++c)

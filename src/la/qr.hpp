@@ -306,12 +306,13 @@ void orgqr_into(ConstMatrixView<T> a, ConstMatrixView<T> t, index_t k,
 /// max_j ||a_j|| <= rtol * ||A||_2, and the cost O(m n r) is linear in the
 /// revealed rank r.
 ///
+/// a is factored in place and left holding the reflectors and pivoted
+/// columns, so callers pass a block they no longer need (or a copy).
 /// q must be at least m x min(m, n) (first r columns written, orthonormal),
 /// rr at least min(m, n) x n (fully zeroed, first r rows filled). Returns r.
 template <typename T>
-index_t qr_pivoted_rank(ConstMatrixView<T> a, MatrixView<T> q,
-                        MatrixView<T> rr, double rtol,
-                        index_t max_rank = -1) {
+index_t qr_pivoted_rank(MatrixView<T> a, MatrixView<T> q, MatrixView<T> rr,
+                        double rtol, index_t max_rank = -1) {
   using R = real_t<T>;
   const index_t m = a.rows();
   const index_t n = a.cols();
@@ -322,8 +323,7 @@ index_t qr_pivoted_rank(ConstMatrixView<T> a, MatrixView<T> q,
   rr.set_zero();
 
   WorkspaceScope ws;
-  MatrixView<T> w = ws.matrix<T>(m, n);
-  copy(a, w);
+  MatrixView<T> w = a;
   index_t* perm = ws.alloc<index_t>(n);
   T* tau = ws.alloc<T>(kmax > 0 ? kmax : 1);
   // vn1: the carried remaining norms; vn2: each one's last exact value.

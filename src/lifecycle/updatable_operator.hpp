@@ -43,7 +43,6 @@ class UpdatableOperator {
   struct Options {
     index_t max_rank = 0;  ///< delta rank budget; 0 = HCHAM_WOODBURY_MAX_RANK
     bool cholesky = false;
-    index_t panel_width = 0;
     index_t refine_iters = 0;  ///< Woodbury-residual refinement sweeps
     int rebase_workers = 0;  ///< background refactorization; 0 = engine's count
   };
@@ -238,9 +237,9 @@ class UpdatableOperator {
 
   void solve_base(la::MatrixView<T> b) {
     if (opts_.cholesky) {
-      factored_->solve_cholesky(engine_, b, opts_.panel_width, &cache_);
+      factored_->solve_cholesky(engine_, b, &cache_);
     } else {
-      factored_->solve(engine_, b, opts_.panel_width, &cache_);
+      factored_->solve(engine_, b, &cache_);
     }
   }
 

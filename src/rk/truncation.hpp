@@ -97,11 +97,12 @@ void apply_q(const FactorQr<T>& f, la::MatrixView<T> out) {
              out);
 }
 
-/// Rank-revealing SVD of a small matrix c (p x q): c ~= (Qc Y) diag(sigma)
-/// X^H with rank columns. c is deflated by the pivoted QR c ~= Qc Rc (Qc:
-/// p x rank, rows of Rc in pivot order), stopped once the dropped block
-/// has ||R22||_F <= tol * (first pivot norm) <= tol * sigma_max(c), and the
-/// one-sided Jacobi runs on Rc^H = X diag(sigma) Y^H (q x rank). tol is a
+/// Rank-revealing SVD of a small matrix c (p x q), which it overwrites:
+/// c ~= (Qc Y) diag(sigma) X^H with rank columns. c is deflated by the
+/// pivoted QR c ~= Qc Rc (Qc: p x rank, rows of Rc in pivot order), stopped
+/// once the dropped block has ||R22||_F <= tol * (first pivot norm) <=
+/// tol * sigma_max(c), and the one-sided Jacobi runs on Rc^H = X
+/// diag(sigma) Y^H (q x rank). tol is a
 /// tenth of the truncation tolerance, floored at kk * eps of the scalar
 /// type: the deflation moves select_rank's cut at params.eps * sigma_0 by
 /// at most a tenth of it, and Jacobi sees about rank-many columns.
@@ -115,7 +116,7 @@ struct CoreSvd {
 };
 
 template <typename T>
-CoreSvd<T> core_svd(la::WorkspaceScope& ws, la::ConstMatrixView<T> c,
+CoreSvd<T> core_svd(la::WorkspaceScope& ws, la::MatrixView<T> c,
                     const TruncationParams& params) {
   using R = real_t<T>;
   const index_t p = c.rows();
@@ -169,8 +170,7 @@ index_t truncate(RkMatrix<T>& a, const TruncationParams& params) {
   la::gemm(la::Op::NoTrans, la::Op::ConjTrans, T{1},
            la::ConstMatrixView<T>(fu.r), la::ConstMatrixView<T>(fv.r), T{},
            core);
-  const detail::CoreSvd<T> s =
-      detail::core_svd(ws, la::ConstMatrixView<T>(core), params);
+  const detail::CoreSvd<T> s = detail::core_svd(ws, core, params);
   const index_t r = params.select_rank(s.sigma, s.rank);
   if (r == 0) {
     a.set_zero();
@@ -220,8 +220,8 @@ index_t compact_tail(RkMatrix<T>& c, index_t from,
   const index_t kk = std::min(ku, kv);
   la::MatrixView<T> qc = ws.matrix<T>(ku, kk);
   la::MatrixView<T> rc = ws.matrix<T>(kk, kv);
-  const index_t r = la::qr_pivoted_rank<T>(la::ConstMatrixView<T>(core), qc,
-                                           rc, params.eps, params.max_rank);
+  const index_t r =
+      la::qr_pivoted_rank<T>(core, qc, rc, params.eps, params.max_rank);
   // New tail U = Qu [Qc_r; 0], V = Qv [Rc_r^H; 0].
   la::MatrixView<T> nu = ws.matrix<T>(m, r);
   la::MatrixView<T> nv = ws.matrix<T>(n, r);
@@ -315,7 +315,9 @@ RkMatrix<T> compress_svd(la::ConstMatrixView<T> a,
   RkMatrix<T> result(a.rows(), a.cols());
   if (a.empty()) return result;
   la::WorkspaceScope ws;
-  const detail::CoreSvd<T> s = detail::core_svd(ws, a, params);
+  la::MatrixView<T> c = ws.matrix<T>(a.rows(), a.cols());
+  la::copy(a, c);
+  const detail::CoreSvd<T> s = detail::core_svd(ws, c, params);
   const index_t r = params.select_rank(s.sigma, s.rank);
   if (r == 0) return result;
   la::Matrix<T> u(a.rows(), r);

@@ -75,7 +75,6 @@ struct SessionOptions {
   /// 1e-12 default was unreachable for T = float and burned max_iters
   /// sweeps every solve).
   double target_residual = 0.0;
-  index_t panel_width = 0;    ///< 0: auto from worker count
   /// Graph cache the solve task graphs are captured into and replayed
   /// from (DESIGN.md section 10), so repeated solves against the same
   /// structure skip STF dependency inference. Null means the session's own
@@ -160,12 +159,12 @@ class Session {
     if (op_) {
       return core::solve_refined(*factored_, *op_, *engine_, b,
                                  opts_.refine_iters, opts_.target_residual,
-                                 opts_.cholesky, opts_.panel_width, cache());
+                                 opts_.cholesky, cache());
     }
     if (opts_.cholesky) {
-      factored_->solve_cholesky(*engine_, b, opts_.panel_width, cache());
+      factored_->solve_cholesky(*engine_, b, cache());
     } else {
-      factored_->solve(*engine_, b, opts_.panel_width, cache());
+      factored_->solve(*engine_, b, cache());
     }
     return core::RefinementResult{};
   }

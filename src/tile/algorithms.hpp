@@ -7,9 +7,6 @@
 // lowest, each decaying with the iteration so early panels run first.
 #pragma once
 
-#include <algorithm>
-#include <vector>
-
 #include "runtime/engine.hpp"
 #include "tile/kernels.hpp"
 #include "tile/tile_desc.hpp"
@@ -104,103 +101,55 @@ void tiled_gemm(rt::Engine& engine, T alpha, const TileDesc<T>& a,
   }
 }
 
-namespace detail {
-
-/// Column-panel partition of an n x nrhs RHS for the batched solves: the
-/// RHS is tiled into nt x npanels blocks, one data handle per block, so
-/// the forward/backward substitution chains of distinct panels are fully
-/// independent and trailing updates of different panels run concurrently
-/// (the solve-phase analogue of the paper's coarse regular tiling). The
-/// handles come from the descriptor's pool, so repeated solves register
-/// no new ones.
-template <typename T>
-struct RhsPanels {
-  la::MatrixView<T> b;
-  index_t width = 0;    ///< columns per panel (last may be narrower)
-  index_t npanels = 0;
-  const rt::Handle* handles = nullptr;  ///< nt x npanels, row-major
-
-  RhsPanels(rt::Engine& engine, const TileDesc<T>& a, la::MatrixView<T> rhs,
-            index_t panel_width)
-      : b(rhs) {
-    HCHAM_CHECK_MSG(&engine == &a.engine(),
-                    "solve submitted to an engine other than the "
-                    "descriptor's");
-    const index_t nrhs = b.cols();
-    HCHAM_CHECK(nrhs >= 1);
-    width = panel_width > 0 ? std::min(panel_width, nrhs) : nrhs;
-    npanels = ceil_div(nrhs, width);
-    handles = a.rhs_handles(a.nt() * npanels);
-  }
-
-  rt::Handle handle(index_t k, index_t p) const {
-    return handles[static_cast<std::size_t>(k * npanels + p)];
-  }
-};
-
-}  // namespace detail
-
 /// Solve (L U) X = B with the factors from tiled_getrf; B is a dense
-/// right-hand-side block partitioned row-wise by the tile grid and
-/// column-wise into panels of `panel_width` columns (<= 0: one panel).
-/// Submits the TRSM/GEMM task graph; independent panels and trailing
-/// updates execute concurrently under engine.wait_all().
+/// right-hand-side block split row-wise by the tile grid, each row segment
+/// carrying every column, so the graph depends on the tile grid alone.
+/// Submits the TRSM/GEMM task graph; trailing updates execute
+/// concurrently under engine.wait_all().
 template <typename T>
 void tiled_getrs(rt::Engine& engine, const TileDesc<T>& a,
-                 la::MatrixView<T> b, index_t panel_width = 0) {
-  HCHAM_CHECK(a.rows() == a.cols() && b.rows() == a.rows());
+                 la::MatrixView<T> b) {
+  HCHAM_CHECK(a.rows() == a.cols() && b.rows() == a.rows() && b.cols() >= 1);
+  HCHAM_CHECK_MSG(&engine == &a.engine(),
+                  "solve submitted to an engine other than the "
+                  "descriptor's");
   const index_t nt = a.nt();
-  const detail::RhsPanels<T> panels(engine, a, b, panel_width);
-  const index_t np = panels.npanels;
-  const index_t pw = panels.width;
-  const index_t nrhs = b.cols();
-
-  auto segment = [&a, b, pw, nrhs](index_t k, index_t p) {
-    const index_t c0 = p * pw;
-    return b.block(a.row_offset(k), c0, a.tile_rows(k),
-                   std::min(pw, nrhs - c0));
+  auto segment = [&a, b](index_t k) {
+    return b.block(a.row_offset(k), 0, a.tile_rows(k), b.cols());
   };
 
   // Forward substitution with L (unit lower).
   for (index_t k = 0; k < nt; ++k) {
-    for (index_t p = 0; p < np; ++p) {
+    engine.submit(
+        [&a, segment, k] { kernel_solve_lower(a.tile(k, k), segment(k)); },
+        {rt::read(a.handle(k, k)), rt::readwrite(a.rhs_handle(k))}, 2,
+        "solve_l");
+    for (index_t i = k + 1; i < nt; ++i) {
       engine.submit(
-          [&a, segment, k, p] {
-            kernel_solve_lower(a.tile(k, k), segment(k, p));
+          [&a, segment, i, k] {
+            kernel_gemm_rhs<T>(la::Op::NoTrans, T{-1}, a.tile(i, k),
+                               segment(k), segment(i));
           },
-          {rt::read(a.handle(k, k)), rt::readwrite(panels.handle(k, p))}, 2,
-          "solve_l");
-      for (index_t i = k + 1; i < nt; ++i) {
-        engine.submit(
-            [&a, segment, i, k, p] {
-              kernel_gemm_rhs<T>(la::Op::NoTrans, T{-1}, a.tile(i, k),
-                              segment(k, p), segment(i, p));
-            },
-            {rt::read(a.handle(i, k)), rt::read(panels.handle(k, p)),
-             rt::readwrite(panels.handle(i, p))},
-            1, "gemm_rhs");
-      }
+          {rt::read(a.handle(i, k)), rt::read(a.rhs_handle(k)),
+           rt::readwrite(a.rhs_handle(i))},
+          1, "gemm_rhs");
     }
   }
   // Backward substitution with U (non-unit upper).
   for (index_t k = nt - 1; k >= 0; --k) {
-    for (index_t p = 0; p < np; ++p) {
+    engine.submit(
+        [&a, segment, k] { kernel_solve_upper(a.tile(k, k), segment(k)); },
+        {rt::read(a.handle(k, k)), rt::readwrite(a.rhs_handle(k))}, 2,
+        "solve_u");
+    for (index_t i = k - 1; i >= 0; --i) {
       engine.submit(
-          [&a, segment, k, p] {
-            kernel_solve_upper(a.tile(k, k), segment(k, p));
+          [&a, segment, i, k] {
+            kernel_gemm_rhs<T>(la::Op::NoTrans, T{-1}, a.tile(i, k),
+                               segment(k), segment(i));
           },
-          {rt::read(a.handle(k, k)), rt::readwrite(panels.handle(k, p))}, 2,
-          "solve_u");
-      for (index_t i = k - 1; i >= 0; --i) {
-        engine.submit(
-            [&a, segment, i, k, p] {
-              kernel_gemm_rhs<T>(la::Op::NoTrans, T{-1}, a.tile(i, k),
-                              segment(k, p), segment(i, p));
-            },
-            {rt::read(a.handle(i, k)), rt::read(panels.handle(k, p)),
-             rt::readwrite(panels.handle(i, p))},
-            1, "gemm_rhs");
-      }
+          {rt::read(a.handle(i, k)), rt::read(a.rhs_handle(k)),
+           rt::readwrite(a.rhs_handle(i))},
+          1, "gemm_rhs");
     }
   }
 }
@@ -246,64 +195,57 @@ void tiled_potrf(rt::Engine& engine, TileDesc<T>& a,
   }
 }
 
-/// Solve (L L^H) X = B with the factors from tiled_potrf.
+/// Solve (L L^H) X = B with the factors from tiled_potrf; B is split like
+/// tiled_getrs's.
 template <typename T>
 void tiled_potrs(rt::Engine& engine, const TileDesc<T>& a,
-                 la::MatrixView<T> b, index_t panel_width = 0) {
-  HCHAM_CHECK(a.rows() == a.cols() && b.rows() == a.rows());
+                 la::MatrixView<T> b) {
+  HCHAM_CHECK(a.rows() == a.cols() && b.rows() == a.rows() && b.cols() >= 1);
+  HCHAM_CHECK_MSG(&engine == &a.engine(),
+                  "solve submitted to an engine other than the "
+                  "descriptor's");
   const index_t nt = a.nt();
-  const detail::RhsPanels<T> panels(engine, a, b, panel_width);
-  const index_t np = panels.npanels;
-  const index_t pw = panels.width;
-  const index_t nrhs = b.cols();
-
-  auto segment = [&a, b, pw, nrhs](index_t k, index_t p) {
-    const index_t c0 = p * pw;
-    return b.block(a.row_offset(k), c0, a.tile_rows(k),
-                   std::min(pw, nrhs - c0));
+  auto segment = [&a, b](index_t k) {
+    return b.block(a.row_offset(k), 0, a.tile_rows(k), b.cols());
   };
 
   // Forward with L (non-unit lower).
   for (index_t k = 0; k < nt; ++k) {
-    for (index_t p = 0; p < np; ++p) {
+    engine.submit(
+        [&a, segment, k] {
+          kernel_solve_lower_nonunit(a.tile(k, k), segment(k));
+        },
+        {rt::read(a.handle(k, k)), rt::readwrite(a.rhs_handle(k))}, 2,
+        "solve_l");
+    for (index_t i = k + 1; i < nt; ++i) {
       engine.submit(
-          [&a, segment, k, p] {
-            kernel_solve_lower_nonunit(a.tile(k, k), segment(k, p));
+          [&a, segment, i, k] {
+            kernel_gemm_rhs<T>(la::Op::NoTrans, T{-1}, a.tile(i, k),
+                               segment(k), segment(i));
           },
-          {rt::read(a.handle(k, k)), rt::readwrite(panels.handle(k, p))}, 2,
-          "solve_l");
-      for (index_t i = k + 1; i < nt; ++i) {
-        engine.submit(
-            [&a, segment, i, k, p] {
-              kernel_gemm_rhs<T>(la::Op::NoTrans, T{-1}, a.tile(i, k),
-                              segment(k, p), segment(i, p));
-            },
-            {rt::read(a.handle(i, k)), rt::read(panels.handle(k, p)),
-             rt::readwrite(panels.handle(i, p))},
-            1, "gemm_rhs");
-      }
+          {rt::read(a.handle(i, k)), rt::read(a.rhs_handle(k)),
+           rt::readwrite(a.rhs_handle(i))},
+          1, "gemm_rhs");
     }
   }
   // Backward with L^H: x_k = L_kk^-H (b_k - sum_{i>k} L_ik^H x_i).
   for (index_t k = nt - 1; k >= 0; --k) {
-    for (index_t p = 0; p < np; ++p) {
-      for (index_t i = k + 1; i < nt; ++i) {
-        engine.submit(
-            [&a, segment, i, k, p] {
-              kernel_gemm_rhs<T>(la::Op::ConjTrans, T{-1}, a.tile(i, k),
-                              segment(i, p), segment(k, p));
-            },
-            {rt::read(a.handle(i, k)), rt::read(panels.handle(i, p)),
-             rt::readwrite(panels.handle(k, p))},
-            1, "gemm_rhs");
-      }
+    for (index_t i = k + 1; i < nt; ++i) {
       engine.submit(
-          [&a, segment, k, p] {
-            kernel_solve_lower_adjoint(a.tile(k, k), segment(k, p));
+          [&a, segment, i, k] {
+            kernel_gemm_rhs<T>(la::Op::ConjTrans, T{-1}, a.tile(i, k),
+                               segment(i), segment(k));
           },
-          {rt::read(a.handle(k, k)), rt::readwrite(panels.handle(k, p))}, 2,
-          "solve_lh");
+          {rt::read(a.handle(i, k)), rt::read(a.rhs_handle(i)),
+           rt::readwrite(a.rhs_handle(k))},
+          1, "gemm_rhs");
     }
+    engine.submit(
+        [&a, segment, k] {
+          kernel_solve_lower_adjoint(a.tile(k, k), segment(k));
+        },
+        {rt::read(a.handle(k, k)), rt::readwrite(a.rhs_handle(k))}, 2,
+        "solve_lh");
   }
 }
 

@@ -4,9 +4,10 @@
 // The matrix is an nt x nt grid of tiles of size nb (the trailing tile may
 // be smaller). Each tile carries a `format` switch: a plain dense block
 // (the classic CHAMELEON case) or a pointer to an H-matrix built by the
-// Tile-H construction (paper Section IV-B). Every tile owns a runtime data
-// handle, so the tiled algorithms can declare accesses and let the engine
-// infer the DAG.
+// Tile-H construction (paper Section IV-B). Every tile, and every tile-row
+// segment of the solves' right-hand side, owns a runtime data handle, so
+// the tiled algorithms can declare accesses and let the engine infer the
+// DAG.
 #pragma once
 
 #include <memory>
@@ -43,8 +44,8 @@ template <typename T>
 class TileDesc {
  public:
   /// Create an empty m x n descriptor with tile size nb; registers one
-  /// runtime handle per tile in `engine`, which every task on these tiles
-  /// must be submitted to.
+  /// runtime handle per tile and one per RHS row segment in `engine`,
+  /// which every task on these tiles must be submitted to.
   TileDesc(rt::Engine& engine, index_t m, index_t n, index_t nb)
       : engine_(&engine), m_(m), n_(n), nb_(nb), mt_(ceil_div(m, nb)),
         nt_(ceil_div(n, nb)) {
@@ -60,6 +61,10 @@ class TileDesc {
             "tile(" + std::to_string(i) + "," + std::to_string(j) + ")"));
       }
     }
+    rhs_rows_.reserve(static_cast<std::size_t>(mt_));
+    for (index_t k = 0; k < mt_; ++k)
+      rhs_rows_.push_back(
+          engine.register_data("rhs(" + std::to_string(k) + ")"));
   }
 
   index_t rows() const { return m_; }
@@ -95,15 +100,12 @@ class TileDesc {
   /// The engine the tile handles are registered on.
   rt::Engine& engine() const { return *engine_; }
 
-  /// `count` handles for the solves' RHS-panel blocks, from a pool that
-  /// registers each on the descriptor's engine the first time it is needed
-  /// and hands it to every later solve. The pool lives here, not per
-  /// engine, because a handle means something only on the engine that
-  /// registered it. Submission-phase only (one thread per engine).
-  const rt::Handle* rhs_handles(index_t count) const {
-    while (static_cast<index_t>(rhs_pool_.size()) < count)
-      rhs_pool_.push_back(engine_->register_data("rhs"));
-    return rhs_pool_.data();
+  /// The handle of the solves' RHS row segment k (rows of tile row k,
+  /// every column), registered with the tile handles so a solve registers
+  /// none.
+  rt::Handle rhs_handle(index_t k) const {
+    HCHAM_DCHECK(k >= 0 && k < mt_);
+    return rhs_rows_[static_cast<std::size_t>(k)];
   }
 
   /// Total scalars stored across tiles (compression metric).
@@ -157,7 +159,7 @@ class TileDesc {
   index_t nt_;
   std::vector<Tile<T>> tiles_;
   std::vector<rt::Handle> handles_;
-  mutable std::vector<rt::Handle> rhs_pool_;
+  std::vector<rt::Handle> rhs_rows_;
 };
 
 }  // namespace hcham::tile

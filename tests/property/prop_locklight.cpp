@@ -203,7 +203,7 @@ LuSolve<T> run_lu_solve(const ProblemConfig& c, int workers,
                                         tileh_options(c));
     doomed.factorize(eng, cache);
     la::Matrix<T> b = make_rhs<T>(doomed.size());
-    doomed.solve(eng, b.view(), /*panel_width=*/0, cache);
+    doomed.solve(eng, b.view(), cache);
   }
   const auto replayed_before = eng.replay_stats().replayed;
   auto a = TileHMatrix<T>::build(eng, problem.points(), gen, tileh_options(c));
@@ -211,7 +211,7 @@ LuSolve<T> run_lu_solve(const ProblemConfig& c, int workers,
   LuSolve<T> out;
   out.factors = a.to_dense_original();
   out.solution = make_rhs<T>(a.size());
-  a.solve(eng, out.solution.view(), /*panel_width=*/0, cache);
+  a.solve(eng, out.solution.view(), cache);
   if (replayed != nullptr)
     *replayed = eng.replay_stats().replayed >= replayed_before + 2;
   return out;

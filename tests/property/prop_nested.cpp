@@ -88,9 +88,9 @@ RunResult run_once(const ProblemConfig& c, const Sweep& sw, bool cholesky,
       a.factorize(eng, gc);
     la::Matrix<double> x = la::Matrix<double>::from_view(rhs.cview());
     if (cholesky)
-      a.solve_cholesky(eng, x.view(), 0, gc);
+      a.solve_cholesky(eng, x.view(), gc);
     else
-      a.solve(eng, x.view(), 0, gc);
+      a.solve(eng, x.view(), gc);
     out = RunResult{a.to_dense_original(), std::move(x)};
   }
   return out;

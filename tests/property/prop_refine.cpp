@@ -32,9 +32,6 @@ using hcham::testing::prop::sweep_name;
 
 constexpr int kMaxIters = 5;
 constexpr index_t kRhs = 2;
-/// Fixed panel width: the auto width follows the worker count, which would
-/// change the solve's GEMM shapes (and rounding) across the sweep.
-constexpr index_t kPanel = 2;
 
 /// policies x {1, 2, 4, 8} workers; one seed keeps the sweep affordable
 /// (each point builds and factorizes twice, for itself and the referee).
@@ -84,11 +81,10 @@ RefinedRun refined_solve_under(const ProblemConfig& c,
   run.x = la::Matrix<double>::from_view(b.cview());
   run.rr = core::solve_refined(f, op, eng, run.x.view(), kMaxIters,
                                /*target_residual=*/0.0, /*cholesky=*/false,
-                               kPanel, &cache);
+                               &cache);
   run.x_replay = la::Matrix<double>::from_view(b.cview());
   core::solve_refined(f, op, eng, run.x_replay.view(), kMaxIters,
-                      /*target_residual=*/0.0, /*cholesky=*/false, kPanel,
-                      &cache);
+                      /*target_residual=*/0.0, /*cholesky=*/false, &cache);
   return run;
 }
 

@@ -152,7 +152,7 @@ TEST_P(ReplaySolve, ReplayedSolveBitMatchesLiveAndIsIdempotent) {
                {"capture solve", "first replayed solve",
                 "second replayed solve"}) {
             la::Matrix<double> x = la::Matrix<double>::from_view(rhs.view());
-            a.solve(eng, x.view(), /*panel_width=*/0, &cache);
+            a.solve(eng, x.view(), &cache);
             if (auto d = compare_bits(x, live, pass)) return d;
           }
           if (eng.replay_stats().replayed < 2)

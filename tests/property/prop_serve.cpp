@@ -9,8 +9,9 @@
 // 2. Service equivalence: a SolverService fed by concurrent client
 //    threads returns, for every request, the same solution the session
 //    computes for that column directly (tolerance-based: the service may
-//    batch the column with strangers, which changes panel widths and thus
-//    GEMM rounding, but not the result beyond factorization accuracy).
+//    batch the column with strangers, which widens the solve's GEMMs and
+//    thus their rounding, but not the result beyond factorization
+//    accuracy).
 //
 // Both run under TSan in CI (labels: property, serve).
 #include <gtest/gtest.h>
@@ -64,7 +65,7 @@ la::Matrix<double> batched_solve_under(const ProblemConfig& c,
                                       options_for(c));
   a.factorize(eng);
   auto b = la::Matrix<double>::random(c.n, 8, seed + 29);
-  a.solve(eng, b.view(), /*panel_width=*/2);
+  a.solve(eng, b.view());
   return b;
 }
 

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -270,7 +271,7 @@ void solve_ones(core::TileHMatrix<double>& a, Engine& eng, index_t nrhs,
   la::Matrix<double> b(a.size(), nrhs);
   for (index_t j = 0; j < nrhs; ++j)
     for (index_t i = 0; i < a.size(); ++i) b(i, j) = 1.0;
-  a.solve(eng, b.view(), /*panel_width=*/0, cache);
+  a.solve(eng, b.view(), cache);
 }
 
 TEST(GraphCapture, ReplayIgnoresRegisterDataAndKeepsHistoryUntouched) {
@@ -295,10 +296,9 @@ TEST(GraphCapture, ReplayIgnoresRegisterDataAndKeepsHistoryUntouched) {
   EXPECT_EQ(after.first, 0);
   EXPECT_EQ(after.nodes[0].label, "captured");
 
-  // A replayed solve takes its RHS-panel handles from the descriptor's
-  // pool: the first one on a fresh engine fills the pool (the graph came
-  // from another engine through the shared cache), later ones register
-  // nothing.
+  // A solve registers no handle: the RHS row-segment handles come with the
+  // descriptor, and the graph captured on another engine through the
+  // shared cache replays at every column count.
   GraphCache cache(8);
   {
     Engine src({.num_workers = 2});
@@ -310,11 +310,10 @@ TEST(GraphCapture, ReplayIgnoresRegisterDataAndKeepsHistoryUntouched) {
   auto a = build_tileh(dst, small_tileh_options());
   a.factorize(dst);
   const index_t dst_tasks = dst.num_tasks();
-  solve_ones(a, dst, 2, &cache);
   const Handle probe = dst.register_data();
-  solve_ones(a, dst, 2, &cache);
+  for (const index_t nrhs : {1, 7, 32}) solve_ones(a, dst, nrhs, &cache);
   EXPECT_EQ(dst.register_data().id, probe.id + 1);
-  EXPECT_EQ(dst.replay_stats().replayed, 2u);
+  EXPECT_EQ(dst.replay_stats().replayed, 3u);
   EXPECT_EQ(dst.num_tasks(), dst_tasks);
 }
 
@@ -322,18 +321,19 @@ TEST(GraphCapture, ReplayIgnoresRegisterDataAndKeepsHistoryUntouched) {
 
 TEST(EngineEpochState, ManyLiveSolvesKeepOneEpochOfState) {
   // A long-lived engine serving live solves keeps its handle table and one
-  // epoch of task records: the RHS-panel handles are pooled on the
-  // descriptor, and earlier epochs' records are dropped.
+  // epoch of task records: solves of any column count register no handle
+  // and submit the same graph, and earlier epochs' records are dropped.
   Engine eng({.num_workers = 2});
   auto a = build_tileh(eng, small_tileh_options());
   a.factorize(eng);
+  const Handle probe = eng.register_data();
   const index_t before = eng.num_tasks();
   solve_ones(a, eng, 1, nullptr);
   const index_t per_solve = eng.num_tasks() - before;
   ASSERT_GT(per_solve, 0);
-  const Handle probe = eng.register_data();
   constexpr int kMore = 50;
-  for (int i = 0; i < kMore; ++i) solve_ones(a, eng, 1, nullptr);
+  constexpr index_t kWidths[] = {1, 7, 32};
+  for (int i = 0; i < kMore; ++i) solve_ones(a, eng, kWidths[i % 3], nullptr);
   EXPECT_EQ(eng.register_data().id, probe.id + 1);
   const rt::TaskGraph g = eng.graph();
   EXPECT_EQ(g.num_tasks(), per_solve);
@@ -364,25 +364,45 @@ TEST(GraphCacheKeys, StructuralChangesChangeTheSignature) {
   EXPECT_NE(build_tileh(eng, weak).structure_signature(), sig);
 }
 
-TEST(GraphCacheKeys, SolveKeyDependsOnColumnCount) {
-  // A cached 1-column solve graph must not be replayed for a 2-column
-  // panel: both widths solve live-then-capture, giving two cache entries.
-  Engine eng({.num_workers = 2});
-  core::TileHOptions opts;
-  opts.tile_size = 64;
-  opts.clustering.leaf_size = 32;
-  auto a = build_tileh(eng, opts);
-  a.factorize(eng);
-  GraphCache cache(8);
-  for (const index_t nrhs : {1, 2, 1, 2}) {
-    la::Matrix<double> b(a.size(), nrhs);
-    for (index_t j = 0; j < nrhs; ++j)
-      for (index_t i = 0; i < a.size(); ++i) b(i, j) = 1.0;
-    a.solve(eng, b.view(), /*panel_width=*/0, &cache);
+TEST(GraphCacheKeys, OneSolveGraphServesEveryColumnCount) {
+  // The solve graph depends on the tile structure alone: solves of any
+  // column count share one captured graph per factor kind, and every
+  // replayed answer is bit-identical to a live solve of the same RHS.
+  for (const bool cholesky : {false, true}) {
+    SCOPED_TRACE(cholesky ? "cholesky" : "lu");
+    Engine eng({.num_workers = 2});
+    auto a = build_tileh(eng, small_tileh_options());
+    if (cholesky) {
+      a.factorize_cholesky(eng);
+    } else {
+      a.factorize(eng);
+    }
+    auto solve = [&](la::MatrixView<double> b, GraphCache* cache) {
+      if (cholesky) {
+        a.solve_cholesky(eng, b, cache);
+      } else {
+        a.solve(eng, b, cache);
+      }
+    };
+    GraphCache cache(8);
+    std::uint64_t seed = 3;
+    for (const index_t nrhs : {1, 2, 1, 32}) {
+      const auto b = la::Matrix<double>::random(a.size(), nrhs, seed++);
+      auto live = la::Matrix<double>::from_view(b.cview());
+      solve(live.view(), nullptr);
+      auto cached = la::Matrix<double>::from_view(b.cview());
+      solve(cached.view(), &cache);
+      EXPECT_EQ(std::memcmp(live.data(), cached.data(),
+                            sizeof(double) *
+                                static_cast<std::size_t>(a.size() * nrhs)),
+                0)
+          << "nrhs=" << nrhs;
+    }
+    EXPECT_EQ(cache.size(), 1);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 3u);
+    EXPECT_EQ(eng.replay_stats().replayed, 3u);
   }
-  EXPECT_EQ(cache.size(), 2);
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.hits(), 2u);
 }
 
 // --- capture vs accumulator flush / factorization epochs -------------------

@@ -193,7 +193,8 @@ index_t checked_qrp(const Matrix<T>& a, double rtol, index_t max_rank = -1) {
   const index_t n = a.cols();
   const index_t kk = std::min(m, n);
   Matrix<T> q(m, kk), rr(kk, n);
-  const index_t r = la::qr_pivoted_rank<T>(a.cview(), q.view(), rr.view(),
+  Matrix<T> work = Matrix<T>::from_view(a.cview());  // factored in place
+  const index_t r = la::qr_pivoted_rank<T>(work.view(), q.view(), rr.view(),
                                            rtol, max_rank);
   const double eps = std::numeric_limits<R>::epsilon();
   if (r > 0) {
@@ -284,7 +285,9 @@ TEST(QrPivotedRank, KeepsColumnsInOriginalOrder) {
   auto a = Matrix<zdouble>::random(10, 5, 8);
   for (index_t i = 0; i < 10; ++i) a(i, 3) *= 100.0;
   Matrix<zdouble> q(10, 5), rr(5, 5);
-  ASSERT_EQ(la::qr_pivoted_rank<zdouble>(a.cview(), q.view(), rr.view(), 1e-12),
+  Matrix<zdouble> work = Matrix<zdouble>::from_view(a.cview());
+  ASSERT_EQ(la::qr_pivoted_rank<zdouble>(work.view(), q.view(), rr.view(),
+                                         1e-12),
             5);
   EXPECT_NEAR(rr(0, 3).real(), la::nrm2(10, a.cview().col(3)), 1e-12 * rr(0, 3).real());
   EXPECT_EQ(rr(0, 3).imag(), 0.0);

@@ -61,8 +61,10 @@ Matrix<T> rhs_for(const TileHMatrix<T>& m, const Matrix<T>& x0) {
 // ---------------------------------------------------------------------------
 // Batched tiled solve.
 
-TEST(BatchedSolve, MatchesPerColumnReference) {
-  const index_t n = 600;
+/// Solves of 1, 3 and 32 columns in one task graph match the same columns
+/// solved one at a time, and the true solution.
+void expect_batched_matches_per_column(index_t n, bool cholesky,
+                                       std::uint64_t seed) {
   FemBemProblem<double> problem(n, 1.0, 8.0);
   Engine engine({.num_workers = 2});
   const auto* p = &problem;
@@ -72,28 +74,34 @@ TEST(BatchedSolve, MatchesPerColumnReference) {
   // RHS through the operator BEFORE factorization overwrites the tiles.
   std::vector<Matrix<double>> x0s, bs;
   for (index_t nrhs : {1, 3, 32}) {
-    x0s.push_back(Matrix<double>::random(n, nrhs, 7 + nrhs));
+    x0s.push_back(Matrix<double>::random(n, nrhs, seed + nrhs));
     bs.push_back(rhs_for(m, x0s.back()));
   }
-  m.factorize(engine);
+  if (cholesky) {
+    m.factorize_cholesky(engine);
+  } else {
+    m.factorize(engine);
+  }
+  auto solve = [&](la::MatrixView<double> x) {
+    if (cholesky) {
+      m.solve_cholesky(engine, x);
+    } else {
+      m.solve(engine, x);
+    }
+  };
 
   for (std::size_t t = 0; t < x0s.size(); ++t) {
     const Matrix<double>& x0 = x0s[t];
     const Matrix<double>& b = bs[t];
     const index_t nrhs = x0.cols();
-
-    // Batched: all columns in one task graph, explicit narrow panels.
     Matrix<double> batched = Matrix<double>::from_view(b.cview());
-    m.solve(engine, batched.view(), /*panel_width=*/4);
-
-    // Reference: the old one-column-at-a-time path.
+    solve(batched.view());
     Matrix<double> seq = Matrix<double>::from_view(b.cview());
-    for (index_t c = 0; c < nrhs; ++c) {
-      la::MatrixView<double> col(seq.view().col(c), n, 1, n);
-      m.solve(engine, col);
-    }
+    for (index_t c = 0; c < nrhs; ++c)
+      solve(la::MatrixView<double>(seq.view().col(c), n, 1, n));
 
-    // Same factors, same arithmetic per column up to panel-GEMM rounding.
+    // Same factors, same arithmetic per column up to multi-column GEMM
+    // rounding.
     EXPECT_LT(testing::rel_diff<double>(batched.cview(), seq.cview()), 1e-10)
         << "nrhs=" << nrhs;
     EXPECT_LT(testing::rel_diff<double>(batched.cview(), x0.cview()), 1e-4)
@@ -101,26 +109,12 @@ TEST(BatchedSolve, MatchesPerColumnReference) {
   }
 }
 
+TEST(BatchedSolve, MatchesPerColumnReference) {
+  expect_batched_matches_per_column(600, /*cholesky=*/false, 7);
+}
+
 TEST(BatchedSolve, CholeskyMultiRhs) {
-  const index_t n = 500;
-  FemBemProblem<double> problem(n, 1.0, 8.0);
-  Engine engine({.num_workers = 2});
-  const auto* p = &problem;
-  auto gen = [p](index_t i, index_t j) { return p->entry(i, j); };
-  auto m = TileHMatrix<double>::build(engine, problem.points(), gen,
-                                      make_options(128, 1e-8));
-  Matrix<double> x0 = Matrix<double>::random(n, 8, 21);
-  Matrix<double> b = rhs_for(m, x0);  // before the factors overwrite tiles
-  m.factorize_cholesky(engine);
-  Matrix<double> batched = Matrix<double>::from_view(b.cview());
-  m.solve_cholesky(engine, batched.view(), /*panel_width=*/3);
-  Matrix<double> seq = Matrix<double>::from_view(b.cview());
-  for (index_t c = 0; c < 8; ++c) {
-    la::MatrixView<double> col(seq.view().col(c), n, 1, n);
-    m.solve_cholesky(engine, col);
-  }
-  EXPECT_LT(testing::rel_diff<double>(batched.cview(), seq.cview()), 1e-10);
-  EXPECT_LT(testing::rel_diff<double>(batched.cview(), x0.cview()), 1e-4);
+  expect_batched_matches_per_column(500, /*cholesky=*/true, 21);
 }
 
 TEST(SolveRefined, MultiRhsPerColumnResiduals) {
@@ -158,7 +152,7 @@ TEST(SolveRefined, SingleColumnSignatureStillWorks) {
   m.factorize(engine);
   Matrix<double> x0 = Matrix<double>::random(n, 1, 13);
   Matrix<double> b = rhs_for(op, x0);
-  // The pre-existing call shape: no panel_width, defaulted iters.
+  // The shortest call shape: defaulted iters, target and cache.
   auto rr = core::solve_refined(m, op, engine, b.view());
   EXPECT_EQ(rr.column_residuals.size(), 1u);
   EXPECT_LT(rr.final_residual, 1e-9);
